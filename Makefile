@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: all build test race vet fmt golden doclint debug-smoke chaos-smoke \
 	health-smoke serve-smoke check bench clean bench-sched bench-sched-guard \
-	bench-sched-smoke bench-trace bench-telemetry bench-telemetry-smoke
+	bench-sched-smoke bench-trace bench-telemetry bench-telemetry-smoke loc
 
 # DOC_PKGS are the packages held to the godoc floor by doclint: the
 # paper-critical stack plus the serving layer and the facade.
@@ -123,6 +123,12 @@ bench-telemetry:
 # function, not timing; the timing gate is bench-telemetry.
 bench-telemetry-smoke:
 	$(GO) test -run 'TestTimelineSmoke$$' -count=1 .
+
+# loc prints non-test, non-generated Go lines per package (bench/
+# excluded) — the figures ROADMAP and simplicity PRs quote. Not part of
+# check: it reports, it does not gate.
+loc:
+	./scripts/loc.sh
 
 clean:
 	$(GO) clean ./...

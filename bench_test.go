@@ -23,6 +23,7 @@ import (
 	"hstreams/internal/platform"
 	"hstreams/internal/solver"
 	"hstreams/internal/stencil"
+	"hstreams/internal/trace"
 	"hstreams/internal/workload"
 )
 
@@ -459,7 +460,11 @@ func BenchmarkAblationAsyncAlloc(b *testing.B) {
 					}
 				}
 				rt.ThreadSynchronize()
-				makespan = rt.Trace().Makespan().Seconds() * 1000
+				spans, err := rt.Spans()
+				if err != nil {
+					b.Fatal(err)
+				}
+				makespan = trace.Makespan(spans).Seconds() * 1000
 				rt.Fini()
 			}
 			b.ReportMetric(makespan, "makespanMs")

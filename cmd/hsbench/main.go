@@ -586,7 +586,9 @@ func tuning() {
 		if async {
 			label = "asynchronous (implemented)"
 		}
-		fmt.Printf("  %-28s makespan %v\n", label, rt.Trace().Makespan())
+		spans, err := rt.Spans()
+		check(err)
+		fmt.Printf("  %-28s makespan %v\n", label, trace.Makespan(spans))
 		rt.Fini()
 	}
 }

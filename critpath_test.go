@@ -18,11 +18,12 @@ import (
 	"hstreams/internal/matmul"
 	"hstreams/internal/metrics"
 	"hstreams/internal/platform"
+	"hstreams/internal/trace"
 )
 
 // runMatmulTraced runs the Fig. 6-class matmul under a private flight
-// recorder and returns the runtime's recorded makespan plus the
-// critical-path report of that run.
+// recorder and returns the timeline makespan of the run's spans plus
+// the critical-path report of the same spans.
 func runMatmulTraced(t *testing.T) (time.Duration, *hstreams.CritReport) {
 	t.Helper()
 	flight := hstreams.NewFlightRecorder(1 << 15)
@@ -40,17 +41,20 @@ func runMatmulTraced(t *testing.T) (time.Duration, *hstreams.CritReport) {
 	if _, err := matmul.Run(a, matmul.Config{N: 9600, Tile: 2400, UseHost: true, LoadBalance: true}); err != nil {
 		t.Fatal(err)
 	}
-	makespan := a.RT.Trace().Makespan()
-	spans := flight.Snapshot()
+	spans, err := a.RT.Spans()
+	if err != nil {
+		t.Fatal(err)
+	}
 	a.Fini()
-	return makespan, hstreams.AnalyzeCriticalPath(hstreams.LatestRunSpans(spans))
+	return trace.Makespan(spans), hstreams.AnalyzeCriticalPath(spans)
 }
 
 // TestCritPathAccountsForMakespan is the PR's acceptance criterion:
 // the per-category attribution must sum to within 5% of the measured
 // makespan (by construction it sums to the report's own makespan
 // exactly; the 5% covers the different origin conventions of the
-// timeline recorder and the span DAG).
+// timeline statistic, which starts at the first launch, and the span
+// DAG, which starts at the first enqueue).
 func TestCritPathAccountsForMakespan(t *testing.T) {
 	makespan, rep := runMatmulTraced(t)
 	if len(rep.Steps) == 0 {

@@ -99,5 +99,9 @@ func main() {
 	fmt.Printf("\ny[10] = %v (want %v)\n", ys[10], 1+3*float64(10))
 	fmt.Printf("y[%d] = %v (want %v)\n", n-1, ys[n-1], 1+3*float64(n-1))
 	fmt.Println("\ntimeline (C compute, T transfer):")
-	fmt.Print(rt.Trace().Gantt(64))
+	spans, err := rt.Spans()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(hstreams.Gantt(spans, 64))
 }

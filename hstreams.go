@@ -201,6 +201,10 @@ func DefaultFlight() *FlightRecorder { return trace.DefaultFlight() }
 // (use LatestRunSpans to select them from a shared recorder).
 func AnalyzeCriticalPath(spans []Span) *CritReport { return trace.Analyze(spans) }
 
+// Gantt renders one run's spans (Runtime.Spans) as a crude text
+// timeline, one row per stream, width columns wide.
+func Gantt(spans []Span, width int) string { return trace.Gantt(spans, width) }
+
 // LatestRunSpans filters spans down to the most recent run id present.
 func LatestRunSpans(spans []Span) []Span { return trace.LatestRun(spans) }
 

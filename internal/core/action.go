@@ -84,8 +84,12 @@ type Action struct {
 	deps   []trace.Dep
 	depbuf [8]trace.Dep
 	// span is the flight-recorder entry, embedded here so recording a
-	// completed action allocates nothing; finish fills it and stores
-	// its address in the ring.
+	// completed action allocates nothing. enqueue writes what is known
+	// then (identity, payload, cost, link direction) while the fresh
+	// allocation is still in cache; finish adds the timestamps and the
+	// outcome and stores the span's address in the ring. Writing all of
+	// it at finish, to lines long evicted, cost over a point of the <5%
+	// tracing budget on the tier-1 matmul.
 	span trace.Span
 
 	// ready is the earliest virtual start (Sim mode): the source
@@ -270,6 +274,39 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 	// launch this action — and notify OnReady/OnLaunch — before its
 	// OnEnqueue, breaking the per-action hook ordering contract.
 	a.npend.Store(1)
+	capture := rt.flight != nil
+	if capture {
+		sp := &a.span
+		sp.ID = a.id
+		sp.Run = rt.runID
+		sp.Kind = trace.Compute
+		switch a.kind {
+		case ActXferToSink, ActXferToSrc:
+			sp.Kind = trace.Transfer
+		case ActSync:
+			sp.Kind = trace.Sync
+		}
+		sp.Stream = s.name
+		sp.Domain = s.domain.spec.Name
+		sp.Label = a.label
+		sp.Bytes = a.bytes
+		sp.Flops = a.cost.Flops
+		sp.CostKernel = int(a.cost.Kernel)
+		sp.CostN = a.cost.N
+		sp.CostBytes = a.cost.Bytes
+		sp.CostExtra = a.cost.Extra
+		// Host-as-target transfers alias instances and move nothing,
+		// so only card-domain transfers name a link direction.
+		if !s.domain.IsHost() {
+			host := rt.domains[0].spec.Name
+			switch a.kind {
+			case ActXferToSink:
+				sp.Src, sp.Dst = host, sp.Domain
+			case ActXferToSrc:
+				sp.Src, sp.Dst = sp.Domain, host
+			}
+		}
+	}
 
 	// Sim-mode source thread accounting: each enqueue call costs
 	// SourceOverhead on the host thread. (The host clock advances on
@@ -289,7 +326,6 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 	// stream lock; tolerates duplicates (the lastSucc stamp replaces
 	// the seed's linear succs scan) and completed predecessors.
 	nDeps := 0
-	capture := rt.flight != nil
 	addDep := func(b *Action, why trace.DepKind) {
 		if b == a || b.completed() || b.lastSucc == a.id {
 			return
@@ -426,6 +462,33 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 // Executors call it exactly once per action.
 func (rt *Runtime) finish(a *Action, err error) {
 	s := a.stream
+	// The span goes into the ring before the action leaves inflight:
+	// Synchronize and ThreadSynchronize return once inflight is empty,
+	// so whoever saw the work drain also sees its complete record
+	// (Runtime.Spans, Checkpoint).
+	if rt.flight != nil {
+		sp := &a.span
+		sp.Err = err != nil
+		sp.Enqueue = a.tEnqueue
+		sp.Ready = a.tReady
+		sp.Launch = a.start
+		sp.Finish = a.end
+		sp.Deps = a.deps
+		if r := a.res; r != nil {
+			sp.Retries = r.retries
+			sp.RetryWait = r.retryWait
+			sp.DeadlineHit = r.deadlineHit
+			sp.Rerouted = r.rerouted
+			rt.emitResEvents(a, r, err)
+		}
+		rt.flight.Record(sp)
+	} else if r := a.res; r != nil {
+		// Tracing disabled: lifecycle events still flow. Either branch
+		// tests a.res exactly once, keeping the fault-free finish at a
+		// single nil check (the lazily-allocated resNote contract the
+		// telemetry overhead budget counts on).
+		rt.emitResEvents(a, r, err)
+	}
 	s.mu.Lock()
 	a.err = err
 	a.state.Store(stateDone)
@@ -485,70 +548,6 @@ func (rt *Runtime) finish(a *Action, err error) {
 
 	rt.setErr(err)
 	rt.observeFinish(a, err)
-	kind := trace.Compute
-	switch a.kind {
-	case ActXferToSink, ActXferToSrc:
-		kind = trace.Transfer
-	case ActSync:
-		kind = trace.Sync
-	}
-	rt.rec.Add(trace.Record{
-		ID:     a.id,
-		Kind:   kind,
-		Stream: s.name,
-		Domain: s.domain.spec.Name,
-		Label:  a.label,
-		Start:  a.start,
-		End:    a.end,
-		Bytes:  a.bytes,
-		Flops:  a.cost.Flops,
-	})
-	if rt.flight != nil {
-		sp := &a.span
-		sp.ID = a.id
-		sp.Run = rt.runID
-		sp.Kind = kind
-		sp.Stream = s.name
-		sp.Domain = s.domain.spec.Name
-		sp.Label = a.label
-		sp.Bytes = a.bytes
-		sp.Flops = a.cost.Flops
-		sp.CostKernel = int(a.cost.Kernel)
-		sp.CostN = a.cost.N
-		sp.CostBytes = a.cost.Bytes
-		sp.CostExtra = a.cost.Extra
-		sp.Err = err != nil
-		sp.Enqueue = a.tEnqueue
-		sp.Ready = a.tReady
-		sp.Launch = a.start
-		sp.Finish = a.end
-		sp.Deps = a.deps
-		if r := a.res; r != nil {
-			sp.Retries = r.retries
-			sp.RetryWait = r.retryWait
-			sp.DeadlineHit = r.deadlineHit
-			sp.Rerouted = r.rerouted
-			rt.emitResEvents(a, r, err)
-		}
-		// Host-as-target transfers alias instances and move nothing,
-		// so only card-domain transfers name a link direction.
-		if !s.domain.IsHost() {
-			host := rt.domains[0].spec.Name
-			switch a.kind {
-			case ActXferToSink:
-				sp.Src, sp.Dst = host, sp.Domain
-			case ActXferToSrc:
-				sp.Src, sp.Dst = sp.Domain, host
-			}
-		}
-		rt.flight.Record(sp)
-	} else if r := a.res; r != nil {
-		// Tracing disabled: lifecycle events still flow. Either branch
-		// tests a.res exactly once, keeping the fault-free finish at a
-		// single nil check (the lazily-allocated resNote contract the
-		// telemetry overhead budget counts on).
-		rt.emitResEvents(a, r, err)
-	}
 	a.fin.Store(true)
 	if p := a.doneCh.Load(); p != nil {
 		ch := *p

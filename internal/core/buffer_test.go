@@ -5,7 +5,19 @@ import (
 	"testing/quick"
 
 	"hstreams/internal/platform"
+	"hstreams/internal/trace"
 )
+
+// spansOf returns rt's drained run as spans, failing the test if the
+// flight recorder no longer holds all of it.
+func spansOf(t *testing.T, rt *Runtime) []trace.Span {
+	t.Helper()
+	spans, err := rt.Spans()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spans
+}
 
 func simRuntime(t *testing.T, cards int) *Runtime {
 	t.Helper()

@@ -29,7 +29,8 @@ var (
 	// overwritten in the flight-recorder ring (or whose runtime
 	// geometry aged out of the process registry) — the DAG cannot be
 	// reconstructed completely, and a partial checkpoint would replay
-	// as a different schedule.
+	// as a different schedule. Runtime.Spans returns it too: statistics
+	// over part of a run would be silently wrong.
 	ErrCheckpointEvicted = errors.New("core: run incomplete in flight recorder")
 	// ErrReplayDiverged marks a replay whose executed DAG differs from
 	// the checkpointed one — an edge present on one side only, or a
@@ -175,21 +176,19 @@ func recordStreamGeom(rt *Runtime, s *Stream) {
 	})
 }
 
-// CheckpointRun cuts a checkpoint for one completed run from a flight
-// recorder. The run must be fully retained: if the ring overwrote any
-// of its spans, or the runtime's geometry aged out of the process
-// registry, it returns ErrCheckpointEvicted — a partial DAG would
-// replay as a different schedule.
-func CheckpointRun(flight *trace.FlightRecorder, run uint64) (*Checkpoint, error) {
+// runSpans returns one run's spans from a flight recorder in action-id
+// order, or ErrCheckpointEvicted unless the run is fully retained — the
+// one completeness check behind both CheckpointRun and Runtime.Spans,
+// so neither a checkpoint nor a derived statistic is ever cut from a
+// silently truncated run. A nil recorder (causal tracing disabled)
+// retains nothing.
+func runSpans(flight *trace.FlightRecorder, run uint64) ([]trace.Span, error) {
+	if flight == nil {
+		return nil, fmt.Errorf("%w: causal tracing disabled", ErrCheckpointEvicted)
+	}
 	spans := trace.FilterRun(flight.Snapshot(), run)
 	if len(spans) == 0 {
 		return nil, fmt.Errorf("%w: run %d has no spans", ErrCheckpointEvicted, run)
-	}
-	geomMu.Lock()
-	g, ok := geomByRun[run]
-	geomMu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: run %d geometry unknown", ErrCheckpointEvicted, run)
 	}
 	sort.Slice(spans, func(i, j int) bool { return spans[i].ID < spans[j].ID })
 	// Action ids are assigned 1..n in enqueue order; a gap or offset
@@ -199,6 +198,25 @@ func CheckpointRun(flight *trace.FlightRecorder, run uint64) (*Checkpoint, error
 			return nil, fmt.Errorf("%w: run %d spans %d..%d retained (want 1..%d)",
 				ErrCheckpointEvicted, run, spans[0].ID, spans[len(spans)-1].ID, spans[len(spans)-1].ID)
 		}
+	}
+	return spans, nil
+}
+
+// CheckpointRun cuts a checkpoint for one completed run from a flight
+// recorder. The run must be fully retained: if the ring overwrote any
+// of its spans, or the runtime's geometry aged out of the process
+// registry, it returns ErrCheckpointEvicted — a partial DAG would
+// replay as a different schedule.
+func CheckpointRun(flight *trace.FlightRecorder, run uint64) (*Checkpoint, error) {
+	spans, err := runSpans(flight, run)
+	if err != nil {
+		return nil, err
+	}
+	geomMu.Lock()
+	g, ok := geomByRun[run]
+	geomMu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: run %d geometry unknown", ErrCheckpointEvicted, run)
 	}
 	streamIdx := make(map[string]int, len(g.streams))
 	for i, cs := range g.streams {
@@ -261,10 +279,19 @@ func CheckpointRun(flight *trace.FlightRecorder, run uint64) (*Checkpoint, error
 // (ThreadSynchronize/Fini); with causal tracing disabled there is
 // nothing to checkpoint.
 func (rt *Runtime) Checkpoint() (*Checkpoint, error) {
-	if rt.flight == nil {
-		return nil, fmt.Errorf("%w: causal tracing disabled", ErrCheckpointEvicted)
-	}
 	return CheckpointRun(rt.flight, rt.runID)
+}
+
+// Spans returns this run's spans in action-id order — the input of the
+// schedule statistics in internal/trace (Makespan, BusyTime,
+// OverlapTime, Gantt) and of critical-path analysis. Call after the
+// work has drained. The flight recorder is a bounded ring that other
+// runtimes may share, so the answer is all or nothing: with causal
+// tracing disabled, or once the ring has overwritten any span of this
+// run, it returns an error wrapping ErrCheckpointEvicted, never a
+// short slice.
+func (rt *Runtime) Spans() ([]trace.Span, error) {
+	return runSpans(rt.flight, rt.runID)
 }
 
 // Encode writes the checkpoint as indented JSON.

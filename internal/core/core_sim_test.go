@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"hstreams/internal/platform"
+	"hstreams/internal/trace"
 )
 
 func simCost(n int) platform.Cost {
@@ -171,7 +172,7 @@ func TestSimDeterminism(t *testing.T) {
 			s.EnqueueXferAll(b, ToSource)
 		}
 		rt.ThreadSynchronize()
-		return rt.Trace().Makespan()
+		return trace.Makespan(spansOf(t, rt))
 	}
 	m1, m2 := run(), run()
 	if m1 != m2 || m1 <= 0 {
@@ -235,15 +236,23 @@ func TestSimTraceRecords(t *testing.T) {
 	s.EnqueueCompute("k", nil, []Operand{b.All(InOut)}, simCost(1000))
 	s.EnqueueXferAll(b, ToSource)
 	rt.ThreadSynchronize()
-	recs := rt.Trace().Records()
-	if len(recs) != 3 {
-		t.Fatalf("trace has %d records, want 3", len(recs))
+	spans := spansOf(t, rt)
+	if len(spans) != 3 {
+		t.Fatalf("run has %d spans, want 3", len(spans))
 	}
-	if rt.Trace().TotalBytes() != 2*(2<<20) {
-		t.Fatalf("TotalBytes = %d", rt.Trace().TotalBytes())
+	var bytes int64
+	var flops float64
+	for _, sp := range spans {
+		if sp.Kind == trace.Transfer {
+			bytes += sp.Bytes
+		}
+		flops += sp.Flops
 	}
-	if rt.Trace().TotalFlops() != simCost(1000).Flops {
-		t.Fatalf("TotalFlops = %v", rt.Trace().TotalFlops())
+	if bytes != 2*(2<<20) {
+		t.Fatalf("transferred bytes = %d", bytes)
+	}
+	if flops != simCost(1000).Flops {
+		t.Fatalf("flops = %v", flops)
 	}
 }
 
@@ -269,7 +278,7 @@ func TestSimAsyncAllocRemovesAllocStalls(t *testing.T) {
 		}
 		last.Wait()
 		rt.ThreadSynchronize()
-		return rt.Trace().Makespan()
+		return trace.Makespan(spansOf(t, rt))
 	}
 	sync := run(false)
 	async := run(true)

@@ -193,7 +193,6 @@ type Runtime struct {
 	cfg     Config
 	machine *platform.Machine
 	domains []*Domain
-	rec     *trace.Recorder
 	flight  *trace.FlightRecorder // nil when causal tracing is off
 	runID   uint64
 	reg     *metrics.Registry
@@ -257,7 +256,6 @@ func Init(cfg Config) (*Runtime, error) {
 	rt := &Runtime{
 		cfg:     cfg,
 		machine: cfg.Machine,
-		rec:     trace.New(),
 		runID:   nextRunID.Add(1),
 		reg:     reg,
 		proxy:   fabric.NewAddrSpace(proxyAlign),
@@ -364,9 +362,6 @@ func (m Mode) String() string {
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
 }
-
-// Trace returns the runtime's timeline recorder.
-func (rt *Runtime) Trace() *trace.Recorder { return rt.rec }
 
 // Flight returns the flight recorder this runtime records causal
 // spans into — the one supplied via Config.Flight, or the

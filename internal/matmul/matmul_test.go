@@ -2,10 +2,12 @@ package matmul
 
 import (
 	"testing"
+	"time"
 
 	"hstreams/internal/app"
 	"hstreams/internal/core"
 	"hstreams/internal/platform"
+	"hstreams/internal/trace"
 )
 
 func simApp(t *testing.T, m *platform.Machine, hostStreams int) *app.App {
@@ -127,11 +129,54 @@ func TestSimTransfersOverlapCompute(t *testing.T) {
 	if _, err := Run(a, Config{N: 9600, Tile: 2400}); err != nil {
 		t.Fatal(err)
 	}
-	tr := a.RT.Trace()
-	xfer := tr.BusyTime(1)     // trace.Transfer
-	ov := tr.OverlapTime(0, 1) // compute vs transfer
+	spans, err := a.RT.Spans()
+	if err != nil {
+		t.Fatal(err)
+	}
+	xfer := trace.BusyTime(spans, trace.Transfer)
+	ov := trace.OverlapTime(spans, trace.Compute, trace.Transfer)
 	if ov < xfer/2 {
 		t.Fatalf("poor pipelining: only %v of %v transfer time overlapped", ov, xfer)
+	}
+}
+
+// TestSpanStatsMatchSchedule checks the span-derived schedule
+// statistics against naive recomputation on the tier-1 matmul: the
+// numbers every figure and ablation quotes come from these functions.
+func TestSpanStatsMatchSchedule(t *testing.T) {
+	a := simApp(t, platform.HSWPlusKNC(1), 0)
+	if _, err := Run(a, Config{N: 9600, Tile: 2400}); err != nil {
+		t.Fatal(err)
+	}
+	spans, err := a.RT.Spans()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, last := spans[0].Launch, spans[0].Finish
+	var total time.Duration
+	for i := range spans {
+		if spans[i].Launch < first {
+			first = spans[i].Launch
+		}
+		if spans[i].Finish > last {
+			last = spans[i].Finish
+		}
+		total += spans[i].Dur()
+	}
+	if got := trace.Makespan(spans); got != last-first || got <= 0 {
+		t.Fatalf("Makespan = %v, want latest finish - earliest launch = %v", got, last-first)
+	}
+	compute := trace.BusyTime(spans, trace.Compute)
+	xfer := trace.BusyTime(spans, trace.Transfer)
+	if sum := compute + xfer + trace.BusyTime(spans, trace.Sync); sum != total {
+		t.Fatalf("busy time over the three kinds = %v, want the summed span durations %v", sum, total)
+	}
+	ov := trace.OverlapTime(spans, trace.Compute, trace.Transfer)
+	if rev := trace.OverlapTime(spans, trace.Transfer, trace.Compute); rev != ov {
+		t.Fatalf("OverlapTime is not symmetric: %v vs %v", ov, rev)
+	}
+	if ov > compute || ov > xfer {
+		t.Fatalf("overlap %v exceeds a side's busy time (compute %v, transfer %v)", ov, compute, xfer)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"hstreams/internal/core"
 	"hstreams/internal/floatbits"
 	"hstreams/internal/platform"
+	"hstreams/internal/trace"
 )
 
 func newOMP(t *testing.T, mode core.Mode, v Version, cards int) *OMP {
@@ -77,8 +78,11 @@ func TestV40TransfersNeverOverlapCompute(t *testing.T) {
 	if err := o.Target(0, "k", nil, cost(2000), MapAll(b2, MapToFrom)); err != nil {
 		t.Fatal(err)
 	}
-	tr := o.RT.Trace()
-	if ov := tr.OverlapTime(0, 1); ov != 0 { // trace.Compute=0, trace.Transfer=1
+	spans, err := o.RT.Spans()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ov := trace.OverlapTime(spans, trace.Compute, trace.Transfer); ov != 0 {
 		t.Fatalf("V40 overlapped compute and transfer by %v", ov)
 	}
 }
@@ -96,8 +100,11 @@ func TestV45NowaitOverlaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.Taskwait()
-	tr := o.RT.Trace()
-	if ov := tr.OverlapTime(0, 1); ov == 0 {
+	spans, err := o.RT.Spans()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ov := trace.OverlapTime(spans, trace.Compute, trace.Transfer); ov == 0 {
 		t.Fatal("V45 nowait on two devices produced no overlap")
 	}
 }

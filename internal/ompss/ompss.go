@@ -212,9 +212,6 @@ func (r *Runtime) Core() *core.Runtime {
 // Devices returns the number of compute devices.
 func (r *Runtime) Devices() int { return len(r.rr) }
 
-// Makespan returns the trace makespan of everything executed so far.
-func (r *Runtime) Makespan() time.Duration { return r.Core().Trace().Makespan() }
-
 // taskRef identifies a completed-or-pending task for dependence
 // tracking.
 type taskRef struct {

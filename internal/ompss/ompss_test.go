@@ -8,6 +8,7 @@ import (
 	"hstreams/internal/floatbits"
 	"hstreams/internal/kernels"
 	"hstreams/internal/platform"
+	"hstreams/internal/trace"
 )
 
 func newRT(t *testing.T, backend Backend, mode core.Mode, cards int) *Runtime {
@@ -22,6 +23,16 @@ func newRT(t *testing.T, backend Backend, mode core.Mode, cards int) *Runtime {
 	}
 	t.Cleanup(r.Fini)
 	return r
+}
+
+// makespan returns the schedule length of everything r executed.
+func makespan(t *testing.T, r *Runtime) time.Duration {
+	t.Helper()
+	spans, err := r.Core().Spans()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trace.Makespan(spans)
 }
 
 func cost(n int) platform.Cost {
@@ -200,7 +211,7 @@ func TestTaskOverheadCharged(t *testing.T) {
 			}
 		}
 		r.Taskwait()
-		return r.Makespan()
+		return makespan(t, r)
 	}
 	cheap := run(time.Microsecond)
 	costly := run(500 * time.Microsecond)
@@ -300,7 +311,7 @@ func TestBackendComparisonHStreamsFaster(t *testing.T) {
 			}
 		}
 		r.Taskwait()
-		return r.Makespan()
+		return makespan(t, r)
 	}
 	hs := run(BackendHStreams)
 	cu := run(BackendCUDA)

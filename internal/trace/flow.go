@@ -7,6 +7,28 @@ import (
 	"sort"
 )
 
+// chromeEvent is one "complete" event in the Chrome trace-event
+// format (the JSON consumed by chrome://tracing and Perfetto).
+type chromeEvent struct {
+	Name string            `json:"name"`
+	Cat  string            `json:"cat"`
+	Ph   string            `json:"ph"`
+	TS   float64           `json:"ts"`  // microseconds
+	Dur  float64           `json:"dur"` // microseconds
+	PID  int               `json:"pid"`
+	TID  int               `json:"tid"`
+	Args map[string]string `json:"args,omitempty"`
+}
+
+// chromeMeta names a process or thread row in the viewer.
+type chromeMeta struct {
+	Name string            `json:"name"`
+	Ph   string            `json:"ph"`
+	PID  int               `json:"pid"`
+	TID  int               `json:"tid"`
+	Args map[string]string `json:"args"`
+}
+
 // chromeFlow is a flow event (ph "s" start / "f" finish): the pair
 // renders as a dependency arrow between two slices in Perfetto.
 type chromeFlow struct {

@@ -45,10 +45,11 @@ type Dep struct {
 // Span is one completed action with its full causal context: the four
 // phase timestamps of the action state machine
 // (enqueue → ready → launch → finish) and the dependence edges that
-// gated it. Unlike Record — a flat timeline entry — a set of spans
-// reconstructs the executed action DAG, which is what critical-path
-// analysis (critpath.go) and dependency-arrow rendering
-// (WriteChromeSpans) consume.
+// gated it. It is the only per-action record the runtime keeps: the
+// Launch→Finish interval feeds the schedule statistics (trace.go), and
+// a run's spans together reconstruct the executed action DAG, which is
+// what critical-path analysis (critpath.go), checkpoint/replay and
+// dependency-arrow rendering (WriteChromeSpans) consume.
 type Span struct {
 	ID     uint64 `json:"id"`
 	Run    uint64 `json:"run"` // runtime instance that produced it

@@ -1,18 +1,19 @@
-// Package trace records per-action execution timelines (start, end,
-// resource) from either execution mode, and computes the schedule
-// statistics the evaluation relies on: makespan, per-kind busy time,
-// and compute/transfer overlap.
+// Package trace holds the one per-action record, Span: the lock-free
+// flight recorder that retains spans (span.go), the schedule
+// statistics the evaluation relies on as pure functions over a run's
+// spans — makespan, per-kind busy time, compute/transfer overlap, a
+// text Gantt (this file) — critical-path attribution (critpath.go)
+// and the Chrome trace-event exporter (flow.go).
 package trace
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
-// Kind classifies a timeline record.
+// Kind classifies a span.
 type Kind int
 
 const (
@@ -24,7 +25,7 @@ const (
 	Sync
 )
 
-// String labels the record kind for trace output.
+// String labels the span kind for trace output.
 func (k Kind) String() string {
 	switch k {
 	case Compute:
@@ -38,141 +39,47 @@ func (k Kind) String() string {
 	}
 }
 
-// Record is one completed action.
-type Record struct {
-	ID     uint64
-	Kind   Kind
-	Stream string
-	Domain string
-	Label  string
-	Start  time.Duration
-	End    time.Duration
-	Bytes  int64
-	Flops  float64
-}
-
-// Dur returns the record's duration.
-func (r Record) Dur() time.Duration { return r.End - r.Start }
-
-// Recorder accumulates records. It is safe for concurrent use. A nil
-// Recorder discards everything, so callers never need nil checks.
-type Recorder struct {
-	mu   sync.Mutex
-	recs []Record
-}
-
-// New returns an empty recorder.
-func New() *Recorder { return &Recorder{} }
-
-// Add appends a record.
-func (t *Recorder) Add(r Record) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.recs = append(t.recs, r)
-	t.mu.Unlock()
-}
-
-// Records returns a copy of all records sorted by start time.
-func (t *Recorder) Records() []Record {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	out := append([]Record(nil), t.recs...)
-	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
-
-// Len reports the number of records.
-func (t *Recorder) Len() int {
-	if t == nil {
+// Makespan returns the time from the earliest launch to the latest
+// finish — the schedule length every figure reports.
+func Makespan(spans []Span) time.Duration {
+	if len(spans) == 0 {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.recs)
-}
-
-// Reset discards all records.
-func (t *Recorder) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.recs = t.recs[:0]
-	t.mu.Unlock()
-}
-
-// Makespan returns the span from the earliest start to the latest end.
-func (t *Recorder) Makespan() time.Duration {
-	recs := t.Records()
-	if len(recs) == 0 {
-		return 0
-	}
-	first := recs[0].Start
-	var last time.Duration
-	for _, r := range recs {
-		if r.End > last {
-			last = r.End
-		}
+	first, last := spans[0].Launch, spans[0].Finish
+	for i := range spans {
+		first = min(first, spans[i].Launch)
+		last = max(last, spans[i].Finish)
 	}
 	return last - first
 }
 
-// BusyTime sums durations of records of the given kind.
-func (t *Recorder) BusyTime(k Kind) time.Duration {
+// BusyTime sums the execution time of spans of the given kind.
+func BusyTime(spans []Span, k Kind) time.Duration {
 	var total time.Duration
-	for _, r := range t.Records() {
-		if r.Kind == k {
-			total += r.Dur()
+	for i := range spans {
+		if spans[i].Kind == k {
+			total += spans[i].Dur()
 		}
 	}
 	return total
 }
 
-// TotalFlops sums the operation counts of all compute records.
-func (t *Recorder) TotalFlops() float64 {
-	var total float64
-	for _, r := range t.Records() {
-		total += r.Flops
-	}
-	return total
-}
-
-// TotalBytes sums the byte counts of all transfer records.
-func (t *Recorder) TotalBytes() int64 {
-	var total int64
-	for _, r := range t.Records() {
-		if r.Kind == Transfer {
-			total += r.Bytes
-		}
-	}
-	return total
-}
-
-// OverlapTime returns the total time during which at least one record
-// of kind a and one of kind b were simultaneously in flight — the
+// OverlapTime returns the total time during which at least one span
+// of kind a and one of kind b were simultaneously executing — the
 // compute/communication overlap the streaming model exists to create.
-func (t *Recorder) OverlapTime(a, b Kind) time.Duration {
+func OverlapTime(spans []Span, a, b Kind) time.Duration {
 	type edge struct {
 		at    time.Duration
 		kind  Kind
 		delta int
 	}
 	var edges []edge
-	for _, r := range t.Records() {
-		if r.Kind != a && r.Kind != b {
+	for i := range spans {
+		s := &spans[i]
+		if s.Kind != a && s.Kind != b {
 			continue
 		}
-		edges = append(edges, edge{r.Start, r.Kind, +1}, edge{r.End, r.Kind, -1})
+		edges = append(edges, edge{s.Launch, s.Kind, +1}, edge{s.Finish, s.Kind, -1})
 	}
 	sort.Slice(edges, func(i, j int) bool {
 		if edges[i].at != edges[j].at {
@@ -188,7 +95,7 @@ func (t *Recorder) OverlapTime(a, b Kind) time.Duration {
 	for _, e := range edges {
 		overlapping := depthA > 0 && depthB > 0
 		if a == b {
-			// Self-overlap means two records of the kind in flight.
+			// Self-overlap means two spans of the kind executing.
 			overlapping = depthA >= 2
 		}
 		if overlapping {
@@ -205,36 +112,44 @@ func (t *Recorder) OverlapTime(a, b Kind) time.Duration {
 	return overlap
 }
 
-// Gantt renders a crude text timeline (one row per stream), useful in
-// examples and debugging.
-func (t *Recorder) Gantt(width int) string {
-	recs := t.Records()
-	if len(recs) == 0 {
+// Gantt renders a crude text timeline, one row per stream, useful in
+// examples and debugging. Rows appear in timeline order: by each
+// stream's first launch, ties broken by action id.
+func Gantt(spans []Span, width int) string {
+	if len(spans) == 0 {
 		return "(empty trace)\n"
 	}
-	span := t.Makespan()
-	if span <= 0 {
-		span = 1
+	spans = append([]Span(nil), spans...)
+	sort.Slice(spans, func(i, j int) bool {
+		if spans[i].Launch != spans[j].Launch {
+			return spans[i].Launch < spans[j].Launch
+		}
+		return spans[i].ID < spans[j].ID
+	})
+	total := Makespan(spans)
+	if total <= 0 {
+		total = 1
 	}
-	origin := recs[0].Start
+	origin := spans[0].Launch
 	rows := map[string][]rune{}
 	var order []string
-	for _, r := range recs {
-		row, ok := rows[r.Stream]
+	for i := range spans {
+		s := &spans[i]
+		row, ok := rows[s.Stream]
 		if !ok {
 			row = []rune(strings.Repeat(".", width))
-			rows[r.Stream] = row
-			order = append(order, r.Stream)
+			rows[s.Stream] = row
+			order = append(order, s.Stream)
 		}
 		c := 'C'
-		switch r.Kind {
+		switch s.Kind {
 		case Transfer:
 			c = 'T'
 		case Sync:
 			c = 's'
 		}
-		lo := int(int64(r.Start-origin) * int64(width-1) / int64(span))
-		hi := int(int64(r.End-origin) * int64(width-1) / int64(span))
+		lo := int(int64(s.Launch-origin) * int64(width-1) / int64(total))
+		hi := int(int64(s.Finish-origin) * int64(width-1) / int64(total))
 		for i := lo; i <= hi && i < width; i++ {
 			row[i] = c
 		}
@@ -243,6 +158,6 @@ func (t *Recorder) Gantt(width int) string {
 	for _, name := range order {
 		fmt.Fprintf(&sb, "%-16s |%s|\n", name, string(rows[name]))
 	}
-	fmt.Fprintf(&sb, "%-16s  0 .. %v\n", "", span)
+	fmt.Fprintf(&sb, "%-16s  0 .. %v\n", "", total)
 	return sb.String()
 }

@@ -11,99 +11,90 @@ import (
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
 func TestMakespanAndBusy(t *testing.T) {
-	r := New()
-	r.Add(Record{ID: 1, Kind: Compute, Stream: "s0", Start: ms(10), End: ms(30), Flops: 100})
-	r.Add(Record{ID: 2, Kind: Transfer, Stream: "s0", Start: ms(5), End: ms(15), Bytes: 64})
-	r.Add(Record{ID: 3, Kind: Compute, Stream: "s1", Start: ms(20), End: ms(50), Flops: 200})
-	if got := r.Makespan(); got != ms(45) {
+	spans := []Span{
+		{ID: 1, Kind: Compute, Stream: "s0", Launch: ms(10), Finish: ms(30), Flops: 100},
+		{ID: 2, Kind: Transfer, Stream: "s0", Launch: ms(5), Finish: ms(15), Bytes: 64},
+		{ID: 3, Kind: Compute, Stream: "s1", Launch: ms(20), Finish: ms(50), Flops: 200},
+	}
+	if got := Makespan(spans); got != ms(45) {
 		t.Fatalf("Makespan = %v, want 45ms", got)
 	}
-	if got := r.BusyTime(Compute); got != ms(50) {
+	if got := BusyTime(spans, Compute); got != ms(50) {
 		t.Fatalf("BusyTime(Compute) = %v, want 50ms", got)
 	}
-	if got := r.BusyTime(Transfer); got != ms(10) {
+	if got := BusyTime(spans, Transfer); got != ms(10) {
 		t.Fatalf("BusyTime(Transfer) = %v, want 10ms", got)
-	}
-	if got := r.TotalFlops(); got != 300 {
-		t.Fatalf("TotalFlops = %v, want 300", got)
-	}
-	if got := r.TotalBytes(); got != 64 {
-		t.Fatalf("TotalBytes = %v, want 64", got)
-	}
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", r.Len())
 	}
 }
 
+// TestRecordsSorted pins the timeline order — by launch, ties by
+// action id — where it is observable: the Gantt's row order.
 func TestRecordsSorted(t *testing.T) {
-	r := New()
-	r.Add(Record{ID: 2, Start: ms(20), End: ms(21)})
-	r.Add(Record{ID: 1, Start: ms(10), End: ms(11)})
-	r.Add(Record{ID: 3, Start: ms(10), End: ms(12)})
-	recs := r.Records()
-	if recs[0].ID != 1 || recs[1].ID != 3 || recs[2].ID != 2 {
-		t.Fatalf("order = %v", []uint64{recs[0].ID, recs[1].ID, recs[2].ID})
+	spans := []Span{
+		{ID: 2, Stream: "late", Launch: ms(20), Finish: ms(21)},
+		{ID: 3, Stream: "tie", Launch: ms(10), Finish: ms(12)},
+		{ID: 1, Stream: "first", Launch: ms(10), Finish: ms(11)},
+	}
+	g := Gantt(spans, 20)
+	first, tie, late := strings.Index(g, "first"), strings.Index(g, "tie"), strings.Index(g, "late")
+	if !(0 <= first && first < tie && tie < late) {
+		t.Fatalf("rows out of timeline order (want first, tie, late):\n%s", g)
+	}
+	if spans[0].ID != 2 {
+		t.Fatal("Gantt reordered its argument")
 	}
 }
 
 func TestOverlapComputeTransfer(t *testing.T) {
-	r := New()
 	// compute [0,100), transfer [40,60) → 20ms overlap
-	r.Add(Record{ID: 1, Kind: Compute, Start: 0, End: ms(100)})
-	r.Add(Record{ID: 2, Kind: Transfer, Start: ms(40), End: ms(60)})
-	if got := r.OverlapTime(Compute, Transfer); got != ms(20) {
+	spans := []Span{
+		{ID: 1, Kind: Compute, Launch: 0, Finish: ms(100)},
+		{ID: 2, Kind: Transfer, Launch: ms(40), Finish: ms(60)},
+	}
+	if got := OverlapTime(spans, Compute, Transfer); got != ms(20) {
 		t.Fatalf("overlap = %v, want 20ms", got)
 	}
 }
 
 func TestOverlapTouchingIntervalsIsZero(t *testing.T) {
-	r := New()
-	r.Add(Record{ID: 1, Kind: Compute, Start: 0, End: ms(10)})
-	r.Add(Record{ID: 2, Kind: Transfer, Start: ms(10), End: ms(20)})
-	if got := r.OverlapTime(Compute, Transfer); got != 0 {
+	spans := []Span{
+		{ID: 1, Kind: Compute, Launch: 0, Finish: ms(10)},
+		{ID: 2, Kind: Transfer, Launch: ms(10), Finish: ms(20)},
+	}
+	if got := OverlapTime(spans, Compute, Transfer); got != 0 {
 		t.Fatalf("touching intervals overlap = %v, want 0", got)
 	}
 }
 
 func TestOverlapSameKind(t *testing.T) {
-	r := New()
-	r.Add(Record{ID: 1, Kind: Compute, Start: 0, End: ms(30)})
-	r.Add(Record{ID: 2, Kind: Compute, Start: ms(20), End: ms(50)})
-	if got := r.OverlapTime(Compute, Compute); got != ms(10) {
+	spans := []Span{
+		{ID: 1, Kind: Compute, Launch: 0, Finish: ms(30)},
+		{ID: 2, Kind: Compute, Launch: ms(20), Finish: ms(50)},
+	}
+	if got := OverlapTime(spans, Compute, Compute); got != ms(10) {
 		t.Fatalf("self-overlap = %v, want 10ms", got)
 	}
 }
 
-func TestNilRecorderIsSafe(t *testing.T) {
-	var r *Recorder
-	r.Add(Record{ID: 1})
-	if r.Records() != nil || r.Len() != 0 || r.Makespan() != 0 {
-		t.Fatal("nil recorder must be inert")
-	}
-	r.Reset()
-}
-
-func TestReset(t *testing.T) {
-	r := New()
-	r.Add(Record{ID: 1, Start: 0, End: ms(5)})
-	r.Reset()
-	if r.Len() != 0 {
-		t.Fatal("Reset left records behind")
+func TestNoSpansIsSafe(t *testing.T) {
+	if Makespan(nil) != 0 || BusyTime(nil, Compute) != 0 || OverlapTime(nil, Compute, Transfer) != 0 {
+		t.Fatal("statistics over no spans must be zero")
 	}
 }
 
 func TestGantt(t *testing.T) {
-	r := New()
-	r.Add(Record{ID: 1, Kind: Compute, Stream: "s0", Start: 0, End: ms(50)})
-	r.Add(Record{ID: 2, Kind: Transfer, Stream: "s1", Start: ms(25), End: ms(100)})
-	g := r.Gantt(40)
+	spans := []Span{
+		{ID: 1, Kind: Compute, Stream: "s0", Launch: 0, Finish: ms(50)},
+		{ID: 2, Kind: Transfer, Stream: "s1", Launch: ms(25), Finish: ms(100)},
+	}
+	g := Gantt(spans, 40)
 	if !strings.Contains(g, "s0") || !strings.Contains(g, "s1") {
 		t.Fatalf("gantt missing streams:\n%s", g)
 	}
 	if !strings.Contains(g, "C") || !strings.Contains(g, "T") {
 		t.Fatalf("gantt missing marks:\n%s", g)
 	}
-	if New().Gantt(10) != "(empty trace)\n" {
+	if Gantt(nil, 10) != "(empty trace)\n" {
 		t.Fatal("empty gantt")
 	}
 }
@@ -117,69 +108,30 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestWriteChromeTrace(t *testing.T) {
-	r := New()
-	r.Add(Record{ID: 1, Kind: Compute, Stream: "KNC0.s0", Domain: "KNC0", Label: "dgemm", Start: ms(1), End: ms(3), Flops: 100})
-	r.Add(Record{ID: 2, Kind: Transfer, Stream: "KNC0.s1", Domain: "KNC0", Start: 0, End: ms(1), Bytes: 64})
-	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]interface{}
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("output is not valid JSON: %v", err)
-	}
-	// 2 thread-name metadata + 2 complete events.
-	if len(events) != 4 {
-		t.Fatalf("got %d events, want 4", len(events))
-	}
-	var metas, completes int
-	for _, e := range events {
-		switch e["ph"] {
-		case "M":
-			metas++
-		case "X":
-			completes++
-			if e["ts"] == nil || e["dur"] == nil {
-				t.Fatalf("complete event missing ts/dur: %v", e)
-			}
-		}
-	}
-	if metas != 2 || completes != 2 {
-		t.Fatalf("metas=%d completes=%d, want 2/2", metas, completes)
-	}
-	for _, e := range events {
-		if e["ph"] == "X" && e["name"] == "dgemm" {
-			if e["dur"].(float64) != 2000 { // 2ms in µs
-				t.Fatalf("dgemm dur = %v µs, want 2000", e["dur"])
-			}
-		}
-	}
-}
-
 // TestChromeTraceTIDsSortedOrder is a regression test for the row
 // ordering bug where TIDs followed first-appearance order (which
 // varies with completion order) while metadata was emitted in sorted
 // order: TIDs must rank streams by sorted name, and every event must
 // carry its stream's TID.
 func TestChromeTraceTIDsSortedOrder(t *testing.T) {
-	r := New()
 	// First appearance deliberately in reverse-sorted stream order.
-	r.Add(Record{ID: 1, Kind: Compute, Stream: "z.s1", Start: 0, End: ms(1)})
-	r.Add(Record{ID: 2, Kind: Compute, Stream: "a.s0", Start: ms(1), End: ms(2)})
-	r.Add(Record{ID: 3, Kind: Transfer, Stream: "m.s2", Start: ms(2), End: ms(3)})
+	spans := []Span{
+		{ID: 1, Run: 1, Kind: Compute, Stream: "z.s1", Launch: 0, Finish: ms(1)},
+		{ID: 2, Run: 1, Kind: Compute, Stream: "a.s0", Launch: ms(1), Finish: ms(2)},
+		{ID: 3, Run: 1, Kind: Transfer, Stream: "m.s2", Launch: ms(2), Finish: ms(3)},
+	}
 	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf); err != nil {
+	if err := WriteChromeSpans(&buf, spans); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]interface{}
 	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
 		t.Fatal(err)
 	}
-	wantTID := map[string]int{"a.s0": 0, "m.s2": 1, "z.s1": 2}
+	wantTID := map[string]int{"a.s0": 1, "m.s2": 2, "z.s1": 3}
 	metaTID := map[string]int{}
 	for _, e := range events {
-		if e["ph"] != "M" {
+		if e["ph"] != "M" || e["name"] != "thread_name" {
 			continue
 		}
 		name := e["args"].(map[string]interface{})["name"].(string)
@@ -191,19 +143,22 @@ func TestChromeTraceTIDsSortedOrder(t *testing.T) {
 		}
 	}
 	// Events reference their stream's tid. Events carry no stream
-	// name, so match through the recorded timeline.
-	for _, rec := range r.Records() {
+	// name, so match through the launch time.
+	for _, s := range spans {
 		found := false
 		for _, e := range events {
-			if e["ph"] == "X" && e["ts"].(float64) == float64(rec.Start.Microseconds()) {
-				if got := int(e["tid"].(float64)); got != wantTID[rec.Stream] {
-					t.Fatalf("event in %s has tid %d, want %d", rec.Stream, got, wantTID[rec.Stream])
+			if e["ph"] == "X" && e["ts"].(float64) == float64(s.Launch.Microseconds()) {
+				if got := int(e["tid"].(float64)); got != wantTID[s.Stream] {
+					t.Fatalf("event in %s has tid %d, want %d", s.Stream, got, wantTID[s.Stream])
+				}
+				if e["dur"].(float64) != 1000 { // 1ms in µs
+					t.Fatalf("event in %s has dur %v µs, want 1000", s.Stream, e["dur"])
 				}
 				found = true
 			}
 		}
 		if !found {
-			t.Fatalf("no event found for record %d", rec.ID)
+			t.Fatalf("no event found for span %d", s.ID)
 		}
 	}
 }
