@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: all build test race vet fmt golden doclint debug-smoke chaos-smoke \
 	health-smoke serve-smoke check bench clean bench-sched bench-sched-guard \
-	bench-sched-smoke bench-trace bench-telemetry bench-telemetry-smoke loc
+	bench-sched-smoke bench-trace bench-telemetry bench-telemetry-smoke loc knobs
 
 # DOC_PKGS are the packages held to the godoc floor by doclint: the
 # paper-critical stack plus the serving layer and the facade.
@@ -129,6 +129,14 @@ bench-telemetry-smoke:
 # check: it reports, it does not gate.
 loc:
 	./scripts/loc.sh
+
+# knobs prints the independently settable values per source — exported
+# fields of the exported Config/Options/Quotas/*Policy/*Plan structs,
+# flag definitions under cmd/ and examples/, environment reads — and a
+# total, so "no new knobs" is quoted from a command. Like loc, it
+# reports and does not gate.
+knobs:
+	./scripts/knobs.sh
 
 clean:
 	$(GO) clean ./...

@@ -16,28 +16,15 @@ import (
 // magnitudes.
 const strideScale = 1 << 20
 
-// submission is one admitted-but-not-yet-dispatched action. Ownership
-// moves from the tenant's pending queue to the dispatcher at pop;
-// whoever owns it calls finish exactly once.
+// submission is one submitter's place in its tenant's pending queue.
+// Whoever pops it — grantLocked, or Unregister shedding the queue —
+// sets st or err and closes wake, under s.mu.
 type submission struct {
-	t      *Tenant
-	kernel string
-	args   []int64
-	ops    []core.Operand
-	enq    time.Time
-	done   chan subResult // buffered(1); finish never blocks
+	enq  time.Time
+	st   *core.Stream  // granted: the stream to enqueue into (nil in shadow mode)
+	err  error         // shed: the tenant was deleted first
+	wake chan struct{} // the submitter's one wake-up
 }
-
-// subResult is what a submission resolves to: a launched action, a
-// shadow-mode completion (both nil), or an admission/enqueue error.
-type subResult struct {
-	action *core.Action
-	err    error
-}
-
-// finish resolves the submission. Single caller by ownership; the
-// buffered channel makes it non-blocking.
-func (sub *submission) finish(r subResult) { sub.done <- r }
 
 // SubmitRequest describes one compute action a tenant submits.
 type SubmitRequest struct {
@@ -49,13 +36,14 @@ type SubmitRequest struct {
 	Ops []core.Operand
 }
 
-// Submit admits one compute action for the tenant and blocks until
-// the fair-share dispatcher has enqueued it into a tenant stream
-// (or refused it). The returned action is the completion event; it is
-// nil in shadow mode, where dispatch is the completion. When the
-// tenant's pending queue is at MaxPending, Submit blocks
-// (OnFull "block", honoring ctx cancellation) or fails fast with
-// ErrPendingFull (OnFull "shed").
+// Submit admits one compute action for the tenant, waits for its
+// fair-share turn at an in-service slot, and enqueues it into a tenant
+// stream on the caller's goroutine. With a slot free the turn is
+// granted at once and Submit never parks. The returned action is the
+// completion event; it is nil in shadow mode, where dispatch is the
+// completion. When the tenant's pending queue is at MaxPending, Submit
+// blocks (OnFull "block", honoring ctx cancellation) or fails fast
+// with ErrPendingFull (OnFull "shed").
 func (s *Server) Submit(ctx context.Context, tenant string, req SubmitRequest) (*core.Action, error) {
 	s.mu.Lock()
 	t, ok := s.tenants[tenant]
@@ -95,24 +83,44 @@ func (s *Server) Submit(ctx context.Context, tenant string, req SubmitRequest) (
 		s.cond.Wait()
 		stop()
 	}
-	sub := &submission{
-		t:      t,
-		kernel: req.Kernel,
-		args:   req.Args,
-		ops:    req.Ops,
-		enq:    time.Now(),
-		done:   make(chan subResult, 1),
+	if len(t.pending) == 0 && t.inflight == 0 && t.pass < s.gpass {
+		// Newly busy: an idle tenant banks no credit against the
+		// tenants that kept the server busy meanwhile.
+		t.pass = s.gpass
 	}
+	sub := &submission{enq: time.Now(), wake: make(chan struct{})}
 	t.pending = append(t.pending, sub)
 	t.mPending.Set(int64(len(t.pending)))
-	s.cond.Broadcast()
+	s.grantLocked()
 	s.mu.Unlock()
-
-	r := <-sub.done
-	if r.err != nil {
-		return nil, r.err
+	<-sub.wake // with a slot free grantLocked closed it already: no park
+	if sub.err != nil {
+		return nil, sub.err
 	}
-	return r.action, nil
+
+	// The slot is ours until release.
+	if s.opt.Shadow {
+		t.mActions.Inc()
+		s.release(t)
+		return nil, nil
+	}
+	a, err := sub.st.EnqueueCompute(req.Kernel, req.Args, req.Ops, platform.Cost{})
+	if err != nil {
+		if errors.Is(err, core.ErrQueueFull) {
+			s.mets.shed.With(tenant, "stream-queue-full").Inc()
+		}
+		s.release(t)
+		return nil, err
+	}
+	// Submit returns before the action retires and core has no
+	// completion callback, so a waiter returns the slot. Unregister
+	// (and so Close) waits for it through t.inflight.
+	go func() {
+		_ = a.Wait() // the action's error is the submitter's to read
+		t.mActions.Inc()
+		s.release(t)
+	}()
+	return a, nil
 }
 
 // pickLocked returns the runnable tenant (non-empty pending queue)
@@ -132,24 +140,20 @@ func (s *Server) pickLocked() *Tenant {
 	return best
 }
 
-// dispatcher is the admission loop: repeatedly pick the minimum-pass
-// runnable tenant, charge its stride, take a server-wide in-service
-// slot, and hand the submission to a worker goroutine. Under
-// saturation every tenant always has pending work, so dispatch counts
-// — and therefore completed-action throughput — converge to the
-// weight ratios.
-func (s *Server) dispatcher() {
-	defer close(s.dispatcherDone)
-	s.mu.Lock()
-	for {
+// grantLocked is admission. While an in-service slot is free and some
+// tenant has pending work it pops the minimum-pass tenant's oldest
+// submission, charges the stride, picks the tenant's next stream
+// (round-robin over the group) and wakes the submitter. It runs under
+// s.mu at the only two events that can change its answer — a new
+// submission and a released slot — so a free slot never coexists with
+// pending work and grants leave in stride order. Under saturation every
+// tenant always has pending work, so grant counts — and therefore
+// completed-action throughput — converge to the weight ratios.
+func (s *Server) grantLocked() {
+	for s.free > 0 {
 		t := s.pickLocked()
 		if t == nil {
-			if s.closed {
-				s.mu.Unlock()
-				return
-			}
-			s.cond.Wait()
-			continue
+			return
 		}
 		sub := t.pending[0]
 		copy(t.pending, t.pending[1:])
@@ -157,57 +161,28 @@ func (s *Server) dispatcher() {
 		t.pending = t.pending[:len(t.pending)-1]
 		t.pass += strideScale / float64(t.q.Weight)
 		s.gpass = t.pass
+		s.free--
 		t.inflight++
 		t.mPending.Set(int64(len(t.pending)))
 		t.mInflight.Set(int64(t.inflight))
-		s.cond.Broadcast() // pending space freed; blocked Submits retry
-		s.mu.Unlock()
-
-		<-s.slots // take an in-service slot; completions return it
 		t.mWait.Observe(time.Since(sub.enq))
-		go s.run(t, sub)
-		s.mu.Lock()
-	}
-}
-
-// run executes one dispatched submission: enqueue into the tenant's
-// next stream (round-robin over the group), resolve the submitter,
-// wait for retirement, and return the slot. In shadow mode dispatch
-// is completion.
-func (s *Server) run(t *Tenant, sub *submission) {
-	if s.opt.Shadow {
-		t.mActions.Inc()
-		sub.finish(subResult{})
-		s.release(t)
-		return
-	}
-	s.mu.Lock()
-	st := t.streams[t.next%len(t.streams)]
-	t.next++
-	s.mu.Unlock()
-	a, err := st.EnqueueCompute(sub.kernel, sub.args, sub.ops, platform.Cost{})
-	if err != nil {
-		if errors.Is(err, core.ErrQueueFull) {
-			s.mets.shed.With(t.name, "stream-queue-full").Inc()
+		if !s.opt.Shadow {
+			sub.st = t.streams[t.next%len(t.streams)]
+			t.next++
 		}
-		sub.finish(subResult{err: err})
-		s.release(t)
-		return
+		close(sub.wake)
 	}
-	sub.finish(subResult{action: a})
-	_ = a.Wait()
-	t.mActions.Inc()
-	s.release(t)
 }
 
-// release returns an in-service slot and retires the tenant's
-// inflight count, waking the dispatcher and any drain waiting on the
-// tenant.
+// release returns an in-service slot, grants it onward, and wakes the
+// cond waiters: a block-policy Submit after the pending space a grant
+// frees, an Unregister after the tenant's in-service work.
 func (s *Server) release(t *Tenant) {
-	s.slots <- struct{}{}
 	s.mu.Lock()
+	s.free++
 	t.inflight--
 	t.mInflight.Set(int64(t.inflight))
+	s.grantLocked()
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }

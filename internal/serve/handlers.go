@@ -217,12 +217,13 @@ func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mets.requests.With(req.Name, "tenants").Inc()
-	if _, err := s.Register(req.Name, req.Quotas); err != nil {
+	t, err := s.Register(req.Name, req.Quotas)
+	if err != nil {
 		writeErr(w, err)
 		return
 	}
 	s.mu.Lock()
-	st := s.statusLocked(s.tenants[req.Name])
+	st := s.statusLocked(t)
 	s.mu.Unlock()
 	writeJSON(w, http.StatusCreated, st)
 }
@@ -342,13 +343,20 @@ type submitResponse struct {
 	Error string `json:"error,omitempty"`
 }
 
-// resolveOps turns operand references into core operands.
-func (s *Server) resolveOps(t *Tenant, refs []operandRef) ([]core.Operand, error) {
+// resolveOps turns a live tenant's operand references into core
+// operands.
+func (s *Server) resolveOps(tenant string, refs []operandRef) ([]core.Operand, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t, err := s.tenantLocked(tenant)
+	if err != nil {
+		return nil, err
+	}
 	ops := make([]core.Operand, 0, len(refs))
 	for _, ref := range refs {
-		b, err := s.buffer(t, ref.Name)
-		if err != nil {
-			return nil, err
+		tb, ok := t.bufs[ref.Name]
+		if !ok {
+			return nil, fmt.Errorf("serve: no buffer %q for tenant %q", ref.Name, tenant)
 		}
 		acc := core.InOut
 		switch ref.Access {
@@ -362,9 +370,9 @@ func (s *Server) resolveOps(t *Tenant, refs []operandRef) ([]core.Operand, error
 		}
 		n := ref.Len
 		if n == 0 {
-			n = b.Size() - ref.Off
+			n = tb.b.Size() - ref.Off
 		}
-		ops = append(ops, core.Operand{Buf: b, Off: ref.Off, Len: n, Acc: acc})
+		ops = append(ops, core.Operand{Buf: tb.b, Off: ref.Off, Len: n, Acc: acc})
 	}
 	return ops, nil
 }
@@ -379,12 +387,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	var ops []core.Operand
 	if !s.opt.Shadow && len(req.Buffers) > 0 {
-		t, err := s.tenant(tenant)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		if ops, err = s.resolveOps(t, req.Buffers); err != nil {
+		var err error
+		if ops, err = s.resolveOps(tenant, req.Buffers); err != nil {
 			writeErr(w, err)
 			return
 		}

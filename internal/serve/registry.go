@@ -28,8 +28,8 @@ type Quotas struct {
 	// OnFull picks the behavior when the tenant's pending queue is at
 	// MaxPending: "block" (backpressure the submitter; the default)
 	// or "shed" (fail fast with 429 / ErrPendingFull). Tenant streams
-	// always shed at QueueDepth — the dispatcher never parks on a
-	// full stream.
+	// always shed at QueueDepth — a submitter never parks on a full
+	// stream while it holds an in-service slot.
 	OnFull string `json:"on_full,omitempty"`
 	// MaxPending bounds submissions admitted but not yet dispatched.
 	// 0 takes Options.DefaultMaxPending.
@@ -44,12 +44,9 @@ type Tenant struct {
 	q       Quotas
 	streams []*core.Stream
 	next    int // round-robin cursor over streams
-	bufs    map[string]*core.Buf
-	// bufBytes tracks live buffer bytes against MaxBufferBytes; in
-	// shadow mode (no runtime) bufs values are nil and only the
-	// accounting exists.
-	bufBytes   int64
-	shadowBufs map[string]int64
+	bufs    map[string]tenantBuf
+	// bufBytes tracks live buffer bytes against MaxBufferBytes.
+	bufBytes int64
 
 	pending  []*submission
 	inflight int
@@ -68,6 +65,12 @@ type Tenant struct {
 	mStreams  *metrics.Gauge
 	mWeight   *metrics.Gauge
 	mWait     *metrics.Histogram
+}
+
+// tenantBuf is one entry of a tenant's buffer table.
+type tenantBuf struct {
+	b    *core.Buf // nil in shadow mode, where only the accounting exists
+	size int64
 }
 
 // TenantStatus is a point-in-time snapshot of one tenant, served by
@@ -98,7 +101,10 @@ type TenantStatus struct {
 
 // Register creates a tenant with the given quotas and builds its
 // stream group. Stream groups overlap on the serving domain's cores;
-// isolation is by admission, not by core partitioning.
+// isolation is by admission, not by core partitioning. The name is
+// reserved from the start, but the tenant becomes visible — to Submit,
+// AllocBuffer, Unregister and status — only once its group is
+// complete.
 func (s *Server) Register(name string, q Quotas) (*Tenant, error) {
 	if name == "" {
 		return nil, fmt.Errorf("serve: empty tenant name")
@@ -128,17 +134,17 @@ func (s *Server) Register(name string, q Quotas) (*Tenant, error) {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if _, ok := s.tenants[name]; ok {
+	if _, ok := s.tenants[name]; ok || s.registering[name] {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrTenantExists, name)
 	}
+	s.registering[name] = true
+	s.mu.Unlock()
+
 	t := &Tenant{
-		name: name,
-		q:    q,
-		bufs: make(map[string]*core.Buf),
-		// A fresh tenant starts at the global pass so it cannot burn
-		// banked credit against incumbents.
-		pass:      s.gpass,
+		name:      name,
+		q:         q,
+		bufs:      make(map[string]tenantBuf),
 		mActions:  s.mets.actions.With(name),
 		mInflight: s.mets.inflight.With(name),
 		mPending:  s.mets.pending.With(name),
@@ -147,29 +153,40 @@ func (s *Server) Register(name string, q Quotas) (*Tenant, error) {
 		mWeight:   s.mets.weight.With(name),
 		mWait:     s.mets.wait.With(name),
 	}
-	if s.opt.Shadow {
-		t.shadowBufs = make(map[string]int64)
-	}
-	s.tenants[name] = t
-	s.mu.Unlock()
-
-	if s.rt != nil {
-		for i := 0; i < q.MaxStreams; i++ {
-			st, err := s.rt.StreamCreate(s.domain, 0, s.opt.StreamWidth)
-			if err != nil {
-				s.mu.Lock()
-				delete(s.tenants, name)
-				s.mu.Unlock()
-				return nil, fmt.Errorf("serve: creating stream %d for %q: %w", i, name, err)
-			}
-			// Tenant streams always shed at the bound: the dispatcher
-			// must never park on a full stream while holding a slot.
-			st.SetQueueBound(q.QueueDepth, core.QueueShed)
-			t.streams = append(t.streams, st)
+	var err error
+	for i := 0; s.rt != nil && i < q.MaxStreams; i++ {
+		st, cerr := s.rt.StreamCreate(s.domain, 0, s.opt.StreamWidth)
+		if cerr != nil {
+			err = fmt.Errorf("serve: creating stream %d for %q: %w", i, name, cerr)
+			break
 		}
+		// Tenant streams always shed at the bound: a submitter parked
+		// on a full stream would sit on its in-service slot doing no
+		// work, and every other tenant's grant waits for that slot.
+		st.SetQueueBound(q.QueueDepth, core.QueueShed)
+		t.streams = append(t.streams, st)
 	}
-	t.mWeight.Set(int64(q.Weight))
-	t.mStreams.Set(int64(len(t.streams)))
+
+	s.mu.Lock()
+	delete(s.registering, name)
+	if err == nil && s.closed {
+		err = ErrClosed
+	}
+	if err == nil {
+		// A fresh tenant starts at the global pass so it cannot burn
+		// banked credit against incumbents.
+		t.pass = s.gpass
+		t.mWeight.Set(int64(q.Weight))
+		t.mStreams.Set(int64(len(t.streams)))
+		s.tenants[name] = t
+	}
+	s.mu.Unlock()
+	if err != nil {
+		for _, st := range t.streams {
+			_ = st.Destroy() // nothing was ever enqueued; err already says why
+		}
+		return nil, err
+	}
 	return t, nil
 }
 
@@ -178,24 +195,21 @@ func (s *Server) Register(name string, q Quotas) (*Tenant, error) {
 // destroyed, and every tenant buffer is freed.
 func (s *Server) Unregister(name string) error {
 	s.mu.Lock()
-	t, ok := s.tenants[name]
-	if !ok {
+	t, err := s.tenantLocked(name)
+	if err != nil {
 		s.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNoTenant, name)
-	}
-	if t.closing {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrTenantClosing, name)
+		return err
 	}
 	t.closing = true
 	// Shed everything still waiting for dispatch.
-	pending := t.pending
-	t.pending = nil
-	t.mPending.Set(0)
-	for _, sub := range pending {
-		sub.finish(subResult{err: fmt.Errorf("%w: %q", ErrTenantClosing, name)})
+	for _, sub := range t.pending {
+		sub.err = fmt.Errorf("%w: %q", ErrTenantClosing, name)
+		close(sub.wake)
 		s.mets.shed.With(name, "tenant-closing").Inc()
 	}
+	t.pending = nil
+	t.mPending.Set(0)
+	s.cond.Broadcast() // Submits blocked on this tenant's pending space see closing
 	// Wait for in-service submissions to retire.
 	for t.inflight > 0 {
 		s.cond.Wait()
@@ -212,9 +226,9 @@ func (s *Server) Unregister(name string) error {
 			firstErr = err
 		}
 	}
-	for _, b := range bufs {
-		if b != nil {
-			if err := b.Free(); err != nil && firstErr == nil {
+	for _, tb := range bufs {
+		if tb.b != nil {
+			if err := tb.b.Free(); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
@@ -225,10 +239,8 @@ func (s *Server) Unregister(name string) error {
 	return firstErr
 }
 
-// tenant resolves a live tenant by name.
-func (s *Server) tenant(name string) (*Tenant, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// tenantLocked resolves a live tenant by name. Caller holds s.mu.
+func (s *Server) tenantLocked(name string) (*Tenant, error) {
 	t, ok := s.tenants[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoTenant, name)
@@ -258,7 +270,7 @@ func (s *Server) statusLocked(t *Tenant) TenantStatus {
 	st := TenantStatus{
 		Name:        t.name,
 		Quotas:      t.q,
-		Buffers:     len(t.bufs) + len(t.shadowBufs),
+		Buffers:     len(t.bufs),
 		BufferBytes: t.bufBytes,
 		Pending:     len(t.pending),
 		Inflight:    t.inflight,
@@ -279,16 +291,13 @@ func (s *Server) AllocBuffer(tenant, name string, size int64) (*core.Buf, error)
 	if size <= 0 {
 		return nil, core.ErrBadBufferSize
 	}
-	t, err := s.tenant(tenant)
+	s.mu.Lock()
+	t, err := s.tenantLocked(tenant)
 	if err != nil {
+		s.mu.Unlock()
 		return nil, err
 	}
-	s.mu.Lock()
 	if _, ok := t.bufs[name]; ok {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("serve: buffer %q exists for tenant %q", name, tenant)
-	}
-	if _, ok := t.shadowBufs[name]; ok {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("serve: buffer %q exists for tenant %q", name, tenant)
 	}
@@ -305,20 +314,25 @@ func (s *Server) AllocBuffer(tenant, name string, size int64) (*core.Buf, error)
 	var b *core.Buf
 	if s.rt != nil {
 		b, err = s.rt.Alloc1D(tenant+"/"+name, size)
-		if err != nil {
-			s.mu.Lock()
-			t.bufBytes -= size
-			s.mu.Unlock()
-			return nil, err
-		}
 	}
 	s.mu.Lock()
-	if s.opt.Shadow {
-		t.shadowBufs[name] = size
+	if err == nil && t.closing {
+		// Unregister ran during the allocation and will not see this
+		// buffer: hand it back here.
+		err = fmt.Errorf("%w: %q", ErrTenantClosing, tenant)
+	}
+	if err != nil {
+		t.bufBytes -= size
 	} else {
-		t.bufs[name] = b
+		t.bufs[name] = tenantBuf{b, size}
 	}
 	s.mu.Unlock()
+	if err != nil {
+		if b != nil {
+			_ = b.Free() // fresh and unreferenced; err already says why
+		}
+		return nil, err
+	}
 	t.mBufBytes.Add(size)
 	return b, nil
 }
@@ -328,40 +342,23 @@ func (s *Server) AllocBuffer(tenant, name string, size int64) (*core.Buf, error)
 // core.Buf.Free); the quota is returned immediately — the tenant
 // committed to the free.
 func (s *Server) FreeBuffer(tenant, name string) error {
-	t, err := s.tenant(tenant)
+	s.mu.Lock()
+	t, err := s.tenantLocked(tenant)
 	if err != nil {
+		s.mu.Unlock()
 		return err
 	}
-	s.mu.Lock()
-	b, ok := t.bufs[name]
-	size := int64(0)
-	if ok {
-		size = b.Size()
-		delete(t.bufs, name)
-	} else if sz, sok := t.shadowBufs[name]; sok {
-		ok, size = true, sz
-		delete(t.shadowBufs, name)
-	}
+	tb, ok := t.bufs[name]
 	if !ok {
 		s.mu.Unlock()
 		return fmt.Errorf("serve: no buffer %q for tenant %q", name, tenant)
 	}
-	t.bufBytes -= size
+	delete(t.bufs, name)
+	t.bufBytes -= tb.size
 	s.mu.Unlock()
-	t.mBufBytes.Add(-size)
-	if b != nil {
-		return b.Free()
+	t.mBufBytes.Add(-tb.size)
+	if tb.b != nil {
+		return tb.b.Free()
 	}
 	return nil
-}
-
-// buffer resolves a tenant buffer by name.
-func (s *Server) buffer(t *Tenant, name string) (*core.Buf, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := t.bufs[name]
-	if !ok {
-		return nil, fmt.Errorf("serve: no buffer %q for tenant %q", name, t.name)
-	}
-	return b, nil
 }

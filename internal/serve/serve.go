@@ -19,9 +19,13 @@
 //
 // Admission across tenants is weighted fair-share stride scheduling
 // (admission.go): each tenant advances a virtual "pass" by
-// strideScale/weight per dispatched action, and the dispatcher always
-// serves the runnable tenant with the smallest pass, so under
-// saturation tenants complete work in proportion to their weights.
+// strideScale/weight per dispatched action, and whenever an in-service
+// slot (there are MaxInflight) is free it goes to the runnable tenant
+// with the smallest pass, so under saturation tenants complete work in
+// proportion to their weights. That decision is one function run under
+// the server lock when a submission arrives and when a slot comes
+// back; the submitter it picks enqueues its own action, so nothing
+// stands between a request's goroutine and the stream's source end.
 // Within a tenant, work spreads round-robin over its stream group,
 // and every stream carries a bounded queue (core.Config.MaxQueueDepth
 // machinery) so a stalled sink back-pressures or sheds instead of
@@ -133,24 +137,24 @@ type Server struct {
 	domain *core.Domain
 	mets   *tenantMetrics
 
-	// mu guards the tenant table, every tenant's mutable state, and
-	// the stride-scheduler pass values. cond broadcasts on queue-state
-	// changes: new submissions, dispatches, releases, and shutdown.
+	// mu guards the tenant table, every tenant's mutable state, the
+	// free-slot count and the stride-scheduler pass values. cond
+	// broadcasts on a released slot, tenant deletion and shutdown, for
+	// a block-policy Submit waiting for pending space and an
+	// Unregister waiting for in-service work.
 	mu      sync.Mutex
 	cond    *sync.Cond
 	tenants map[string]*Tenant
-	gpass   float64 // pass of the last dispatched tenant
-	closed  bool
-
-	// slots is the server-wide in-service token bucket: MaxInflight
-	// tokens; dispatch takes one, completion returns it.
-	slots chan struct{}
-	// dispatcherDone closes when the dispatcher loop exits.
-	dispatcherDone chan struct{}
+	// registering reserves the names of tenants whose stream groups
+	// Register is still building; they are not in tenants yet.
+	registering map[string]bool
+	free        int     // unused in-service capacity, of MaxInflight
+	gpass       float64 // pass of the last dispatched tenant
+	closed      bool
 }
 
-// New builds a serving front end over the given runtime and starts
-// its admission dispatcher.
+// New builds a serving front end over the given runtime. It starts no
+// goroutine: admission runs on the submitters' own.
 func New(opt Options) (*Server, error) {
 	opt.fill()
 	if !opt.Shadow {
@@ -162,12 +166,12 @@ func New(opt Options) (*Server, error) {
 		}
 	}
 	s := &Server{
-		opt:            opt,
-		rt:             opt.Runtime,
-		mets:           newTenantMetrics(opt.Registry),
-		tenants:        make(map[string]*Tenant),
-		slots:          make(chan struct{}, opt.MaxInflight),
-		dispatcherDone: make(chan struct{}),
+		opt:         opt,
+		rt:          opt.Runtime,
+		mets:        newTenantMetrics(opt.Registry),
+		tenants:     make(map[string]*Tenant),
+		registering: make(map[string]bool),
+		free:        opt.MaxInflight,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if s.rt != nil {
@@ -176,10 +180,6 @@ func New(opt Options) (*Server, error) {
 			s.domain = s.rt.Host()
 		}
 	}
-	for i := 0; i < opt.MaxInflight; i++ {
-		s.slots <- struct{}{}
-	}
-	go s.dispatcher()
 	return s, nil
 }
 
@@ -190,10 +190,9 @@ func (s *Server) Runtime() *core.Runtime { return s.rt }
 // Shadow reports whether the server runs in shadow mode.
 func (s *Server) Shadow() bool { return s.opt.Shadow }
 
-// Close stops admission, drains every tenant (waiting for in-service
-// work to retire and freeing tenant buffers), and stops the
-// dispatcher. The runtime itself is not finalized — the caller owns
-// it.
+// Close drains every tenant (waiting for in-service work to retire
+// and freeing tenant buffers) and stops admission. The runtime itself
+// is not finalized — the caller owns it.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -215,7 +214,6 @@ func (s *Server) Close() error {
 	s.closed = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	<-s.dispatcherDone
 	return firstErr
 }
 

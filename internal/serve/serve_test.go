@@ -196,17 +196,16 @@ func TestSubmitBlocksAndHonorsCancel(t *testing.T) {
 	if _, err := s.Register("blk", Quotas{MaxPending: 1, OnFull: "block"}); err != nil {
 		t.Fatal(err)
 	}
-	// Occupy the single slot, the dispatcher's popped-but-unslotted
-	// submission, and the single pending seat with slow work.
+	// Occupy the single slot and the single pending seat with slow
+	// work: the first Submit is granted on the spot, the second queues.
 	hold := func() {
 		_, _ = s.Submit(context.Background(), "blk", SubmitRequest{
 			Kernel: "spin", Args: []int64{int64(time.Second)},
 		})
 	}
+	hold()
 	go hold()
-	go hold()
-	go hold()
-	time.Sleep(50 * time.Millisecond) // let them reach slot + dispatcher + pending
+	waitStatus(t, s, "blk", 1, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
