@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: all build test race vet fmt golden doclint debug-smoke chaos-smoke \
-	health-smoke serve-smoke check bench clean bench-sched bench-sched-guard \
+	health-smoke serve-smoke fuzz-smoke check bench clean bench-sched bench-sched-guard \
 	bench-sched-smoke bench-trace bench-telemetry bench-telemetry-smoke loc knobs
 
 # DOC_PKGS are the packages held to the godoc floor by doclint: the
@@ -71,12 +71,19 @@ health-smoke:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
+# fuzz-smoke runs the COI control-message decoder under the native
+# fuzzer for a short, fixed time: no input may panic it, and whatever
+# it accepts must re-encode to an equal message. A crasher lands in
+# internal/coi/testdata/fuzz/FuzzDecode; commit it as a regression seed.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/coi
+
 # check is the pre-commit gate: build, vet, formatting, the doc lint,
 # the exposition golden, tests under the race detector, a single-shot
 # scheduler throughput smoke (function, not timing — the timing gate
 # is bench-sched-guard), the telemetry smoke, the chaos smoke, the
-# health smoke, and the serving smoke.
-check: build vet fmt doclint golden race bench-sched-smoke bench-telemetry-smoke chaos-smoke health-smoke serve-smoke
+# health smoke, the serving smoke, and the decoder fuzz smoke.
+check: build vet fmt doclint golden race bench-sched-smoke bench-telemetry-smoke chaos-smoke health-smoke serve-smoke fuzz-smoke
 
 bench:
 	$(GO) run ./cmd/hsbench -fig all

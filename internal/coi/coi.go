@@ -7,9 +7,16 @@
 // It provides sink-side processes, FIFO pipelines of run-functions,
 // registered buffers with host↔sink movement over fabric DMA, and
 // completion events. Control traffic (run-function descriptors and
-// completions) really travels over fabric endpoints, encoded with
-// encoding/gob, so the layering the paper describes is an actual code
-// path, not a diagram.
+// completions) really travels over fabric endpoints, so the layering
+// the paper describes is an actual code path, not a diagram.
+//
+// Each control message is one fixed binary record: the op byte, the
+// pipeline and event ids as uvarints, the function name and the error
+// text each prefixed by its uvarint length, then the scalar args as a
+// uvarint count followed by zigzag varints and the buffer ids as a
+// uvarint count followed by uvarints. Both ends live in one binary, so
+// there is no type descriptor and no version to negotiate; decode
+// rejects empty, truncated, oversized and trailing-byte input.
 //
 // The buffer pool reproduces the paper's allocation observation: COI
 // overheads were negligible when a pool of 2 MB buffers was used, and
@@ -17,8 +24,7 @@
 package coi
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -41,9 +47,9 @@ var (
 // sink instances, in the order they were passed to RunFunction.
 type RunFunc func(args []int64, bufs [][]byte)
 
-// msg is the wire format for control traffic.
+// msg is one control message; see the package doc for its wire form.
 type msg struct {
-	Op       byte // 'r' run, 'c' completion, 'p' new pipeline, 'q' quit
+	Op       byte // 'r' run, 'c' completion, 'q' quit
 	Fn       string
 	Args     []int64
 	BufIDs   []uint64
@@ -52,18 +58,114 @@ type msg struct {
 	Err      string
 }
 
-func encode(m msg) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		panic(fmt.Sprintf("coi: encode: %v", err)) // msg is always encodable
+// errBadMsg is what decode returns for any input encode cannot produce.
+var errBadMsg = errors.New("coi: malformed control message")
+
+// encode appends m's wire form to dst and returns the extended slice.
+// The per-message callers pass a stack array's [:0], which is safe
+// because Endpoint.Send copies the payload.
+func encode(dst []byte, m msg) []byte {
+	dst = append(dst, m.Op)
+	dst = binary.AppendUvarint(dst, m.Pipeline)
+	dst = binary.AppendUvarint(dst, m.Event)
+	dst = binary.AppendUvarint(dst, uint64(len(m.Fn)))
+	dst = append(dst, m.Fn...)
+	dst = binary.AppendUvarint(dst, uint64(len(m.Err)))
+	dst = append(dst, m.Err...)
+	dst = binary.AppendUvarint(dst, uint64(len(m.Args)))
+	for _, a := range m.Args {
+		dst = binary.AppendVarint(dst, a)
 	}
-	return buf.Bytes()
+	dst = binary.AppendUvarint(dst, uint64(len(m.BufIDs)))
+	for _, id := range m.BufIDs {
+		dst = binary.AppendUvarint(dst, id)
+	}
+	return dst
 }
 
+// decode parses one wire record. Every read is bounds-checked, and
+// every length or count is checked against the bytes that remain
+// (each element takes at least one) before anything is allocated.
+// A zero count decodes to a nil slice, so decode∘encode∘decode is the
+// identity on whatever decode accepts.
 func decode(b []byte) (msg, error) {
-	var m msg
-	err := gob.NewDecoder(bytes.NewReader(b)).Decode(&m)
-	return m, err
+	if len(b) == 0 {
+		return msg{}, errBadMsg
+	}
+	m := msg{Op: b[0]}
+	if m.Op != 'r' && m.Op != 'c' && m.Op != 'q' {
+		return msg{}, errBadMsg
+	}
+	r := wireReader{b: b[1:]}
+	m.Pipeline = r.uvarint()
+	m.Event = r.uvarint()
+	m.Fn = r.str()
+	m.Err = r.str()
+	if n := r.count(); n > 0 {
+		m.Args = make([]int64, n)
+		for i := range m.Args {
+			m.Args[i] = r.varint()
+		}
+	}
+	if n := r.count(); n > 0 {
+		m.BufIDs = make([]uint64, n)
+		for i := range m.BufIDs {
+			m.BufIDs[i] = r.uvarint()
+		}
+	}
+	if r.bad || len(r.b) != 0 {
+		return msg{}, errBadMsg
+	}
+	return m, nil
+}
+
+// wireReader consumes a record front to back. The first failure sets
+// bad and empties b, so every later read returns zero without
+// touching memory.
+type wireReader struct {
+	b   []byte
+	bad bool
+}
+
+func (r *wireReader) fail() {
+	r.bad, r.b = true, nil
+}
+
+func (r *wireReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail()
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *wireReader) varint() int64 {
+	v, n := binary.Varint(r.b)
+	if n <= 0 {
+		r.fail()
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// count reads a length or element count no larger than the bytes left.
+func (r *wireReader) count() int {
+	n := r.uvarint()
+	if n > uint64(len(r.b)) {
+		r.fail()
+		return 0
+	}
+	return int(n)
+}
+
+func (r *wireReader) str() string {
+	n := r.count()
+	s := string(r.b[:n])
+	r.b = r.b[n:]
+	return s
 }
 
 // Event signals completion of one run-function invocation.
@@ -107,9 +209,12 @@ type Process struct {
 	pipelines map[uint64]*Pipeline
 	events    map[uint64]*Event
 	nextID    uint64
-	down      bool
+	down      bool // set first by Destroy; no Event or pipeline is made after it
 
-	wg sync.WaitGroup
+	sending sync.WaitGroup // RunFunction calls that registered an Event and have not sent yet
+	sinkWG  sync.WaitGroup // sinkLoop and the pipeline executors
+	srcDone chan struct{}  // closed when sourceLoop returns
+	destroy sync.Once
 }
 
 // Options configures process creation.
@@ -146,6 +251,7 @@ func CreateProcess(f *fabric.Fabric, source, sink *fabric.Node, opt Options) (*P
 		pipelines: make(map[uint64]*Pipeline),
 		events:    make(map[uint64]*Event),
 		inj:       opt.Injector,
+		srcDone:   make(chan struct{}),
 	}
 	if opt.PoolBuffers {
 		p.pool = NewBufferPool(DefaultPoolChunk)
@@ -154,7 +260,7 @@ func CreateProcess(f *fabric.Fabric, source, sink *fabric.Node, opt Options) (*P
 	p.poolMisses = opt.Metrics.CounterVec("hstreams_coi_pool_misses_total", "Sink buffer allocations that paid a cold (pinning) allocation.", "sink").With(sink.Name())
 	p.runFns = opt.Metrics.CounterVec("hstreams_coi_runfunctions_total", "Run-function invocations enqueued to sink pipelines.", "sink").With(sink.Name())
 	p.pipeCount = opt.Metrics.CounterVec("hstreams_coi_pipelines_total", "Sink pipelines created.", "sink").With(sink.Name())
-	p.wg.Add(2)
+	p.sinkWG.Add(1)
 	go p.sinkLoop()
 	go p.sourceLoop()
 	return p, nil
@@ -179,9 +285,11 @@ func (p *Process) RegisterFunction(name string, fn RunFunc) {
 func (p *Process) Sink() *fabric.Node { return p.sink }
 
 // sinkLoop is the card-side dispatcher: it decodes run-function
-// descriptors and feeds per-pipeline executors.
+// descriptors and feeds per-pipeline executors. On 'q', the last
+// message Destroy sends, it closes every pipeline queue so the
+// executors drain what they hold and exit.
 func (p *Process) sinkLoop() {
-	defer p.wg.Done()
+	defer p.sinkWG.Done()
 	for {
 		raw, err := p.sinkEP.Recv()
 		if err != nil {
@@ -195,10 +303,9 @@ func (p *Process) sinkLoop() {
 		case 'q':
 			p.mu.Lock()
 			for _, pl := range p.pipelines {
-				pl.closeQueue()
+				close(pl.queue)
 			}
 			p.mu.Unlock()
-			p.sinkEP.Close()
 			return
 		case 'r':
 			p.mu.Lock()
@@ -213,7 +320,7 @@ func (p *Process) sinkLoop() {
 
 // sourceLoop routes completions back to host-side events.
 func (p *Process) sourceLoop() {
-	defer p.wg.Done()
+	defer close(p.srcDone)
 	for {
 		raw, err := p.srcEP.Recv()
 		if err != nil {
@@ -236,18 +343,34 @@ func (p *Process) sourceLoop() {
 	}
 }
 
-// Destroy shuts the process down, waiting for the sink to drain.
+// Destroy shuts the process down, letting the sink drain first: when
+// it returns, no run-function is executing and every Event that
+// RunFunction handed out has completed, with its result or with
+// ErrProcessDown. Calls after (or concurrent with) the first return
+// once the first has finished.
 func (p *Process) Destroy() {
-	p.mu.Lock()
-	if p.down {
+	p.destroy.Do(func() {
+		p.mu.Lock()
+		p.down = true
 		p.mu.Unlock()
-		return
-	}
-	p.down = true
-	p.mu.Unlock()
-	_, _ = p.srcEP.Send(encode(msg{Op: 'q'}))
-	p.srcEP.Close()
-	p.wg.Wait()
+		// Every registered descriptor is now in the sink's inbox, so
+		// 'q' lands behind all of them.
+		p.sending.Wait()
+		_, _ = p.srcEP.Send(encode(nil, msg{Op: 'q'}))
+		// The executors ran and answered everything queued before 'q';
+		// nothing sends on either endpoint any more.
+		p.sinkWG.Wait()
+		p.sinkEP.Close()
+		p.srcEP.Close()
+		<-p.srcDone
+		p.mu.Lock()
+		for id, ev := range p.events { // descriptors the sink never answered
+			delete(p.events, id)
+			ev.err = ErrProcessDown
+			close(ev.done)
+		}
+		p.mu.Unlock()
+	})
 }
 
 // Pipeline is a FIFO queue of run-function invocations executing on
@@ -256,8 +379,6 @@ type Pipeline struct {
 	p     *Process
 	id    uint64
 	queue chan msg
-	once  sync.Once
-	wg    sync.WaitGroup
 }
 
 const pipelineDepth = 256
@@ -271,18 +392,17 @@ func (p *Process) CreatePipeline() (*Pipeline, error) {
 	}
 	pl := &Pipeline{p: p, id: p.id(), queue: make(chan msg, pipelineDepth)}
 	p.pipelines[pl.id] = pl
+	p.sinkWG.Add(1)
 	p.mu.Unlock()
 	p.pipeCount.Inc()
-	pl.wg.Add(1)
 	go pl.run()
 	return pl, nil
 }
 
-func (pl *Pipeline) closeQueue() { pl.once.Do(func() { close(pl.queue) }) }
-
 // run executes descriptors in FIFO order on the sink.
 func (pl *Pipeline) run() {
-	defer pl.wg.Done()
+	defer pl.p.sinkWG.Done()
+	var wire [64]byte
 	for m := range pl.queue {
 		reply := msg{Op: 'c', Event: m.Event}
 		pl.p.mu.Lock()
@@ -313,7 +433,7 @@ func (pl *Pipeline) run() {
 				fn(m.Args, bufs)
 			}()
 		}
-		_, _ = p.sinkEP.Send(encode(reply))
+		_, _ = p.sinkEP.Send(encode(wire[:0], reply))
 	}
 }
 
@@ -326,14 +446,15 @@ func (pl *Pipeline) RunFunction(name string, args []int64, bufs ...*Buffer) (*Ev
 			return nil, err
 		}
 	}
-	ev := newEvent()
-	m := msg{Op: 'r', Fn: name, Args: args, Pipeline: pl.id}
+	var ids [8]uint64
+	m := msg{Op: 'r', Fn: name, Args: args, BufIDs: ids[:0], Pipeline: pl.id}
 	for _, b := range bufs {
 		if b.proc != pl.p {
 			return nil, ErrUnknownBuffer
 		}
 		m.BufIDs = append(m.BufIDs, b.id)
 	}
+	ev := newEvent()
 	pl.p.mu.Lock()
 	if pl.p.down {
 		pl.p.mu.Unlock()
@@ -341,8 +462,12 @@ func (pl *Pipeline) RunFunction(name string, args []int64, bufs ...*Buffer) (*Ev
 	}
 	m.Event = pl.p.id()
 	pl.p.events[m.Event] = ev
+	pl.p.sending.Add(1)
 	pl.p.mu.Unlock()
-	if _, err := pl.p.srcEP.Send(encode(m)); err != nil {
+	var wire [128]byte
+	_, err := pl.p.srcEP.Send(encode(wire[:0], m))
+	pl.p.sending.Done()
+	if err != nil {
 		pl.p.mu.Lock()
 		delete(pl.p.events, m.Event)
 		pl.p.mu.Unlock()
@@ -384,7 +509,8 @@ func (p *Process) CreateBuffer(size int) (*Buffer, error) {
 	if p.pool != nil {
 		mem, fresh := p.pool.Get(size)
 		b.pooled = mem
-		b.sinkWin = fabric.RegisterBacked(p.sink, mem[:size])
+		// Capped at size: past it lies the stale tail of the block.
+		b.sinkWin = fabric.RegisterBacked(p.sink, mem[:size:size])
 		if fresh {
 			b.allocTime = FreshAllocCost
 			p.poolMisses.Inc()

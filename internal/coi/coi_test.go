@@ -3,6 +3,7 @@ package coi
 import (
 	"encoding/binary"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -207,6 +208,36 @@ func TestPoolAvoidsFreshAllocations(t *testing.T) {
 	}
 }
 
+func TestPoolReuseLeaksNothing(t *testing.T) {
+	p := newProcess(t, Options{PoolBuffers: true})
+	dirty, _ := p.CreateBuffer(DefaultPoolChunk)
+	for i, mem := 0, dirty.SinkBytes(); i < len(mem); i++ {
+		mem[i] = 0xFF
+	}
+	dirty.Destroy()
+	// Smaller first, so the full-size reuse also gets the tail the
+	// smaller one never cleared; each user dirties what it sees.
+	for _, size := range []int{16 << 10, DefaultPoolChunk} {
+		b, _ := p.CreateBuffer(size)
+		if b.AllocTime() != 0 {
+			t.Fatalf("size %d: not a pool hit", size)
+		}
+		mem := b.SinkBytes()
+		if len(mem) != size || cap(mem) != size {
+			t.Fatalf("size %d: sink instance len %d cap %d, want both %d", size, len(mem), cap(mem), size)
+		}
+		for i, x := range mem {
+			if x != 0 {
+				t.Fatalf("size %d: byte %d = %#x, want 0", size, i, x)
+			}
+		}
+		for i := range mem {
+			mem[i] = 0xFF
+		}
+		b.Destroy()
+	}
+}
+
 func TestNoPoolAlwaysCold(t *testing.T) {
 	p := newProcess(t, Options{PoolBuffers: false})
 	for i := 0; i < 3; i++ {
@@ -341,5 +372,94 @@ func TestDestroyDrainsPendingPipelines(t *testing.T) {
 	defer mu.Unlock()
 	if ran != 10 {
 		t.Fatalf("ran = %d, want 10", ran)
+	}
+}
+
+func TestDestroyCompletesOutstandingEvents(t *testing.T) {
+	p := newProcess(t, Options{PoolBuffers: true})
+	var ran, running atomic.Int32
+	p.RegisterFunction("slow", func(_ []int64, _ [][]byte) {
+		running.Add(1)
+		time.Sleep(5 * time.Millisecond)
+		ran.Add(1)
+		running.Add(-1)
+	})
+	p.RegisterFunction("quick", func(_ []int64, _ [][]byte) {
+		running.Add(1)
+		running.Add(-1)
+	})
+	pl, _ := p.CreatePipeline()
+	var evs []*Event
+	for i := 0; i < 5; i++ {
+		ev, err := pl.RunFunction("slow", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs = append(evs, ev)
+	}
+	// A second pipeline keeps enqueueing across Destroy: whatever it
+	// is handed must complete too, and the rest must be refused.
+	racer, _ := p.CreatePipeline()
+	raced := make(chan []*Event)
+	go func() {
+		var got []*Event
+		for {
+			ev, err := racer.RunFunction("quick", nil)
+			if err != nil {
+				if err != ErrProcessDown {
+					t.Errorf("RunFunction during Destroy: %v", err)
+				}
+				raced <- got
+				return
+			}
+			got = append(got, ev)
+		}
+	}()
+
+	p.Destroy()
+	if n := running.Load(); n != 0 {
+		t.Fatalf("%d run-functions still executing after Destroy", n)
+	}
+	if n := ran.Load(); n != 5 {
+		t.Fatalf("%d of 5 enqueued run-functions ran before Destroy returned", n)
+	}
+	for i, ev := range evs {
+		select {
+		case <-ev.Done():
+		default:
+			t.Fatalf("event %d still pending after Destroy", i)
+		}
+		if err := ev.Wait(); err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+	}
+	for i, ev := range <-raced {
+		select {
+		case <-ev.Done():
+		default:
+			t.Fatalf("racing event %d still pending after Destroy", i)
+		}
+	}
+}
+
+func TestRunFunctionAllocs(t *testing.T) {
+	p := newProcess(t, Options{PoolBuffers: true})
+	p.RegisterFunction("empty", func(_ []int64, _ [][]byte) {})
+	b1, _ := p.CreateBuffer(64)
+	b2, _ := p.CreateBuffer(64)
+	pl, _ := p.CreatePipeline()
+	args := []int64{1, -2, 3 << 20, -4 << 40, 5, 6, 7, 8}
+	allocs := testing.AllocsPerRun(200, func() {
+		ev, err := pl.RunFunction("empty", args, b1, b2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ev.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.1f allocations per RunFunction + Wait", allocs)
+	if allocs > 16 {
+		t.Fatalf("RunFunction + Wait = %.1f allocations, want ≤ 16", allocs)
 	}
 }

@@ -35,22 +35,22 @@ func (p *BufferPool) class(size int) int {
 }
 
 // Get returns a block of at least size bytes and whether it was a
-// fresh (cold) allocation.
+// fresh (cold) allocation. Only mem[:size] is guaranteed zero: the
+// rest of a reused block may hold an earlier user's bytes, so callers
+// expose mem[:size:size] and nothing past it.
 func (p *BufferPool) Get(size int) (mem []byte, fresh bool) {
 	cl := p.class(size)
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if blocks := p.free[cl]; len(blocks) > 0 {
 		mem = blocks[len(blocks)-1]
 		p.free[cl] = blocks[:len(blocks)-1]
 		p.hits++
-		// Pool reuse must not leak previous contents.
-		for i := range mem {
-			mem[i] = 0
-		}
+		p.mu.Unlock()
+		clear(mem[:max(size, 0)]) // reuse must not leak previous contents
 		return mem, false
 	}
 	p.misses++
+	p.mu.Unlock()
 	return make([]byte, cl*p.chunk), true
 }
 

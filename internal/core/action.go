@@ -489,8 +489,11 @@ func (rt *Runtime) finish(a *Action, err error) {
 		// telemetry overhead budget counts on).
 		rt.emitResEvents(a, r, err)
 	}
-	s.mu.Lock()
+	// Observers hear of the finish while a is still inflight, so
+	// whoever Synchronize or ThreadSynchronize releases has seen it.
 	a.err = err
+	rt.notifyFinish(a)
+	s.mu.Lock()
 	a.state.Store(stateDone)
 	last := len(s.inflight) - 1
 	i := a.slot
@@ -553,7 +556,6 @@ func (rt *Runtime) finish(a *Action, err error) {
 		ch := *p
 		a.doneOnce.Do(func() { close(ch) })
 	}
-	rt.notifyFinish(a)
 	for _, r := range ready {
 		rt.notifyReadyLaunch(r)
 		rt.exec.launch(r)
