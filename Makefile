@@ -71,12 +71,18 @@ health-smoke:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-# fuzz-smoke runs the COI control-message decoder under the native
-# fuzzer for a short, fixed time: no input may panic it, and whatever
-# it accepts must re-encode to an equal message. A crasher lands in
-# internal/coi/testdata/fuzz/FuzzDecode; commit it as a regression seed.
+# FUZZ_TARGETS are the native fuzz targets, as package:target.
+FUZZ_TARGETS = internal/coi:FuzzDecode internal/core:FuzzDecodeCheckpoint
+
+# fuzz-smoke runs every decoder under the native fuzzer for a short,
+# fixed time each: no input may panic it, and whatever it accepts must
+# re-encode to an equal value (the checkpoint target also replays what
+# it accepts). A crasher lands in <package>/testdata/fuzz/<target>;
+# commit it as a regression seed.
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/coi
+	@for t in $(FUZZ_TARGETS); do \
+		$(GO) test -run='^$$' -fuzz="^$${t#*:}$$" -fuzztime=10s ./$${t%%:*} || exit 1; \
+	done
 
 # check is the pre-commit gate: build, vet, formatting, the doc lint,
 # the exposition golden, tests under the race detector, a single-shot

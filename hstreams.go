@@ -152,17 +152,14 @@ func IsTransientError(err error) bool { return fault.IsTransient(err) }
 
 // Telemetry types (internal/metrics). Every Runtime reports live
 // counters, gauges and latency histograms into a MetricsRegistry
-// (Runtime.Metrics()); Observer hooks deliver per-action lifecycle
-// events (Runtime.AddObserver). Snapshots export as Prometheus text
-// (WriteProm) or JSON (WriteJSON).
+// (Runtime.Metrics()). Snapshots export as Prometheus text
+// (WriteProm) or JSON (WriteJSON). Per-action records are trace spans
+// (below); a caller that must act as each action retires installs a
+// Stream.SetRetireHook.
 type (
 	// MetricsRegistry is a concurrency-safe registry of counters,
 	// gauges and fixed-bucket histograms.
 	MetricsRegistry = metrics.Registry
-	// MetricsEvent is one action-lifecycle transition.
-	MetricsEvent = metrics.Event
-	// Observer receives action-lifecycle events from a runtime.
-	Observer = metrics.Observer
 )
 
 // NewMetricsRegistry returns an empty, private metrics registry for

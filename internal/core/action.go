@@ -269,10 +269,10 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 	}
 	s := a.stream
 	a.id = rt.nextID.Add(1)
-	// Hold one pending token until the OnEnqueue hook has fired:
-	// without it a predecessor finishing on another goroutine could
-	// launch this action — and notify OnReady/OnLaunch — before its
-	// OnEnqueue, breaking the per-action hook ordering contract.
+	// Hold one pending token until every dependence is linked: the
+	// cross-stream event edges are added after s.mu is dropped, and
+	// without the token a same-stream predecessor finishing meanwhile
+	// could take npend to zero and launch the action before they land.
 	a.npend.Store(1)
 	capture := rt.flight != nil
 	if capture {
@@ -428,11 +428,9 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 	s.met.enq[k].Inc()
 	s.met.depth.Add(1)
 	s.met.depthPeak.SetMax(depth)
-	rt.notifyEnqueue(a)
 
-	// Release the hook-ordering token; the decrement that lands on
-	// zero — here or in a predecessor's finish — launches, exactly
-	// once.
+	// Release the linking token; the decrement that lands on zero —
+	// here or in a predecessor's finish — launches, exactly once.
 	if a.npend.Add(-1) == 0 {
 		a.state.Store(stateLaunched)
 		switch {
@@ -443,7 +441,6 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 		default:
 			a.tReady = rt.exec.now()
 		}
-		rt.notifyReadyLaunch(a)
 		rt.exec.launch(a)
 	}
 	// Replay must not pump completions mid-enqueue: a predecessor
@@ -458,14 +455,14 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 
 // finish completes an action: records the trace, retires it from its
 // stream in O(1) by swapping the last inflight entry into its slot,
-// and launches any successors whose last dependence this was.
-// Executors call it exactly once per action.
+// runs the stream's retire hook, and launches any successors whose
+// last dependence this was. Executors call it exactly once per action.
 func (rt *Runtime) finish(a *Action, err error) {
 	s := a.stream
-	// The span goes into the ring before the action leaves inflight:
-	// Synchronize and ThreadSynchronize return once inflight is empty,
-	// so whoever saw the work drain also sees its complete record
-	// (Runtime.Spans, Checkpoint).
+	// The span and the error are published before the action leaves
+	// inflight: Synchronize and ThreadSynchronize return once inflight
+	// is empty, so whoever saw the work drain also sees its complete
+	// record (Runtime.Spans, Checkpoint) and its failure (Runtime.Err).
 	if rt.flight != nil {
 		sp := &a.span
 		sp.Err = err != nil
@@ -489,10 +486,8 @@ func (rt *Runtime) finish(a *Action, err error) {
 		// telemetry overhead budget counts on).
 		rt.emitResEvents(a, r, err)
 	}
-	// Observers hear of the finish while a is still inflight, so
-	// whoever Synchronize or ThreadSynchronize releases has seen it.
 	a.err = err
-	rt.notifyFinish(a)
+	rt.setErr(err)
 	s.mu.Lock()
 	a.state.Store(stateDone)
 	last := len(s.inflight) - 1
@@ -519,6 +514,7 @@ func (rt *Runtime) finish(a *Action, err error) {
 	a.ops = nil
 	a.kernelFn = nil
 	a.args = nil
+	retire := s.retire
 	s.mu.Unlock()
 	releaseOps(ops)
 
@@ -549,15 +545,16 @@ func (rt *Runtime) finish(a *Action, err error) {
 		}
 	}
 
-	rt.setErr(err)
 	rt.observeFinish(a, err)
 	a.fin.Store(true)
 	if p := a.doneCh.Load(); p != nil {
 		ch := *p
 		a.doneOnce.Do(func() { close(ch) })
 	}
+	if retire != nil {
+		retire(a)
+	}
 	for _, r := range ready {
-		rt.notifyReadyLaunch(r)
 		rt.exec.launch(r)
 	}
 }

@@ -37,7 +37,8 @@ var (
 	// mismatched edge kind.
 	ErrReplayDiverged = errors.New("core: replayed DAG diverged from checkpoint")
 	// ErrCheckpointInvalid marks a structurally broken checkpoint
-	// (stream or dependence indices out of range).
+	// (a machine with a missing spec or link, stream or dependence
+	// indices out of range).
 	ErrCheckpointInvalid = errors.New("core: invalid checkpoint")
 )
 
@@ -301,9 +302,10 @@ func (c *Checkpoint) Encode(w io.Writer) error {
 	return enc.Encode(c)
 }
 
-// DecodeCheckpoint reads a checkpoint, rejecting version mismatches
-// and structurally invalid DAGs (out-of-range stream or dependence
-// indices, forward or self dependences).
+// DecodeCheckpoint reads a checkpoint, rejecting version mismatches,
+// machines Replay cannot build (no host, a card without a spec or a
+// link) and structurally invalid DAGs (out-of-range stream or
+// dependence indices, forward or self dependences).
 func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	var c Checkpoint
 	if err := json.NewDecoder(r).Decode(&c); err != nil {
@@ -315,6 +317,14 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	}
 	if c.Machine == nil || c.Machine.Host == nil {
 		return nil, fmt.Errorf("%w: no machine", ErrCheckpointInvalid)
+	}
+	for i, card := range c.Machine.Cards {
+		if card == nil {
+			return nil, fmt.Errorf("%w: card %d has no spec", ErrCheckpointInvalid, i)
+		}
+		if c.Machine.LinkFor(i) == nil {
+			return nil, fmt.Errorf("%w: card %d has no link", ErrCheckpointInvalid, i)
+		}
 	}
 	nd := len(c.Machine.Domains())
 	for i, cs := range c.Streams {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"hstreams/internal/metrics"
@@ -13,7 +14,7 @@ import (
 // tracedRuntime is simRuntime/realRuntime with a private flight
 // recorder, so checkpoint tests never race other tests for the
 // process-wide ring.
-func tracedRuntime(t *testing.T, mode Mode, cards int) (*Runtime, *trace.FlightRecorder) {
+func tracedRuntime(t testing.TB, mode Mode, cards int) (*Runtime, *trace.FlightRecorder) {
 	t.Helper()
 	fl := trace.NewFlight(1 << 13)
 	rt, err := Init(Config{
@@ -33,7 +34,7 @@ func tracedRuntime(t *testing.T, mode Mode, cards int) (*Runtime, *trace.FlightR
 // with operand dependences, a marker, and a cross-stream event-wait —
 // one action of every checkpoint kind and one dependence edge of every
 // DepKind.
-func buildCkptDAG(t *testing.T, rt *Runtime, kernel string) {
+func buildCkptDAG(t testing.TB, rt *Runtime, kernel string) {
 	t.Helper()
 	card := rt.Card(0)
 	s1, err := rt.StreamCreate(card, 0, 8)
@@ -81,7 +82,7 @@ func buildCkptDAG(t *testing.T, rt *Runtime, kernel string) {
 }
 
 // checkpointOf builds the DAG, drains it, and cuts its checkpoint.
-func checkpointOf(t *testing.T, mode Mode) *Checkpoint {
+func checkpointOf(t testing.TB, mode Mode) *Checkpoint {
 	t.Helper()
 	rt, _ := tracedRuntime(t, mode, 1)
 	kernel := "k"
@@ -241,4 +242,61 @@ func TestCheckpointEvictedRun(t *testing.T) {
 	if _, err := rt.Checkpoint(); !errors.Is(err, ErrCheckpointEvicted) {
 		t.Fatalf("partially evicted run: err = %v, want ErrCheckpointEvicted", err)
 	}
+}
+
+// nilCardCheckpoint is a checkpoint whose machine lists a card with no
+// spec; Replay used to dereference it.
+const nilCardCheckpoint = `{"version":1,"machine":{"Host":{"Name":"HSW","Sockets":1,"CoresPerSocket":4},"Cards":[null]},"streams":[{"name":"HSW.s0","domain":0,"first_core":0,"n_cores":1}],"actions":[{"kind":"sync","stream":0}]}`
+
+func TestCheckpointDecodeRejectsMissingSpecs(t *testing.T) {
+	for name, raw := range map[string]string{
+		"nil card":      nilCardCheckpoint,
+		"card, no link": `{"version":1,"machine":{"Host":{"Name":"HSW"},"Cards":[{"Name":"KNC0"}]}}`,
+		"nil host":      `{"version":1,"machine":{"Cards":[{"Name":"KNC0"}]}}`,
+	} {
+		if _, err := DecodeCheckpoint(strings.NewReader(raw)); !errors.Is(err, ErrCheckpointInvalid) {
+			t.Errorf("%s: err = %v, want ErrCheckpointInvalid", name, err)
+		}
+	}
+}
+
+// FuzzDecodeCheckpoint holds the checkpoint decoder and Replay, which
+// hsbench -replay runs on a file from disk, to three properties: no
+// input panics the decoder; whatever it accepts re-encodes to a
+// checkpoint that decodes and encodes back to the same bytes; and an
+// accepted checkpoint of at most 32 actions replays or returns an
+// error, never panics.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	var good bytes.Buffer
+	if err := checkpointOf(f, ModeSim).Encode(&good); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good.Bytes())
+	f.Add([]byte(nilCardCheckpoint))
+	f.Add([]byte(`{"version":1,"machine":{"Host":{"Name":"HSW","Sockets":1,"CoresPerSocket":2,"ClockGHz":1,"DPFlopsPerCycle":1}},"streams":[{"name":"HSW.s0","domain":0,"first_core":0,"n_cores":2}],"actions":[{"kind":"compute","stream":0,"cost":{"Flops":-1e300,"Extra":-5}},{"kind":"sync","stream":0,"deps":[{"pred":0,"why":"fifo"}]}]}`))
+	f.Add([]byte(`{"version":2}`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		c, err := DecodeCheckpoint(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		var enc bytes.Buffer
+		if err := c.Encode(&enc); err != nil {
+			t.Fatalf("accepted checkpoint does not encode: %v", err)
+		}
+		again, err := DecodeCheckpoint(bytes.NewReader(enc.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded checkpoint does not decode: %v\n%s", err, enc.Bytes())
+		}
+		var enc2 bytes.Buffer
+		if err := again.Encode(&enc2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc.Bytes(), enc2.Bytes()) {
+			t.Fatalf("checkpoint changed across a round trip:\n%s\nvs\n%s", enc.Bytes(), enc2.Bytes())
+		}
+		if len(c.Actions) <= 32 {
+			_, _ = c.Replay() // an error is fine; a panic fails the target
+		}
+	})
 }

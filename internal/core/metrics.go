@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"hstreams/internal/metrics"
-)
+import "hstreams/internal/metrics"
 
 // Metric kind labels collapse the two transfer directions into one
 // "transfer" series (mirroring trace.Kind) so overlap analysis reads
@@ -131,62 +127,6 @@ func (cm *coreMetrics) forStream(name, domain string) *streamMetrics {
 // supplied via Config.Metrics, or metrics.Default(). It stays
 // readable after Fini.
 func (rt *Runtime) Metrics() *metrics.Registry { return rt.reg }
-
-// AddObserver registers an action-lifecycle observer. See
-// metrics.Observer for the hook contract; observers added mid-run
-// only see transitions that happen after registration.
-func (rt *Runtime) AddObserver(o metrics.Observer) {
-	if o == nil {
-		return
-	}
-	rt.mu.Lock()
-	obs := append(append([]metrics.Observer(nil), rt.observers()...), o)
-	rt.obs.Store(&obs)
-	rt.mu.Unlock()
-}
-
-// observers returns the current observer slice (nil when none).
-func (rt *Runtime) observers() []metrics.Observer {
-	p := rt.obs.Load()
-	if p == nil {
-		return nil
-	}
-	return *p
-}
-
-// event builds the observer payload for an action transition.
-func (a *Action) event(when time.Duration) metrics.Event {
-	return metrics.Event{
-		Action: a.id,
-		Kind:   a.kind.String(),
-		Stream: a.stream.name,
-		Domain: a.stream.domain.spec.Name,
-		Bytes:  a.bytes,
-		Flops:  a.cost.Flops,
-		When:   when,
-		Err:    a.err,
-	}
-}
-
-func (rt *Runtime) notifyEnqueue(a *Action) {
-	for _, o := range rt.observers() {
-		o.OnEnqueue(a.event(a.tEnqueue))
-	}
-}
-
-func (rt *Runtime) notifyReadyLaunch(a *Action) {
-	for _, o := range rt.observers() {
-		ev := a.event(a.tReady)
-		o.OnReady(ev)
-		o.OnLaunch(ev)
-	}
-}
-
-func (rt *Runtime) notifyFinish(a *Action) {
-	for _, o := range rt.observers() {
-		o.OnFinish(a.event(a.end))
-	}
-}
 
 // observeFinish records a completed action's aggregates. Called
 // without any lock held; every touched metric is atomic. The depth

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hstreams/internal/metrics"
 	"hstreams/internal/platform"
@@ -56,58 +58,6 @@ func TestFirstErrorPreserved(t *testing.T) {
 	}
 	if got := reg.Total("hstreams_errors_suppressed_total"); got != 1 {
 		t.Fatalf("errors_suppressed_total = %v, want 1", got)
-	}
-}
-
-// orderObserver checks the Observer hook contract per action: events
-// arrive as enqueue → ready → launch → finish, with non-decreasing
-// timestamps, and no transition is skipped or repeated.
-type orderObserver struct {
-	mu    sync.Mutex
-	phase map[uint64]int // last phase seen: 1 enqueue, 2 ready, 3 launch, 4 finish
-	when  map[uint64]int64
-	errs  []string
-}
-
-func newOrderObserver() *orderObserver {
-	return &orderObserver{phase: map[uint64]int{}, when: map[uint64]int64{}}
-}
-
-func (o *orderObserver) on(ev metrics.Event, phase int) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if got := o.phase[ev.Action]; got != phase-1 {
-		o.errs = append(o.errs, fmt.Sprintf("action %d: phase %d after phase %d", ev.Action, phase, got))
-	}
-	if w := int64(ev.When); w < o.when[ev.Action] {
-		o.errs = append(o.errs, fmt.Sprintf("action %d: phase %d time %d regressed below %d", ev.Action, phase, w, o.when[ev.Action]))
-	} else {
-		o.when[ev.Action] = w
-	}
-	o.phase[ev.Action] = phase
-}
-
-func (o *orderObserver) OnEnqueue(ev metrics.Event) { o.on(ev, 1) }
-func (o *orderObserver) OnReady(ev metrics.Event)   { o.on(ev, 2) }
-func (o *orderObserver) OnLaunch(ev metrics.Event)  { o.on(ev, 3) }
-func (o *orderObserver) OnFinish(ev metrics.Event)  { o.on(ev, 4) }
-
-// check asserts every started action finished and no ordering
-// violation was recorded.
-func (o *orderObserver) check(t *testing.T, wantActions int) {
-	t.Helper()
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for _, e := range o.errs {
-		t.Error(e)
-	}
-	if len(o.phase) != wantActions {
-		t.Errorf("observed %d actions, want %d", len(o.phase), wantActions)
-	}
-	for id, ph := range o.phase {
-		if ph != 4 {
-			t.Errorf("action %d stopped at phase %d, want 4 (finish)", id, ph)
-		}
 	}
 }
 
@@ -163,8 +113,28 @@ func driveObserved(t *testing.T, rt *Runtime) int {
 	return actions
 }
 
-func TestObserverOrderingContractReal(t *testing.T) {
-	rt, err := Init(Config{Machine: platform.HSWPlusKNC(2), Mode: ModeReal, Metrics: metrics.New()})
+// checkSpanPhases asserts the run left exactly one span per action,
+// each with its phases in lifecycle order: enqueue ≤ ready ≤ launch ≤
+// finish.
+func checkSpanPhases(t *testing.T, rt *Runtime, wantActions int) {
+	t.Helper()
+	spans, err := rt.Spans()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spans) != wantActions {
+		t.Fatalf("recorded %d spans, want one per action (%d)", len(spans), wantActions)
+	}
+	for _, sp := range spans {
+		if sp.Enqueue > sp.Ready || sp.Ready > sp.Launch || sp.Launch > sp.Finish {
+			t.Errorf("span %d phases out of order: enqueue %v ready %v launch %v finish %v",
+				sp.ID, sp.Enqueue, sp.Ready, sp.Launch, sp.Finish)
+		}
+	}
+}
+
+func TestSpanPhaseOrderReal(t *testing.T) {
+	rt, err := Init(Config{Machine: platform.HSWPlusKNC(2), Mode: ModeReal, Metrics: metrics.New(), Flight: trace.NewFlight(256)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,22 +144,157 @@ func TestObserverOrderingContractReal(t *testing.T) {
 			ctx.Ops[0][i]++
 		}
 	})
-	obs := newOrderObserver()
-	rt.AddObserver(obs)
-	n := driveObserved(t, rt)
-	obs.check(t, n)
+	checkSpanPhases(t, rt, driveObserved(t, rt))
 }
 
-func TestObserverOrderingContractSim(t *testing.T) {
-	rt, err := Init(Config{Machine: platform.HSWPlusKNC(2), Mode: ModeSim, Metrics: metrics.New()})
+func TestSpanPhaseOrderSim(t *testing.T) {
+	rt, err := Init(Config{Machine: platform.HSWPlusKNC(2), Mode: ModeSim, Metrics: metrics.New(), Flight: trace.NewFlight(256)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Fini()
-	obs := newOrderObserver()
-	rt.AddObserver(obs)
-	n := driveObserved(t, rt)
-	obs.check(t, n)
+	checkSpanPhases(t, rt, driveObserved(t, rt))
+}
+
+// TestRetireHookOncePerAction drives a dependence chain through a host
+// and a card stream, with a panicking kernel in the middle, and checks
+// the retire hook contract: one call per action; inside it the action
+// is complete, Done is closed and Err is final; and the successor it
+// gated has not launched yet.
+func TestRetireHookOncePerAction(t *testing.T) {
+	for _, mode := range []Mode{ModeSim, ModeReal} {
+		rt, err := Init(Config{Machine: platform.HSWPlusKNC(1), Mode: mode, Metrics: metrics.New(), DisableCausalTrace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.RegisterKernel("ok", func(*KernelCtx) {})
+		rt.RegisterKernel("boom", func(*KernelCtx) { panic("boom") })
+
+		var mu sync.Mutex
+		calls := map[*Action]int{}
+		next := map[*Action]*Action{} // chain successor, gated by the key
+		hook := func(a *Action) {
+			mu.Lock()
+			defer mu.Unlock()
+			calls[a]++
+			if !a.Completed() {
+				t.Errorf("%v: action %d not Completed inside its hook", mode, a.ID())
+			}
+			select {
+			case <-a.Done():
+			default:
+				t.Errorf("%v: action %d Done still open inside its hook", mode, a.ID())
+			}
+			if wantErr := mode == ModeReal && a.label == "boom"; (a.Err() != nil) != wantErr {
+				t.Errorf("%v: action %d (%s) Err = %v inside its hook", mode, a.ID(), a.label, a.Err())
+			}
+			if b := next[a]; b != nil {
+				if _, end := b.Times(); end != 0 {
+					t.Errorf("%v: successor %d launched before action %d's hook", mode, b.ID(), a.ID())
+				}
+			}
+		}
+		n := 0
+		for _, d := range []*Domain{rt.Host(), rt.Card(0)} {
+			s, err := rt.StreamCreate(d, 0, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SetRetireHook(hook)
+			b, err := rt.Alloc1D(d.Spec().Name, 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all := []Operand{b.All(InOut)}
+			cost := platform.Cost{Kernel: platform.KDGEMM, Flops: 1e6, N: 64}
+			enqueue := []func() (*Action, error){
+				func() (*Action, error) { return s.EnqueueXferAll(b, ToSink) },
+				func() (*Action, error) { return s.EnqueueCompute("ok", nil, all, cost) },
+				func() (*Action, error) { return s.EnqueueCompute("boom", nil, all, cost) },
+				func() (*Action, error) { return s.EnqueueCompute("ok", nil, all, cost) },
+				s.EnqueueMarker,
+				func() (*Action, error) { return s.EnqueueXferAll(b, ToSource) },
+			}
+			var prev *Action
+			for _, enq := range enqueue {
+				mu.Lock() // a hook reading next must see the link or no successor yet
+				a, err := enq()
+				if err != nil {
+					mu.Unlock()
+					t.Fatal(err)
+				}
+				if prev != nil && !prev.completed() {
+					// prev was still incomplete after a's enqueue, so a's
+					// dependence scan linked a behind it.
+					next[prev] = a
+				}
+				mu.Unlock()
+				prev = a
+				n++
+			}
+		}
+		rt.ThreadSynchronize()
+		// The hook runs after the action leaves the window, so the last
+		// calls may land just after ThreadSynchronize returns.
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			mu.Lock()
+			got := len(calls)
+			mu.Unlock()
+			if got == n || time.Now().After(deadline) {
+				break
+			}
+		}
+		rt.Fini()
+		mu.Lock()
+		if len(calls) != n {
+			t.Errorf("%v: hook saw %d actions, want %d", mode, len(calls), n)
+		}
+		for a, c := range calls {
+			if c != 1 {
+				t.Errorf("%v: hook ran %d times for action %d", mode, c, a.ID())
+			}
+		}
+		mu.Unlock()
+		if mode == ModeReal && rt.Err() == nil {
+			t.Error("Real run with a panicking kernel reported no error")
+		}
+	}
+}
+
+// TestSynchronizeSeesRetiredError is the regression test for the
+// publish-before-retire order of an action's error: once a failed
+// action has left its stream's window, Synchronize must report the
+// failure. A host kernel panics, the probe waits for the window to
+// empty, then synchronizes.
+func TestSynchronizeSeesRetiredError(t *testing.T) {
+	for round := 0; round < 300; round++ {
+		rt, err := Init(Config{Machine: platform.HSWPlusKNC(0), Mode: ModeReal, Metrics: metrics.New(), DisableCausalTrace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.RegisterKernel("boom", func(*KernelCtx) { panic("boom") })
+		s, err := rt.StreamCreate(rt.Host(), 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.EnqueueCompute("boom", nil, nil, platform.Cost{}); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			s.mu.Lock()
+			empty := len(s.inflight) == 0
+			s.mu.Unlock()
+			if empty {
+				break
+			}
+			runtime.Gosched()
+		}
+		err = s.Synchronize()
+		rt.Fini()
+		if err == nil {
+			t.Fatalf("round %d: Synchronize after the failed action retired = nil, want its error", round)
+		}
+	}
 }
 
 // TestSpanCapture checks the flight-recorder integration: completed

@@ -197,7 +197,6 @@ type Runtime struct {
 	runID   uint64
 	reg     *metrics.Registry
 	mets    *coreMetrics
-	obs     atomic.Pointer[[]metrics.Observer]
 
 	// mu is the small registry lock: stream/buffer enumeration, kernel
 	// registration, and first-error state. The per-action hot path

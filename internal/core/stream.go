@@ -50,6 +50,11 @@ type Stream struct {
 	maxDepth int
 	policy   QueuePolicy
 
+	// retire is the retirement hook (SetRetireHook); nil for none.
+	// Guarded by mu; finish reads it in the section that retires the
+	// action.
+	retire func(*Action)
+
 	// ndepth mirrors len(inflight) as an atomic so the Sim drain loop
 	// and the depth-peak gauge read it without taking mu.
 	ndepth atomic.Int64
@@ -166,6 +171,19 @@ func (s *Stream) SetQueueBound(depth int, policy QueuePolicy) {
 	s.mu.Lock()
 	s.maxDepth = depth
 	s.policy = policy
+	s.mu.Unlock()
+}
+
+// SetRetireHook installs fn as the stream's retirement hook; nil
+// removes it. fn runs once per action retired after the call, on the
+// goroutine that completed the action: the action has left the
+// stream's window, Completed is true, Err is final and Done is closed,
+// and successors it gated have not launched yet. fn runs without
+// runtime locks held but on the executor's path, so it must be short
+// and must not wait on other actions.
+func (s *Stream) SetRetireHook(fn func(*Action)) {
+	s.mu.Lock()
+	s.retire = fn
 	s.mu.Unlock()
 }
 
@@ -303,7 +321,11 @@ func (s *Stream) enqueueReplay(kind ActKind, label string, bytes int64, cost pla
 // Synchronize blocks the host until every action previously enqueued
 // in this stream has completed (hStreams_StreamSynchronize). inflight
 // is unordered, so it waits on whatever member it sees and re-checks
-// until the window is empty.
+// until the window is empty. It returns Runtime.Err, which already
+// holds the failure of every action that has left the window. An
+// action leaves the window before it is marked complete, so
+// Completed may still read false for the last actions for a moment
+// after Synchronize returns; Action.Wait waits for that mark.
 func (s *Stream) Synchronize() error {
 	for {
 		s.mu.Lock()

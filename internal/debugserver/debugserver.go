@@ -79,6 +79,11 @@ func (opt *Options) fill() {
 	}
 }
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a client that never finishes them cannot hold a
+// connection open for good.
+const readHeaderTimeout = 10 * time.Second
+
 // Server is a running debug server.
 type Server struct {
 	ln  net.Listener
@@ -94,7 +99,7 @@ func Start(addr string, opt Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{ln: ln, srv: &http.Server{Handler: newMux(opt)}}
+	s := &Server{ln: ln, srv: &http.Server{Handler: newMux(opt), ReadHeaderTimeout: readHeaderTimeout}}
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
 }

@@ -3,7 +3,6 @@ package metrics_test
 import (
 	"bytes"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"hstreams/internal/app"
@@ -80,32 +79,20 @@ func TestSimMatmulTelemetry(t *testing.T) {
 	}
 }
 
-// countObserver counts lifecycle callbacks; fields are atomic because
-// Real-mode hooks may fire concurrently.
-type countObserver struct {
-	enq, ready, launch, finish atomic.Int64
-	bytes                      atomic.Int64
-}
-
-func (c *countObserver) OnEnqueue(e metrics.Event) { c.enq.Add(1); c.bytes.Add(e.Bytes) }
-func (c *countObserver) OnReady(metrics.Event)     { c.ready.Add(1) }
-func (c *countObserver) OnLaunch(metrics.Event)    { c.launch.Add(1) }
-func (c *countObserver) OnFinish(metrics.Event)    { c.finish.Add(1) }
-
-// TestObserverLifecycle checks every action produces exactly one
-// enqueue/ready/launch/finish callback, in both executors.
-func TestObserverLifecycle(t *testing.T) {
+// TestLifecycleTotals checks every action is counted once on the way
+// in and once on the way out, and that the two transfers move the
+// buffer payload each over the link, in both executors.
+func TestLifecycleTotals(t *testing.T) {
 	for _, mode := range []core.Mode{core.ModeSim, core.ModeReal} {
+		reg := metrics.New()
 		rt, err := core.Init(core.Config{
 			Machine: platform.HSWPlusKNC(1),
 			Mode:    mode,
-			Metrics: metrics.New(),
+			Metrics: reg,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		obs := &countObserver{}
-		rt.AddObserver(obs)
 		rt.RegisterKernel("obs", func(*core.KernelCtx) {})
 
 		card := rt.Card(0)
@@ -135,19 +122,21 @@ func TestObserverLifecycle(t *testing.T) {
 		rt.Fini()
 
 		const want = 3 // xfer, compute, xfer
-		for name, got := range map[string]int64{
-			"enqueue": obs.enq.Load(),
-			"ready":   obs.ready.Load(),
-			"launch":  obs.launch.Load(),
-			"finish":  obs.finish.Load(),
+		for _, family := range []string{
+			"hstreams_actions_enqueued_total",
+			"hstreams_stream_retired_total",
+			"hstreams_actions_total",
 		} {
-			if got != want {
-				t.Errorf("mode %v: %s callbacks = %d, want %d", mode, name, got, want)
+			if got := reg.Total(family); got != want {
+				t.Errorf("mode %v: %s = %v, want %d", mode, family, got, want)
 			}
 		}
-		// Two transfers carry the buffer payload each.
-		if got := obs.bytes.Load(); got != 2*bufBytes {
-			t.Errorf("mode %v: observed bytes = %d, want %d", mode, got, 2*bufBytes)
+		// Two transfers carry the buffer payload each. In Real mode the
+		// card compute adds its run-function descriptor and completion,
+		// a few dozen control bytes on the same link.
+		got, payload := reg.Total("hstreams_link_bytes_total"), float64(2*bufBytes)
+		if mode == core.ModeSim && got != payload || got < payload || got > payload+1024 {
+			t.Errorf("mode %v: link bytes = %v, want %v (+ control messages in Real mode)", mode, got, payload)
 		}
 	}
 }

@@ -1,9 +1,9 @@
 // Package metrics is the runtime's live telemetry layer: a
 // dependency-free, concurrency-safe registry of counters, gauges and
 // fixed-bucket histograms, exposed in Prometheus text format and JSON
-// (expose.go), plus the action-lifecycle Observer hook contract
-// (observer.go) that internal/core fires as actions move through
-// enqueue → ready → launch → finish.
+// (expose.go). Per-action lifecycle records are internal/trace spans;
+// a caller that must act as each action retires uses
+// core.Stream.SetRetireHook.
 //
 // Unlike internal/trace — a post-hoc recorder that keeps one record
 // per action and is read after a run — this package maintains cheap

@@ -39,11 +39,13 @@ type SubmitRequest struct {
 // Submit admits one compute action for the tenant, waits for its
 // fair-share turn at an in-service slot, and enqueues it into a tenant
 // stream on the caller's goroutine. With a slot free the turn is
-// granted at once and Submit never parks. The returned action is the
-// completion event; it is nil in shadow mode, where dispatch is the
-// completion. When the tenant's pending queue is at MaxPending, Submit
-// blocks (OnFull "block", honoring ctx cancellation) or fails fast
-// with ErrPendingFull (OnFull "shed").
+// granted at once and Submit never parks. Submit starts no goroutine:
+// the slot comes back from the stream's retire hook when the action
+// retires. The returned action is the completion event; it is nil in
+// shadow mode, where dispatch is the completion. When the tenant's
+// pending queue is at MaxPending, Submit blocks (OnFull "block",
+// honoring ctx cancellation) or fails fast with ErrPendingFull (OnFull
+// "shed").
 func (s *Server) Submit(ctx context.Context, tenant string, req SubmitRequest) (*core.Action, error) {
 	s.mu.Lock()
 	t, ok := s.tenants[tenant]
@@ -104,6 +106,9 @@ func (s *Server) Submit(ctx context.Context, tenant string, req SubmitRequest) (
 		s.release(t)
 		return nil, nil
 	}
+	// A refused enqueue returns the slot here; an accepted action's
+	// slot comes back from the retire hook (Register), which Unregister
+	// (and so Close) waits for through t.inflight.
 	a, err := sub.st.EnqueueCompute(req.Kernel, req.Args, req.Ops, platform.Cost{})
 	if err != nil {
 		if errors.Is(err, core.ErrQueueFull) {
@@ -112,14 +117,6 @@ func (s *Server) Submit(ctx context.Context, tenant string, req SubmitRequest) (
 		s.release(t)
 		return nil, err
 	}
-	// Submit returns before the action retires and core has no
-	// completion callback, so a waiter returns the slot. Unregister
-	// (and so Close) waits for it through t.inflight.
-	go func() {
-		_ = a.Wait() // the action's error is the submitter's to read
-		t.mActions.Inc()
-		s.release(t)
-	}()
 	return a, nil
 }
 

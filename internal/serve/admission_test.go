@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -270,5 +271,70 @@ func TestBufferChurnAgainstTenantDelete(t *testing.T) {
 	}
 	if live := s.opt.Registry.Total("hstreams_buffers_live"); live != base {
 		t.Fatalf("hstreams_buffers_live = %v after the churn, want baseline %v", live, base)
+	}
+}
+
+// TestDuplicateAllocBufferOneWinner races same-name AllocBuffers. The
+// name check and the table write sit on either side of the runtime
+// allocation, so exactly one must win per round, and the losers must
+// free their buffers and hand back their reserved quota.
+func TestDuplicateAllocBufferOneWinner(t *testing.T) {
+	s, _ := testServer(t, Options{})
+	if _, err := s.Register("dup", Quotas{}); err != nil {
+		t.Fatal(err)
+	}
+	base := s.opt.Registry.Total("hstreams_buffers_live")
+	const racers, size = 8, 4096
+	for round := 0; round < 200; round++ {
+		start := make(chan struct{})
+		var winners atomic.Int64
+		var wg sync.WaitGroup
+		for i := 0; i < racers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if _, err := s.AllocBuffer("dup", "b", size); err == nil {
+					winners.Add(1)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if n := winners.Load(); n != 1 {
+			t.Fatalf("round %d: %d same-name AllocBuffers succeeded, want 1", round, n)
+		}
+		if err := s.FreeBuffer("dup", "b"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if live := s.opt.Registry.Total("hstreams_buffers_live"); live != base {
+		t.Fatalf("hstreams_buffers_live = %v after every FreeBuffer, want baseline %v", live, base)
+	}
+	if st := s.Tenants()[0]; st.BufferBytes != 0 || st.Buffers != 0 {
+		t.Fatalf("tenant holds %d buffers / %d bytes after every FreeBuffer, want 0 / 0", st.Buffers, st.BufferBytes)
+	}
+}
+
+// TestSubmitSpawnsNoGoroutine holds n non-waited submits in service on
+// a gated kernel: the slots come back from the streams' retire hook,
+// so the in-service work must not park a goroutine per request.
+func TestSubmitSpawnsNoGoroutine(t *testing.T) {
+	const n = 48
+	s, rt := testServer(t, Options{MaxInflight: n})
+	_, open := gateKernel(t, rt)
+	if _, err := s.Register("g", Quotas{QueueDepth: n}); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < n; i++ {
+		mustSubmit(t, s, "g", "gate")
+	}
+	waitStatus(t, s, "g", n, 0)
+	grown := runtime.NumGoroutine() - before
+	open()
+	waitStatus(t, s, "g", 0, 0)
+	if grown > n/4 {
+		t.Fatalf("%d in-service submits grew the process by %d goroutines, want far fewer", n, grown)
 	}
 }

@@ -26,7 +26,7 @@ import (
 //
 // Everything speaks JSON; errors come back as {"error": "..."} with
 // 404 (no tenant/buffer), 409 (exists / negotiation failed), 413
-// (quota), 429 (shed), or 400.
+// (quota, or a body over maxBodyBytes), 429 (shed), or 400.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/capabilities", s.handleCapabilities)
@@ -72,7 +72,7 @@ func writeErr(w http.ResponseWriter, err error) {
 		status, p.Reason = http.StatusTooManyRequests, "pending-full"
 	case errors.Is(err, core.ErrQueueFull):
 		status, p.Reason = http.StatusTooManyRequests, "stream-queue-full"
-	case errors.Is(err, ErrQuota):
+	case errors.Is(err, ErrQuota), errors.As(err, new(*http.MaxBytesError)):
 		status = http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrTenantClosing), errors.Is(err, ErrClosed):
 		status = http.StatusConflict
@@ -84,9 +84,14 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, status, p)
 }
 
-// decode parses the request body into v.
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes caps every request body. The largest legitimate body,
+// a submit naming many operands, is a few kilobytes.
+const maxBodyBytes = 1 << 20
+
+// decode parses the request body into v, refusing bodies over
+// maxBodyBytes with an *http.MaxBytesError.
+func decode(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
 }
@@ -169,7 +174,7 @@ type negotiateResponse struct {
 
 func (s *Server) handleNegotiate(w http.ResponseWriter, r *http.Request) {
 	var req negotiateRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErr(w, fmt.Errorf("serve: bad negotiate body: %w", err))
 		return
 	}
@@ -212,7 +217,7 @@ type createTenantRequest struct {
 
 func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 	var req createTenantRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErr(w, fmt.Errorf("serve: bad tenant body: %w", err))
 		return
 	}
@@ -281,7 +286,7 @@ func (s *Server) handleAllocBuffer(w http.ResponseWriter, r *http.Request) {
 	tenant := r.PathValue("tenant")
 	s.mets.requests.With(tenant, "buffers").Inc()
 	var req allocBufferRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErr(w, fmt.Errorf("serve: bad buffer body: %w", err))
 		return
 	}
@@ -381,7 +386,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	tenant := r.PathValue("tenant")
 	s.mets.requests.With(tenant, "submit").Inc()
 	var req submitRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErr(w, fmt.Errorf("serve: bad submit body: %w", err))
 		return
 	}

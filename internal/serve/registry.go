@@ -154,6 +154,13 @@ func (s *Server) Register(name string, q Quotas) (*Tenant, error) {
 		mWait:     s.mets.wait.With(name),
 	}
 	var err error
+	// Submit is the only code that enqueues into tenant streams, so
+	// every action they retire holds an in-service slot of t's: the
+	// retire hook counts it and returns the slot.
+	retire := func(*core.Action) {
+		t.mActions.Inc()
+		s.release(t)
+	}
 	for i := 0; s.rt != nil && i < q.MaxStreams; i++ {
 		st, cerr := s.rt.StreamCreate(s.domain, 0, s.opt.StreamWidth)
 		if cerr != nil {
@@ -164,6 +171,7 @@ func (s *Server) Register(name string, q Quotas) (*Tenant, error) {
 		// on a full stream would sit on its in-service slot doing no
 		// work, and every other tenant's grant waits for that slot.
 		st.SetQueueBound(q.QueueDepth, core.QueueShed)
+		st.SetRetireHook(retire)
 		t.streams = append(t.streams, st)
 	}
 
@@ -320,6 +328,11 @@ func (s *Server) AllocBuffer(tenant, name string, size int64) (*core.Buf, error)
 		// Unregister ran during the allocation and will not see this
 		// buffer: hand it back here.
 		err = fmt.Errorf("%w: %q", ErrTenantClosing, tenant)
+	}
+	if _, ok := t.bufs[name]; err == nil && ok {
+		// A concurrent AllocBuffer of the same name won the race while
+		// s.mu was dropped: keep its buffer, hand this one back.
+		err = fmt.Errorf("serve: buffer %q exists for tenant %q", name, tenant)
 	}
 	if err != nil {
 		t.bufBytes -= size

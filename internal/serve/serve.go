@@ -26,6 +26,9 @@
 // the server lock when a submission arrives and when a slot comes
 // back; the submitter it picks enqueues its own action, so nothing
 // stands between a request's goroutine and the stream's source end.
+// The slot comes back from the tenant streams' retire hook
+// (core.Stream.SetRetireHook) as the action retires, so no goroutine
+// waits on an in-service action either.
 // Within a tenant, work spreads round-robin over its stream group,
 // and every stream carries a bounded queue (core.Config.MaxQueueDepth
 // machinery) so a stalled sink back-pressures or sheds instead of
@@ -42,6 +45,7 @@ import (
 	"net"
 	"net/http"
 	"sync"
+	"time"
 
 	"hstreams/internal/core"
 	"hstreams/internal/metrics"
@@ -217,6 +221,11 @@ func (s *Server) Close() error {
 	return firstErr
 }
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a client that never finishes them cannot hold a
+// connection open for good.
+const readHeaderTimeout = 10 * time.Second
+
 // Listener is a running serving endpoint bound to a TCP address.
 type Listener struct {
 	s   *Server
@@ -236,7 +245,7 @@ func Start(addr string, opt Options) (*Listener, error) {
 		s.Close()
 		return nil, err
 	}
-	l := &Listener{s: s, ln: ln, srv: &http.Server{Handler: s.Handler()}}
+	l := &Listener{s: s, ln: ln, srv: &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}}
 	go func() { _ = l.srv.Serve(ln) }()
 	return l, nil
 }

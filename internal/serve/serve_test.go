@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -490,5 +491,35 @@ func TestHTTPShed(t *testing.T) {
 	wg.Wait()
 	if !saw429.Load() {
 		t.Fatal("12 concurrent submits against pending bound 1 never returned 429")
+	}
+}
+
+// TestHTTPOversizedBody pins the body cap: a tenant or submit body
+// over maxBodyBytes is refused with 413 before it is decoded, and the
+// server keeps serving.
+func TestHTTPOversizedBody(t *testing.T) {
+	s, _ := testServer(t, Options{})
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	c := hs.Client()
+	if st := postObj(t, c, hs.URL+"/v1/tenants", createTenantRequest{Name: "web"}, nil); st != http.StatusCreated {
+		t.Fatalf("create tenant = %d", st)
+	}
+	huge := strings.Repeat("x", maxBodyBytes)
+	for path, body := range map[string]any{
+		"/v1/tenants":            createTenantRequest{Name: huge},
+		"/v1/tenants/web/submit": submitRequest{Kernel: huge},
+	} {
+		var p errorPayload
+		if st := postObj(t, c, hs.URL+path, body, &p); st != http.StatusRequestEntityTooLarge {
+			t.Fatalf("oversized POST %s = %d %+v, want 413", path, st, p)
+		}
+	}
+	var sub submitResponse
+	if st := postObj(t, c, hs.URL+"/v1/tenants/web/submit", submitRequest{Kernel: "spin", Wait: true}, &sub); st != http.StatusOK || sub.Status != "done" {
+		t.Fatalf("submit after the oversized bodies = %d %+v, want 200 done", st, sub)
+	}
+	if ts := s.Tenants(); len(ts) != 1 {
+		t.Fatalf("tenants = %+v, want only web", ts)
 	}
 }
