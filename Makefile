@@ -72,13 +72,16 @@ serve-smoke:
 	./scripts/serve_smoke.sh
 
 # FUZZ_TARGETS are the native fuzz targets, as package:target.
-FUZZ_TARGETS = internal/coi:FuzzDecode internal/core:FuzzDecodeCheckpoint
+FUZZ_TARGETS = internal/coi:FuzzDecode internal/core:FuzzDecodeCheckpoint \
+	internal/fabric:FuzzAddrSpace
 
-# fuzz-smoke runs every decoder under the native fuzzer for a short,
-# fixed time each: no input may panic it, and whatever it accepts must
-# re-encode to an equal value (the checkpoint target also replays what
-# it accepts). A crasher lands in <package>/testdata/fuzz/<target>;
-# commit it as a regression seed.
+# fuzz-smoke runs every target under the native fuzzer for a short,
+# fixed time each: no input may panic a decoder, and whatever it
+# accepts must re-encode to an equal value (the checkpoint target also
+# replays what it accepts); the AddrSpace target checks the allocator's
+# invariants after every op of a random alloc/free sequence. A crasher
+# lands in <package>/testdata/fuzz/<target>; commit it as a regression
+# seed.
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		$(GO) test -run='^$$' -fuzz="^$${t#*:}$$" -fuzztime=10s ./$${t%%:*} || exit 1; \

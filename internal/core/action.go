@@ -459,10 +459,12 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 // last dependence this was. Executors call it exactly once per action.
 func (rt *Runtime) finish(a *Action, err error) {
 	s := a.stream
-	// The span and the error are published before the action leaves
-	// inflight: Synchronize and ThreadSynchronize return once inflight
-	// is empty, so whoever saw the work drain also sees its complete
-	// record (Runtime.Spans, Checkpoint) and its failure (Runtime.Err).
+	// The span, the error and the operand references are all settled
+	// before the action leaves inflight: Synchronize and
+	// ThreadSynchronize return once inflight is empty, so whoever saw
+	// the work drain also sees its complete record (Runtime.Spans,
+	// Checkpoint), its failure (Runtime.Err), and its buffers released
+	// (a Free then reclaims at once).
 	if rt.flight != nil {
 		sp := &a.span
 		sp.Err = err != nil
@@ -488,6 +490,9 @@ func (rt *Runtime) finish(a *Action, err error) {
 	}
 	a.err = err
 	rt.setErr(err)
+	// Never under s.mu: the release that reclaims a free-pending buffer
+	// takes stream locks itself.
+	releaseOps(a.ops)
 	s.mu.Lock()
 	a.state.Store(stateDone)
 	last := len(s.inflight) - 1
@@ -506,17 +511,13 @@ func (rt *Runtime) finish(a *Action, err error) {
 	// Retired actions may be pinned for a long time by the flight
 	// recorder (the ring stores &a.span); drop the execution payload so
 	// a pinned action does not keep successors, operands, and kernel
-	// closures reachable. ops are released below, outside the lock —
-	// the release that reclaims a free-pending buffer takes stream
-	// locks itself.
-	ops := a.ops
+	// closures reachable.
 	a.succs = nil
 	a.ops = nil
 	a.kernelFn = nil
 	a.args = nil
 	retire := s.retire
 	s.mu.Unlock()
-	releaseOps(ops)
 
 	rt.outstanding.Add(-1)
 	s.ndepth.Add(-1)

@@ -34,8 +34,8 @@ type Buf struct {
 	name  string
 	size  int64
 	proxy uint64
-	host  []byte        // source instance (nil in Sim mode)
-	inst  []*coi.Buffer // per domain index; nil for host / Sim
+	host  []byte      // source instance (nil in Sim mode)
+	inst  []*cardInst // per domain index; nil for host / Sim
 
 	// refs counts operands of enqueued-but-incomplete actions.
 	// enqueue retains per operand before checking state; finish (and
@@ -49,10 +49,34 @@ type Buf struct {
 	state atomic.Int32
 }
 
+// cardInst is a buffer's instance in one card domain. Alloc1D creates
+// it on a goroutine of its own, which closes ready once cb or err is
+// set and then exits; reclamation waits for ready, so Free and Fini
+// outlast every such goroutine.
+type cardInst struct {
+	ready chan struct{}
+	cb    *coi.Buffer
+	err   error
+}
+
+// wait blocks until the instance's creation has finished.
+func (ci *cardInst) wait() (*coi.Buffer, error) {
+	<-ci.ready
+	return ci.cb, ci.err
+}
+
+// newCardInstance creates one card instance: a pool get and clear, or
+// a fresh registration. Tests replace it to hold creation open.
+var newCardInstance = (*coi.Process).CreateBuffer
+
 // Alloc1D creates a buffer of size bytes, instantiated in all domains
-// (hStreams_app_create_buf). In Sim mode no memory is allocated —
-// paper-scale experiments would need tens of GB — and only the proxy
-// bookkeeping exists.
+// (hStreams_app_create_buf). In Real mode the host instance exists on
+// return, so the caller may fill HostBytes at once; the card instances
+// are created off the caller's goroutine, cards in parallel — the
+// asynchronous sink allocation §VII announces — and the first action
+// that needs one waits for it. A failed creation becomes that action's
+// error. In Sim mode no memory is allocated — paper-scale experiments
+// would need tens of GB — and only the proxy bookkeeping exists.
 func (rt *Runtime) Alloc1D(name string, size int64) (*Buf, error) {
 	if size <= 0 {
 		return nil, ErrBadBufferSize
@@ -64,19 +88,19 @@ func (rt *Runtime) Alloc1D(name string, size int64) (*Buf, error) {
 	switch rt.cfg.Mode {
 	case ModeReal:
 		b.host = make([]byte, size)
-		b.inst = make([]*coi.Buffer, len(rt.domains))
+		b.inst = make([]*cardInst, len(rt.domains))
+		create := newCardInstance
 		for i := 1; i < len(rt.domains); i++ {
-			cb, err := rt.procs[i].CreateBuffer(int(size))
-			if err != nil {
-				for _, done := range b.inst {
-					if done != nil {
-						done.Destroy()
-					}
+			ci := &cardInst{ready: make(chan struct{})}
+			b.inst[i] = ci
+			p, domain := rt.procs[i], rt.domains[i].spec.Name
+			go func() {
+				ci.cb, ci.err = create(p, int(size))
+				if ci.err != nil {
+					ci.err = fmt.Errorf("core: instantiating %q in %s: %w", name, domain, ci.err)
 				}
-				rt.proxy.Free(b.proxy, uint64(size))
-				return nil, fmt.Errorf("core: instantiating %q in %s: %w", name, rt.domains[i].spec.Name, err)
-			}
-			b.inst[i] = cb
+				close(ci.ready)
+			}()
 		}
 	case ModeSim:
 		// Synchronous sink-side allocation blocks the source thread
@@ -156,15 +180,25 @@ func (b *Buf) tryReclaim() {
 	streams := append([]*Stream(nil), rt.streams...)
 	rt.mu.Unlock()
 	// Zero references means every interval in the per-stream indexes
-	// belongs to a completed action, so the whole per-buffer entry can
-	// go (one stream lock at a time, per the locking discipline).
+	// belongs to an action that has finished executing, so the whole
+	// per-buffer entry can go (one stream lock at a time, per the
+	// locking discipline).
 	for _, s := range streams {
 		s.mu.Lock()
 		delete(s.index, b)
 		s.mu.Unlock()
 	}
-	for _, cb := range b.inst {
-		if cb != nil {
+	if re, ok := rt.exec.(*realExec); ok {
+		re.res.forget(b)
+	}
+	for _, ci := range b.inst {
+		if ci == nil {
+			continue
+		}
+		// An instance still being created is waited for, not skipped:
+		// destroying it half-built, or leaving it to finish after Free,
+		// would leak its pool block.
+		if cb, _ := ci.wait(); cb != nil {
 			cb.Destroy()
 		}
 	}
@@ -221,14 +255,24 @@ func (b *Buf) HostFloat64s() []float64 {
 	return floatbits.Float64s(b.host)
 }
 
-// instanceBytes resolves the buffer's storage for a domain. Host-as-
-// target streams alias the source instance — the aliasing that lets
-// the runtime optimize host-stream transfers away (paper §V).
+// card returns the buffer's instance in card domain i, waiting for
+// Alloc1D's creation of it: every user of a card instance — transfer,
+// run-function operand, quarantine flush — comes through here first.
+func (b *Buf) card(i int) (*coi.Buffer, error) { return b.inst[i].wait() }
+
+// instanceBytes resolves the buffer's storage for a domain, nil when
+// the card instance could not be created. Host-as-target streams alias
+// the source instance — the aliasing that lets the runtime optimize
+// host-stream transfers away (paper §V).
 func (b *Buf) instanceBytes(d *Domain) []byte {
-	if d.IsHost() || b.inst == nil || b.inst[d.index] == nil {
+	if d.IsHost() || b.inst == nil {
 		return b.host
 	}
-	return b.inst[d.index].SinkBytes()
+	cb, err := b.card(d.index)
+	if err != nil {
+		return nil
+	}
+	return cb.SinkBytes()
 }
 
 // Resolve translates a proxy address range to the owning buffer and

@@ -1,9 +1,17 @@
 package core
 
 import (
+	"bytes"
+	"errors"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"hstreams/internal/coi"
+	"hstreams/internal/metrics"
 	"hstreams/internal/platform"
 	"hstreams/internal/trace"
 )
@@ -182,6 +190,255 @@ func TestRealBufferInstances(t *testing.T) {
 	}
 	if len(b.instanceBytes(card)) != 128 {
 		t.Fatalf("card instance len = %d", len(b.instanceBytes(card)))
+	}
+}
+
+// holdCardInstances makes every card-instance creation that Alloc1D
+// starts from now on wait until release is called. release also runs
+// at cleanup, ahead of the runtime's Fini, so call this after the
+// runtime is built.
+func holdCardInstances(t *testing.T) (release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	prev := newCardInstance
+	newCardInstance = func(p *coi.Process, size int) (*coi.Buffer, error) {
+		<-gate
+		return prev(p, size)
+	}
+	t.Cleanup(func() { newCardInstance = prev })
+	t.Cleanup(release)
+	return release
+}
+
+// awaitReclaim spins until b's reclamation has begun: the state flips
+// to recycled before reclamation waits for the card instances.
+func awaitReclaim(b *Buf) {
+	for b.state.Load() != bufRecycled {
+		runtime.Gosched()
+	}
+}
+
+// TestAlloc1DReturnsBeforeCardInstances checks, with creation held
+// open and no clock, that Alloc1D returns before its card instances
+// exist, that the host instance is usable at once, and that a transfer
+// enqueued meanwhile waits for its instance and then lands.
+func TestAlloc1DReturnsBeforeCardInstances(t *testing.T) {
+	rt := realRuntime(t, 2)
+	release := holdCardInstances(t)
+	b, err := rt.Alloc1D("b", 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(b.inst); i++ {
+		select {
+		case <-b.inst[i].ready:
+			t.Fatalf("card %d instance exists before its creation was let through", i)
+		default:
+		}
+	}
+	for i := range b.HostBytes() {
+		b.HostBytes()[i] = byte(i)
+	}
+	s, err := rt.StreamCreate(rt.Card(1), 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xfer, err := s.EnqueueXferAll(b, ToSink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if err := xfer.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b.instanceBytes(rt.Card(1)), b.host) {
+		t.Fatal("card 1 instance does not hold the transferred bytes")
+	}
+	if !bytes.Equal(b.instanceBytes(rt.Card(0)), make([]byte, 256)) {
+		t.Fatal("untouched card 0 instance is not zero")
+	}
+}
+
+// TestCardInstanceFailureFailsFirstUser destroys a card's process
+// before Alloc1D: the allocation still succeeds, and the creation
+// error becomes the error of every action that needs the instance,
+// and so of Runtime.Err.
+func TestCardInstanceFailureFailsFirstUser(t *testing.T) {
+	rt := isoRuntime(t, ModeReal, 1)
+	registerTestKernels(rt)
+	s, err := rt.StreamCreate(rt.Card(0), 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := rt.mets.buffersLive.Value()
+	rt.procs[1].Destroy()
+	b, err := rt.Alloc1D("b", 64)
+	if err != nil {
+		t.Fatalf("Alloc1D = %v; a card-side failure belongs to the first user", err)
+	}
+	xfer, err := s.EnqueueXferAll(b, ToSink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := s.EnqueueCompute("scale", []int64{2}, []Operand{b.All(InOut)}, platform.Cost{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []*Action{xfer, comp} {
+		if err := a.Wait(); !errors.Is(err, coi.ErrProcessDown) || !strings.Contains(err.Error(), `instantiating "b"`) {
+			t.Fatalf("%s: err = %v, want the instantiation failure", a.Kind(), err)
+		}
+	}
+	if err := rt.Err(); !errors.Is(err, coi.ErrProcessDown) {
+		t.Fatalf("Runtime.Err = %v, want the instantiation failure", err)
+	}
+	if err := b.Free(); err != nil {
+		t.Fatal(err)
+	}
+	if got := rt.mets.buffersLive.Value(); got != base {
+		t.Fatalf("buffers_live = %d after Free, want %d", got, base)
+	}
+}
+
+// TestFreeAndFiniDuringCardCreation frees a buffer, and then
+// finalizes the runtime, while card instances are still being
+// created: reclamation waits for them and destroys them, so the pool
+// block comes back, hstreams_buffers_live returns to baseline, and no
+// goroutine outlives Fini.
+func TestFreeAndFiniDuringCardCreation(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
+	reg := metrics.New()
+	rt, err := Init(Config{Machine: platform.HSWPlusKNC(1), Mode: ModeReal, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Fini)
+	base := rt.mets.buffersLive.Value()
+
+	release := holdCardInstances(t)
+	b, err := rt.Alloc1D("b", 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freed := make(chan error)
+	go func() { freed <- b.Free() }()
+	awaitReclaim(b)
+	release()
+	if err := <-freed; err != nil {
+		t.Fatal(err)
+	}
+	if got := rt.mets.buffersLive.Value(); got != base {
+		t.Fatalf("buffers_live = %d after Free, want %d", got, base)
+	}
+	// The instance went back to the pool: the next one is a hit.
+	c, err := rt.Alloc1D("c", 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.card(1); err != nil {
+		t.Fatal(err)
+	}
+	if hits := reg.Total("hstreams_coi_pool_hits_total"); hits != 1 {
+		t.Fatalf("pool hits = %v, want 1: the freed instance's block leaked", hits)
+	}
+
+	release = holdCardInstances(t)
+	d, err := rt.Alloc1D("d", 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finished := make(chan struct{})
+	go func() { rt.Fini(); close(finished) }()
+	awaitReclaim(d)
+	release()
+	<-finished
+	if got := rt.mets.buffersLive.Value(); got != base {
+		t.Fatalf("buffers_live = %d after Fini, want %d", got, base)
+	}
+	n := runtime.NumGoroutine()
+	for i := 0; i < 500 && n > goroutines; i++ {
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > goroutines {
+		t.Fatalf("%d goroutines after Fini, %d before Init", n, goroutines)
+	}
+}
+
+// TestCardChurnDifferential runs the same two-card program twice —
+// once on one long-lived scratch buffer per card, once allocating a
+// fresh scratch buffer every step and freeing it with its users still
+// in flight — and requires bit-identical results. Every churned step's
+// first card compute lands while its instance may still be being
+// created.
+func TestCardChurnDifferential(t *testing.T) {
+	const steps, n = 24, 32
+	run := func(churn bool) []float64 {
+		rt := isoRuntime(t, ModeReal, 2)
+		registerTestKernels(rt)
+		acc, fa, err := rt.AllocFloat64("acc", 2*n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range fa {
+			fa[i] = float64(i)
+		}
+		streams := make([]*Stream, 2)
+		for c := range streams {
+			if streams[c], err = rt.StreamCreate(rt.Card(c), 0, 4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		scratch := make([]*Buf, 2)
+		for i := 0; i < steps; i++ {
+			for c, s := range streams {
+				if churn || i == 0 {
+					if scratch[c], err = rt.Alloc1D("scratch", n*8); err != nil {
+						t.Fatal(err)
+					}
+				}
+				tmp := scratch[c]
+				off, ln := int64(c*n*8), int64(n*8)
+				if _, err := s.EnqueueXfer(acc, off, ln, ToSink); err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range []struct {
+					kernel string
+					args   []int64
+					ops    []Operand
+				}{
+					{"copy", nil, []Operand{acc.Range(off, ln, In), tmp.All(Out)}},
+					{"affine", []int64{2, int64(i + c)}, []Operand{tmp.All(InOut)}},
+					{"copy", nil, []Operand{tmp.All(In), acc.Range(off, ln, Out)}},
+				} {
+					if _, err := s.EnqueueCompute(k.kernel, k.args, k.ops, platform.Cost{}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := s.EnqueueXfer(acc, off, ln, ToSource); err != nil {
+					t.Fatal(err)
+				}
+				if churn {
+					if err := tmp.Free(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		rt.ThreadSynchronize()
+		if err := rt.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return append([]float64(nil), fa...)
+	}
+	base := run(false)
+	churned := run(true)
+	for i := range base {
+		if base[i] != churned[i] {
+			t.Fatalf("churned[%d] = %v, want %v — instance creation churn changed results", i, churned[i], base[i])
+		}
 	}
 }
 

@@ -248,30 +248,34 @@ func (re *realExec) runCard(a *Action, dr *domainRes) error {
 // recorded duration spans retries and backoff.
 func (re *realExec) attemptCard(a *Action) error {
 	s := a.stream
+	di := s.domain.index
+	// The first action to need a card instance waits here for Alloc1D
+	// to finish creating it, before taking the compute or DMA lock.
+	for _, o := range a.ops {
+		if _, err := o.Buf.card(di); err != nil {
+			re.stamp(a)
+			a.end = re.now()
+			return err
+		}
+	}
 	if a.kind == ActCompute {
 		s.computeMu.Lock()
-		if !a.started {
-			a.start = re.now()
-			a.started = true
-		}
+		re.stamp(a)
 		err := re.computeCard(a)
 		a.end = re.now()
 		s.computeMu.Unlock()
 		return err
 	}
 	o := a.ops[0]
-	cb := o.Buf.inst[s.domain.index]
+	cb, _ := o.Buf.card(di)
 	dir := 0
 	if a.kind == ActXferToSrc {
 		dir = 1
 	}
-	mu := &re.dma[s.domain.index][dir]
+	mu := &re.dma[di][dir]
 	mu.Lock()
 	defer mu.Unlock()
-	if !a.started {
-		a.start = re.now()
-		a.started = true
-	}
+	re.stamp(a)
 	var err error
 	if a.kind == ActXferToSink {
 		_, err = cb.Write(int(o.Off), o.Buf.host[o.Off:o.Off+o.Len])
@@ -299,22 +303,25 @@ func (re *realExec) runRerouted(a *Action, dr *domainRes) error {
 	s := a.stream
 	if a.kind == ActCompute {
 		s.computeMu.Lock()
-		if !a.started {
-			a.start = re.now()
-			a.started = true
-		}
+		re.stamp(a)
 		err := re.computeHost(a)
 		a.end = re.now()
 		s.computeMu.Unlock()
 		return err
 	}
 	// The host instance is now the action's source AND sink.
+	re.stamp(a)
+	a.end = re.now()
+	return nil
+}
+
+// stamp sets a.start on the action's first attempt only, so retries
+// and re-routes never restamp it.
+func (re *realExec) stamp(a *Action) {
 	if !a.started {
 		a.start = re.now()
 		a.started = true
 	}
-	a.end = re.now()
-	return nil
 }
 
 // computeHost executes a kernel against the host instances — the
@@ -339,8 +346,9 @@ func (re *realExec) computeHost(a *Action) error {
 
 // computeCard ships one kernel invocation through the stream's COI
 // pipeline: [kernelID, threads, nArgs, args…, nOps, (off,len)…] plus
-// the operands' COI buffers. Scratch recycling is safe because
-// coi.RunFunction serializes args and buffer ids before returning.
+// the operands' COI buffers, which attemptCard has already waited
+// for. Scratch recycling is safe because coi.RunFunction serializes
+// args and buffer ids before returning.
 func (re *realExec) computeCard(a *Action) error {
 	s := a.stream
 	sc := re.scratch.Get().(*execScratch)
@@ -352,7 +360,8 @@ func (re *realExec) computeCard(a *Action) error {
 	coiBufs := sc.coiBufs[:0]
 	for _, o := range a.ops {
 		targs = append(targs, o.Off, o.Len)
-		coiBufs = append(coiBufs, o.Buf.inst[s.domain.index])
+		cb, _ := o.Buf.card(s.domain.index)
+		coiBufs = append(coiBufs, cb)
 	}
 	ev, err := s.pipeline.RunFunction(trampolineName, targs, coiBufs...)
 	for i := range coiBufs {

@@ -227,6 +227,65 @@ func TestFreeReuseDifferential(t *testing.T) {
 	}
 }
 
+// TestSynchronizeReleasesOperands pins finish's order: an action
+// releases its operand buffers before it leaves its stream's window,
+// so a Free after Synchronize reclaims at once and
+// hstreams_buffers_live is back to baseline. Each round stalls the
+// release half-way — freeing z, the first operand, starts a
+// reclamation that blocks on a stream lock the test holds — and
+// checks that the action has not left the window while x, the second
+// operand, is still referenced.
+func TestSynchronizeReleasesOperands(t *testing.T) {
+	rt := isoRuntime(t, ModeReal, 0)
+	s, err := rt.StreamCreate(rt.Host(), 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle, err := rt.StreamCreate(rt.Host(), 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := rt.mets.buffersLive.Value()
+	for round := 0; round < 20; round++ {
+		z, err := rt.Alloc1D("z", 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := rt.Alloc1D("x", 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gate := make(chan struct{})
+		rt.RegisterKernel("hold", func(*KernelCtx) { <-gate })
+		if _, err := s.EnqueueCompute("hold", nil, []Operand{z.All(In), x.All(In)}, platform.Cost{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := z.Free(); err != nil {
+			t.Fatal(err)
+		}
+		idle.mu.Lock()
+		close(gate)
+		awaitReclaim(z)
+		s.mu.Lock()
+		retired := len(s.inflight) == 0
+		s.mu.Unlock()
+		held := x.refs.Load()
+		idle.mu.Unlock()
+		if retired && held != 0 {
+			t.Fatalf("round %d: the action left its stream's window still holding %d reference(s) on x", round, held)
+		}
+		if err := s.Synchronize(); err != nil {
+			t.Fatal(err)
+		}
+		if err := x.Free(); err != nil {
+			t.Fatal(err)
+		}
+		if got := rt.mets.buffersLive.Value(); got != base {
+			t.Fatalf("round %d: buffers_live = %d after Synchronize and Free, want %d", round, got, base)
+		}
+	}
+}
+
 // TestConcurrentFreeEnqueue races Free against enqueues from another
 // goroutine: every enqueue must either be admitted (and run against
 // intact data) or fail with ErrBufferFreed — never crash or corrupt.

@@ -232,6 +232,17 @@ func (dr *domainRes) dirtySet(b *Buf) *ivset {
 	return s
 }
 
+// forget drops b's card-dirty ranges in every domain. Reclamation calls
+// it before destroying b's instances, so no later quarantine flush
+// reads a reclaimed buffer, and the maps do not keep it reachable.
+func (rs *resState) forget(b *Buf) {
+	for _, dr := range rs.dom {
+		dr.mu.Lock()
+		delete(dr.dirty, b)
+		dr.mu.Unlock()
+	}
+}
+
 // fail records one transient failure; at Threshold consecutive
 // failures it trips the breaker (exactly once).
 func (dr *domainRes) fail() {
@@ -280,7 +291,8 @@ func (dr *domainRes) flush(re *realExec) error {
 	defer dr.mu.Unlock()
 	var firstErr error
 	for b, set := range dr.dirty {
-		cb := b.inst[dr.index]
+		// A card compute wrote these ranges, so the instance exists.
+		cb, _ := b.card(dr.index)
 		for _, iv := range set.ivs {
 			var err error
 			for att := 0; ; att++ {

@@ -326,6 +326,78 @@ func TestBreakerQuarantineReroute(t *testing.T) {
 	}
 }
 
+// TestBreakerFlushAfterFree frees a card-dirty buffer before the
+// breaker trips. Reclamation must drop the buffer from every domain's
+// dirty set: the quarantine flush used to index the reclaimed buffer's
+// dropped instances and panic, and the set kept every freed buffer
+// reachable.
+func TestBreakerFlushAfterFree(t *testing.T) {
+	// phase1 dirties scratch on the card, drains and frees it, and
+	// consumes the same injector decisions in the probe and real pass.
+	phase1 := func(t *testing.T, rt *Runtime) (*Stream, *Buf) {
+		t.Helper()
+		st, err := rt.StreamCreate(rt.Card(0), 0, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := rt.Alloc1D("buf", 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch, err := rt.Alloc1D("scratch", 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.EnqueueCompute("inc", nil, []Operand{scratch.All(InOut)}, platform.Cost{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Synchronize(); err != nil {
+			t.Fatalf("clean phase failed: %v", err)
+		}
+		if err := scratch.Free(); err != nil {
+			t.Fatal(err)
+		}
+		return st, b
+	}
+	probe := fault.NewInjector(fault.Plan{}, metrics.New())
+	rtProbe := newChaosRT(t, Config{Faults: probe})
+	phase1(t, rtProbe)
+	warmup := probe.Decisions()
+	rtProbe.Fini()
+
+	reg := metrics.New()
+	rt := newChaosRT(t, Config{
+		Metrics: reg,
+		Faults:  fault.NewInjector(fault.Plan{Seed: 7, KernelError: 1, ArmAfter: warmup}, reg),
+		Breaker: BreakerPolicy{Threshold: 1},
+	})
+	st, b := phase1(t, rt)
+	dr := rt.exec.(*realExec).res.dom[rt.Card(0).Index()]
+	dr.mu.Lock()
+	left := len(dr.dirty)
+	dr.mu.Unlock()
+	if left != 0 {
+		t.Errorf("%d freed buffer(s) still in the card's dirty set", left)
+	}
+
+	// This launch fails and trips the breaker; the flush runs, and the
+	// compute re-routes to the host.
+	if _, err := st.EnqueueCompute("inc", nil, []Operand{b.All(InOut)}, platform.Cost{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Synchronize(); err != nil {
+		t.Fatalf("quarantined run must complete on the host, got: %v", err)
+	}
+	for i, v := range b.host {
+		if v != 1 {
+			t.Fatalf("byte %d = %d after the re-routed inc, want 1", i, v)
+		}
+	}
+	if got := reg.Total("hstreams_breaker_trips_total"); got != 1 {
+		t.Errorf("breaker trips = %v, want 1", got)
+	}
+}
+
 // TestFIFOSemanticUnderFaults is the breaker/retry counterpart of the
 // dependence-index differential: randomized multi-stream programs on
 // a card domain, under transfer and kernel fault load heavy enough to

@@ -119,12 +119,14 @@ type Config struct {
 	// reproducing the allocation overheads the paper observed in the
 	// OmpSs configuration (Real mode only).
 	DisableBufferPool bool
-	// AsyncAlloc makes sink-side buffer instantiation asynchronous.
-	// The paper's overhead analysis found synchronous MIC-side
-	// allocation to be a bottleneck and announced this feature as
-	// forthcoming (§VII); here it is implemented. With it off
-	// (the paper's state), every Alloc1D blocks the source thread
-	// for the sink allocation cost per card.
+	// AsyncAlloc is the Sim model's switch between the paper's
+	// synchronous sink-side allocation and the asynchronous allocation
+	// §VII announces as its fix. The paper's overhead analysis found
+	// synchronous MIC-side allocation to be a bottleneck. With it off
+	// (the paper's state), every Sim Alloc1D charges the source thread
+	// the sink allocation cost per card; with it on, none. Real mode
+	// ignores it: there Alloc1D always creates card instances off the
+	// source thread.
 	AsyncAlloc bool
 	// Metrics receives the runtime's live telemetry. Nil uses the
 	// process-wide metrics.Default() registry, so harnesses driving

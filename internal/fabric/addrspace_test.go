@@ -104,6 +104,67 @@ func TestAddrSpaceNoOverlap(t *testing.T) {
 	}
 }
 
+// FuzzAddrSpace drives an AddrSpace with an op sequence read from the
+// input. The first byte picks the alignment (1 to 4096); after it each
+// byte pair is one op: an odd first byte frees the live range the
+// second picks, an even one allocates 1 + second × (first/2 + 1)
+// bytes. After every op the live extents must be aligned and pairwise
+// disjoint and freeBytes must equal the free list's sum; freeing what
+// is left must return the space to high-water 0 with nothing free.
+func FuzzAddrSpace(f *testing.F) {
+	f.Add([]byte{6})
+	f.Add([]byte{6, 0, 10, 0, 200, 1, 0, 0, 3, 1, 1})
+	f.Add([]byte{0, 2, 9, 2, 9, 2, 9, 1, 0, 1, 1, 1, 0})
+	f.Add([]byte{12, 254, 255, 0, 1, 0, 1, 1, 2, 0, 0, 1, 0})
+	f.Add([]byte{3, 0, 7, 0, 7, 0, 7, 0, 7, 1, 1, 1, 2, 0, 14, 1, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		as := NewAddrSpace(1 << (ops[0] % 13))
+		type extent struct{ base, n uint64 }
+		var live []extent
+		for i := 1; i+1 < len(ops); i += 2 {
+			op, arg := ops[i], ops[i+1]
+			if op%2 == 1 {
+				if len(live) == 0 {
+					continue
+				}
+				j := int(arg) % len(live)
+				as.Free(live[j].base, live[j].n)
+				live[j] = live[len(live)-1]
+				live = live[:len(live)-1]
+			} else {
+				n := 1 + uint64(arg)*uint64(op/2+1)
+				base := as.Alloc(n)
+				if base%as.align != 0 {
+					t.Fatalf("op %d: base %d not aligned to %d", i, base, as.align)
+				}
+				end := base + as.roundUp(n)
+				for _, l := range live {
+					if base < l.base+as.roundUp(l.n) && l.base < end {
+						t.Fatalf("op %d: [%d,%d) overlaps live [%d,+%d)", i, base, end, l.base, l.n)
+					}
+				}
+				live = append(live, extent{base, n})
+			}
+			var sum uint64
+			for _, r := range as.free {
+				sum += r.size
+			}
+			if sum != as.freeBytes {
+				t.Fatalf("op %d: freeBytes %d, free list holds %d", i, as.freeBytes, sum)
+			}
+		}
+		for _, l := range live {
+			as.Free(l.base, l.n)
+		}
+		if hw, fb, _, _ := as.Stats(); hw != 0 || fb != 0 {
+			t.Fatalf("after freeing everything: high-water %d, free %d; want 0, 0", hw, fb)
+		}
+	})
+}
+
 func TestAddrSpaceConcurrent(t *testing.T) {
 	as := NewAddrSpace(64)
 	var wg sync.WaitGroup
