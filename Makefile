@@ -73,13 +73,15 @@ serve-smoke:
 
 # FUZZ_TARGETS are the native fuzz targets, as package:target.
 FUZZ_TARGETS = internal/coi:FuzzDecode internal/core:FuzzDecodeCheckpoint \
-	internal/fabric:FuzzAddrSpace
+	internal/fabric:FuzzAddrSpace internal/trace:FuzzFlightRecorder
 
 # fuzz-smoke runs every target under the native fuzzer for a short,
 # fixed time each: no input may panic a decoder, and whatever it
 # accepts must re-encode to an equal value (the checkpoint target also
 # replays what it accepts); the AddrSpace target checks the allocator's
-# invariants after every op of a random alloc/free sequence. A crasher
+# invariants after every op of a random alloc/free sequence, and the
+# flight-recorder target checks a small ring against a by-value model
+# after every op of a random record/snapshot/reset sequence. A crasher
 # lands in <package>/testdata/fuzz/<target>; commit it as a regression
 # seed.
 fuzz-smoke:

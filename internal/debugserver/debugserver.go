@@ -190,14 +190,16 @@ func indexHandler(w http.ResponseWriter, r *http.Request) {
 `)
 }
 
-// parseRun reads an optional ?run=N selector; 0 means "latest".
+// parseRun reads an optional ?run=N selector; 0 means "latest". N must
+// be a whole positive decimal integer: "12abc" or "7 9" is an error,
+// not run 12 or 7.
 func parseRun(r *http.Request) (uint64, error) {
 	q := r.URL.Query().Get("run")
 	if q == "" {
 		return 0, nil
 	}
-	var run uint64
-	if _, err := fmt.Sscanf(q, "%d", &run); err != nil || run == 0 {
+	run, err := strconv.ParseUint(q, 10, 64)
+	if err != nil || run == 0 {
 		return 0, fmt.Errorf("bad run %q", q)
 	}
 	return run, nil

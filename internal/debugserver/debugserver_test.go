@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -163,6 +164,47 @@ func TestEndpoints(t *testing.T) {
 		t.Fatalf("unknown path: %v %v", resp.StatusCode, err)
 	} else {
 		resp.Body.Close()
+	}
+}
+
+// TestRunSelector: ?run= on /debug/trace and /debug/critpath takes a
+// whole positive decimal integer or nothing. Anything else is a 400 —
+// never a prefix of the input read as a run id.
+func TestRunSelector(t *testing.T) {
+	flight := trace.NewFlight(1024)
+	rt := runProbe(t, metrics.New(), flight)
+	defer rt.Fini()
+	srv := httptest.NewServer(Handler(Options{Registry: metrics.New(), Flight: flight}))
+	defer srv.Close()
+
+	run := strconv.FormatUint(rt.RunID(), 10)
+	for _, tc := range []struct {
+		query string
+		want  int
+	}{
+		{"", http.StatusOK},
+		{"?run=" + run, http.StatusOK},
+		{"?run=999999", http.StatusOK}, // unknown run: empty, not an error
+		{"?run=" + run + "abc", http.StatusBadRequest},
+		{"?run=" + run + "%209", http.StatusBadRequest}, // "N 9"
+		{"?run=%20" + run, http.StatusBadRequest},
+		{"?run=%2B" + run, http.StatusBadRequest}, // "+N"
+		{"?run=0x1", http.StatusBadRequest},
+		{"?run=0", http.StatusBadRequest},
+		{"?run=-1", http.StatusBadRequest},
+		{"?run=x", http.StatusBadRequest},
+		{"?run=18446744073709551616", http.StatusBadRequest}, // 2^64
+	} {
+		for _, path := range []string{"/debug/trace", "/debug/critpath"} {
+			resp, err := http.Get(srv.URL + path + tc.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("GET %s%s: status %d, want %d", path, tc.query, resp.StatusCode, tc.want)
+			}
+		}
 	}
 }
 
