@@ -301,7 +301,7 @@ func (h *diffHarness) capturedEdges(t *testing.T) []map[int]trace.DepKind {
 	out := make([]map[int]trace.DepKind, len(h.actions))
 	for i, a := range h.actions {
 		e := make(map[int]trace.DepKind)
-		for _, d := range a.deps {
+		for _, d := range a.rec.AppendDeps(nil) {
 			j, ok := byID[d.ID]
 			if !ok {
 				t.Fatalf("act %d: dep on unknown action id %d", i, d.ID)

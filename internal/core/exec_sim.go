@@ -71,7 +71,7 @@ func (se *simExec) launch(a *Action) {
 	var start, end time.Duration
 	switch a.kind {
 	case ActCompute:
-		dur := platform.ComputeTime(s.domain.spec, s.nCores, a.cost)
+		dur := platform.ComputeTime(s.domain.spec, s.nCores, a.cost())
 		start, end = s.slot.Reserve(ready, dur)
 	case ActXferToSink, ActXferToSrc:
 		if s.domain.IsHost() {
@@ -82,16 +82,16 @@ func (se *simExec) launch(a *Action) {
 			if a.kind == ActXferToSrc {
 				dir = 1
 			}
-			dur := se.rt.machine.LinkFor(s.domain.index - 1).TransferTime(a.bytes)
+			dur := se.rt.machine.LinkFor(s.domain.index - 1).TransferTime(a.rec.Bytes)
 			start, end = se.links[s.domain.index][dir].Reserve(ready, dur)
-			se.linkMet[s.domain.index][dir].bytes.Add(a.bytes)
+			se.linkMet[s.domain.index][dir].bytes.Add(a.rec.Bytes)
 			se.linkMet[s.domain.index][dir].xfers.Inc()
 			se.linkMet[s.domain.index][dir].occ.Observe(dur)
 		}
 	case ActSync:
 		start, end = ready, ready
 	}
-	a.start, a.end = start, end
+	a.rec.Launch, a.rec.Finish = start, end
 	se.eng.Post(end, func() { se.rt.finish(a, nil) })
 }
 
@@ -125,14 +125,14 @@ func (se *simExec) waitAction(a *Action) {
 		// The host blocked until the action completed; its thread
 		// resumes no earlier than that.
 		se.mu.Lock()
-		if se.hostTime < a.end {
-			se.hostTime = a.end
+		if se.hostTime < a.rec.Finish {
+			se.hostTime = a.rec.Finish
 		}
 		se.mu.Unlock()
 		return
 	}
 	if !a.Completed() {
-		panic(fmt.Sprintf("core: deadlock waiting for action %d (%s) in %s", a.id, a.kind, a.stream.name))
+		panic(fmt.Sprintf("core: deadlock waiting for action %d (%s) in %s", a.rec.ID, a.kind, a.stream.name))
 	}
 }
 

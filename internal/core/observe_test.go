@@ -185,8 +185,8 @@ func TestRetireHookOncePerAction(t *testing.T) {
 			default:
 				t.Errorf("%v: action %d Done still open inside its hook", mode, a.ID())
 			}
-			if wantErr := mode == ModeReal && a.label == "boom"; (a.Err() != nil) != wantErr {
-				t.Errorf("%v: action %d (%s) Err = %v inside its hook", mode, a.ID(), a.label, a.Err())
+			if wantErr := mode == ModeReal && a.rec.Label == "boom"; (a.Err() != nil) != wantErr {
+				t.Errorf("%v: action %d (%s) Err = %v inside its hook", mode, a.ID(), a.rec.Label, a.Err())
 			}
 			if b := next[a]; b != nil {
 				if _, end := b.Times(); end != 0 {
