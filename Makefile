@@ -73,7 +73,8 @@ serve-smoke:
 
 # FUZZ_TARGETS are the native fuzz targets, as package:target.
 FUZZ_TARGETS = internal/coi:FuzzDecode internal/core:FuzzDecodeCheckpoint \
-	internal/fabric:FuzzAddrSpace internal/trace:FuzzFlightRecorder
+	internal/fabric:FuzzAddrSpace internal/trace:FuzzFlightRecorder \
+	internal/telemetry:FuzzStoreWindow
 
 # fuzz-smoke runs every target under the native fuzzer for a short,
 # fixed time each: no input may panic a decoder, and whatever it
@@ -81,7 +82,9 @@ FUZZ_TARGETS = internal/coi:FuzzDecode internal/core:FuzzDecodeCheckpoint \
 # replays what it accepts); the AddrSpace target checks the allocator's
 # invariants after every op of a random alloc/free sequence, and the
 # flight-recorder target checks a small ring against a by-value model
-# after every op of a random record/snapshot/reset sequence. A crasher
+# after every op of a random record/snapshot/reset sequence, and the
+# store-window target checks every windowed query of a small telemetry
+# store against a by-value reference after a random write sequence. A crasher
 # lands in <package>/testdata/fuzz/<target>; commit it as a regression
 # seed.
 fuzz-smoke:

@@ -358,9 +358,6 @@ func TestHealthEndpoints(t *testing.T) {
 		Registry: reg,
 		Journal:  journal,
 		Runtimes: func() []*core.Runtime { return nil },
-		// Each request's TickIfStale must re-evaluate, so the verdict
-		// tracks the store edits below without a sampler running.
-		MaxStale: time.Nanosecond,
 	})
 	srv := httptest.NewServer(Handler(Options{Registry: reg, Telemetry: st, Health: engine}))
 	defer srv.Close()
@@ -392,7 +389,10 @@ func TestHealthEndpoints(t *testing.T) {
 	// A quarantined-domain gauge in the store flips the default rule
 	// pack critical; the readiness probe must fail while liveness
 	// holds.
-	st.Put("hstreams_domain_quarantined", map[string]string{"domain": "KNC0"}, time.Now(), 1)
+	// No sampler runs, so the test ticks the engine after the edit.
+	now := time.Now()
+	st.Put("hstreams_domain_quarantined", map[string]string{"domain": "KNC0"}, now, 1)
+	engine.Tick(now)
 	if code, body := getStatus(t, srv, "/debug/health?probe=ready"); code != http.StatusServiceUnavailable || !strings.Contains(body, "severity=critical") {
 		t.Fatalf("probe=ready at critical: %d %q, want 503", code, body)
 	}

@@ -78,17 +78,6 @@ type Options struct {
 	// Rules is the SLO rule pack. Nil means DefaultRules(); an empty
 	// non-nil slice disables rule evaluation.
 	Rules []Rule
-	// Horizon is the watchdog stall horizon (non-positive means
-	// DefHorizon).
-	Horizon time.Duration
-	// LinkSaturation overrides DefLinkSaturation (non-positive means
-	// the default).
-	LinkSaturation float64
-	// Liveness overrides DefLiveness (non-positive means the default).
-	Liveness time.Duration
-	// MaxStale overrides DefMaxStale for TickIfStale (non-positive
-	// means the default).
-	MaxStale time.Duration
 }
 
 // Engine evaluates the rule pack and the watchdog on every Tick and
@@ -101,10 +90,7 @@ type Engine struct {
 	journal  *Journal
 	runtimes func() []*core.Runtime
 	rules    []Rule
-	horizon  time.Duration
-	liveness time.Duration
-	maxStale time.Duration
-	linkSat  float64
+	horizon  time.Duration // DefHorizon; tests shorten it
 
 	mu           sync.Mutex
 	ruleState    map[string]*ruleTrack
@@ -138,10 +124,7 @@ func New(opts Options) *Engine {
 		journal:  opts.Journal,
 		runtimes: opts.Runtimes,
 		rules:    opts.Rules,
-		horizon:  opts.Horizon,
-		liveness: opts.Liveness,
-		maxStale: opts.MaxStale,
-		linkSat:  opts.LinkSaturation,
+		horizon:  DefHorizon,
 	}
 	if e.store == nil {
 		e.store = telemetry.Default()
@@ -157,18 +140,6 @@ func New(opts Options) *Engine {
 	}
 	if e.rules == nil {
 		e.rules = DefaultRules()
-	}
-	if e.horizon <= 0 {
-		e.horizon = DefHorizon
-	}
-	if e.liveness <= 0 {
-		e.liveness = DefLiveness
-	}
-	if e.maxStale <= 0 {
-		e.maxStale = DefMaxStale
-	}
-	if e.linkSat <= 0 {
-		e.linkSat = DefLinkSaturation
 	}
 	e.tracks = make(map[trackKey]*streamTrack)
 	e.status = e.reg.Gauge("hstreams_health_status", "Overall health verdict: 0 ok, 1 warn, 2 critical.")
@@ -245,7 +216,7 @@ func (e *Engine) Tick(now time.Time) {
 // sampler drives the cadence.
 func (e *Engine) TickIfStale(now time.Time) bool {
 	e.mu.Lock()
-	stale := e.lastTick.IsZero() || now.Sub(e.lastTick) >= e.maxStale
+	stale := e.lastTick.IsZero() || now.Sub(e.lastTick) >= DefMaxStale
 	e.mu.Unlock()
 	if stale {
 		e.Tick(now)
@@ -300,7 +271,7 @@ func (e *Engine) ReportAt(now time.Time) *Report {
 			rep.Severity = s.Severity
 		}
 	}
-	rep.Live = !rep.LastTick.IsZero() && now.Sub(rep.LastTick) <= e.liveness
+	rep.Live = !rep.LastTick.IsZero() && now.Sub(rep.LastTick) <= DefLiveness
 	rep.Ready = rep.Live && rep.Severity < SevCritical
 	ev := e.journal.Snapshot()
 	if len(ev) > maxReportEvents {

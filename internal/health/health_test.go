@@ -2,6 +2,7 @@ package health
 
 import (
 	"math"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -147,16 +148,18 @@ func TestRuleEvalQuantile(t *testing.T) {
 }
 
 // putBuckets records one cumulative-histogram snapshot the way the
-// sampler would (mirrors the telemetry package's test helper).
+// sampler would (mirrors the telemetry package's test helper): bounds
+// end with "+Inf", and cum holds one count per bound.
 func putBuckets(st *telemetry.Store, name string, labels map[string]string, at time.Time, bounds []string, cum []float64) {
+	h := metrics.HistSample{Name: name, Labels: labels, Bounds: []float64{}, Count: int64(cum[len(cum)-1])}
 	for i, le := range bounds {
-		l := map[string]string{"le": bounds[i]}
-		for k, v := range labels {
-			l[k] = v
+		if le != "+Inf" {
+			b, _ := strconv.ParseFloat(le, 64)
+			h.Bounds = append(h.Bounds, b)
 		}
-		st.Put(name+"_bucket", l, at, cum[i])
-		_ = le
+		h.Cumulative = append(h.Cumulative, int64(cum[i]))
 	}
+	st.PutHistogram(h, at)
 }
 
 // ---- stall classification ----
@@ -400,8 +403,8 @@ func TestEngineWatchdogDepStall(t *testing.T) {
 		Journal:  NewJournal(64, reg),
 		Runtimes: func() []*core.Runtime { return []*core.Runtime{rt} },
 		Rules:    []Rule{},
-		Horizon:  10 * time.Millisecond,
 	})
+	e.horizon = 10 * time.Millisecond
 	// First tick seeds progress memory; the second, past the horizon,
 	// must declare the dependence-gated stream stalled. The blocked
 	// stream has launched work, so the runtime is not deadlocked and

@@ -214,7 +214,7 @@ func (e *Engine) tickWatchdog(now time.Time) []Stall {
 func (e *Engine) linkSaturated(domain string) bool {
 	for _, match := range []map[string]string{{"dst": domain}, {"src": domain}} {
 		for _, wv := range e.store.RateOver("hstreams_link_occupancy_seconds_sum", match, e.horizon) {
-			if wv.Value >= e.linkSat {
+			if wv.Value >= DefLinkSaturation {
 				return true
 			}
 		}

@@ -287,6 +287,13 @@ func (f *family) get(values []string) *series {
 	return s
 }
 
+// delete removes the series with the given label values, if any.
+func (f *family) delete(values []string) {
+	f.mu.Lock()
+	delete(f.series, strings.Join(values, "\x1f"))
+	f.mu.Unlock()
+}
+
 // Registry holds metric families. The zero value is not usable;
 // create one with New, or use the process-wide Default registry. All
 // methods are safe on a nil receiver and return detached metrics.
@@ -358,6 +365,11 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.get(values).metric.(*Counter)
 }
 
+// Delete removes the series for the given label values (key order)
+// from snapshots and expositions. Handles already resolved keep
+// working, unexported; a later With starts a fresh series.
+func (v *CounterVec) Delete(values ...string) { v.f.delete(values) }
+
 // GaugeVec is a gauge family with label keys.
 type GaugeVec struct{ f *family }
 
@@ -370,6 +382,11 @@ func (r *Registry) GaugeVec(name, help string, keys ...string) *GaugeVec {
 func (v *GaugeVec) With(values ...string) *Gauge {
 	return v.f.get(values).metric.(*Gauge)
 }
+
+// Delete removes the series for the given label values (key order)
+// from snapshots and expositions. Handles already resolved keep
+// working, unexported; a later With starts a fresh series.
+func (v *GaugeVec) Delete(values ...string) { v.f.delete(values) }
 
 // HistogramVec is a histogram family with label keys.
 type HistogramVec struct{ f *family }
@@ -384,6 +401,11 @@ func (r *Registry) HistogramVec(name, help string, bounds []float64, keys ...str
 func (v *HistogramVec) With(values ...string) *Histogram {
 	return v.f.get(values).metric.(*Histogram)
 }
+
+// Delete removes the series for the given label values (key order)
+// from snapshots and expositions. Handles already resolved keep
+// working, unexported; a later With starts a fresh series.
+func (v *HistogramVec) Delete(values ...string) { v.f.delete(values) }
 
 // Sample is one flattened data point of a snapshot. Histograms
 // flatten to two samples, "<name>_count" and "<name>_sum" (seconds);

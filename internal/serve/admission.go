@@ -66,8 +66,8 @@ func (s *Server) Submit(ctx context.Context, tenant string, req SubmitRequest) (
 			break
 		}
 		if t.q.OnFull == "shed" {
+			s.mets.shed.With(tenant, "pending-full").Inc() // under s.mu: Unregister may not delete the row yet
 			s.mu.Unlock()
-			s.mets.shed.With(tenant, "pending-full").Inc()
 			return nil, fmt.Errorf("%w: %q at %d", ErrPendingFull, tenant, t.q.MaxPending)
 		}
 		if err := ctx.Err(); err != nil {

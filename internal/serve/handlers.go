@@ -221,8 +221,8 @@ func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("serve: bad tenant body: %w", err))
 		return
 	}
-	s.mets.requests.With(req.Name, "tenants").Inc()
 	t, err := s.Register(req.Name, req.Quotas)
+	s.countRequest(req.Name, "tenants")
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -231,6 +231,18 @@ func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 	st := s.statusLocked(t)
 	s.mu.Unlock()
 	writeJSON(w, http.StatusCreated, st)
+}
+
+// countRequest counts one API request against the named tenant when
+// it exists. A request naming no tenant counts nowhere, so unknown
+// names cannot grow the registry; the server lock orders the count
+// against Unregister deleting the tenant's rows.
+func (s *Server) countRequest(tenant, endpoint string) {
+	s.mu.Lock()
+	if _, ok := s.tenants[tenant]; ok {
+		s.mets.requests.With(tenant, endpoint).Inc()
+	}
+	s.mu.Unlock()
 }
 
 func (s *Server) handleListTenants(w http.ResponseWriter, r *http.Request) {
@@ -255,7 +267,7 @@ func (s *Server) handleGetTenant(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDeleteTenant(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("tenant")
-	s.mets.requests.With(name, "tenants").Inc()
+	s.countRequest(name, "tenants")
 	if err := s.Unregister(name); err != nil {
 		writeErr(w, err)
 		return
@@ -284,7 +296,7 @@ type bufferResponse struct {
 
 func (s *Server) handleAllocBuffer(w http.ResponseWriter, r *http.Request) {
 	tenant := r.PathValue("tenant")
-	s.mets.requests.With(tenant, "buffers").Inc()
+	s.countRequest(tenant, "buffers")
 	var req allocBufferRequest
 	if err := decode(w, r, &req); err != nil {
 		writeErr(w, fmt.Errorf("serve: bad buffer body: %w", err))
@@ -304,7 +316,7 @@ func (s *Server) handleAllocBuffer(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleFreeBuffer(w http.ResponseWriter, r *http.Request) {
 	tenant := r.PathValue("tenant")
-	s.mets.requests.With(tenant, "buffers").Inc()
+	s.countRequest(tenant, "buffers")
 	if err := s.FreeBuffer(tenant, r.PathValue("buffer")); err != nil {
 		writeErr(w, err)
 		return
@@ -384,7 +396,7 @@ func (s *Server) resolveOps(tenant string, refs []operandRef) ([]core.Operand, e
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	tenant := r.PathValue("tenant")
-	s.mets.requests.With(tenant, "submit").Inc()
+	s.countRequest(tenant, "submit")
 	var req submitRequest
 	if err := decode(w, r, &req); err != nil {
 		writeErr(w, fmt.Errorf("serve: bad submit body: %w", err))

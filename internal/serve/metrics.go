@@ -30,3 +30,21 @@ func newTenantMetrics(reg *metrics.Registry) *tenantMetrics {
 		wait:     reg.HistogramVec("hstreams_tenant_admission_wait_seconds", "Submit-to-dispatch wait per tenant; sustained growth on one tenant means starvation.", nil, "tenant"),
 	}
 }
+
+// deleteTenant removes every hstreams_tenant_* row of the named
+// tenant, so tenant churn leaves no series behind. Unregister calls it
+// under the server lock once the tenant is gone from the table, after
+// which no path resolves a row for that name until it registers again.
+func (m *tenantMetrics) deleteTenant(name string) {
+	for _, ep := range [...]string{"tenants", "buffers", "submit"} {
+		m.requests.Delete(name, ep)
+	}
+	for _, reason := range [...]string{"pending-full", "stream-queue-full", "tenant-closing"} {
+		m.shed.Delete(name, reason)
+	}
+	m.actions.Delete(name)
+	for _, g := range [...]*metrics.GaugeVec{m.inflight, m.pending, m.bufBytes, m.streams, m.weight} {
+		g.Delete(name)
+	}
+	m.wait.Delete(name)
+}

@@ -193,14 +193,16 @@ func (s *Server) Register(name string, q Quotas) (*Tenant, error) {
 		for _, st := range t.streams {
 			_ = st.Destroy() // nothing was ever enqueued; err already says why
 		}
+		s.mets.deleteTenant(name) // the name is still reserved to this call
 		return nil, err
 	}
 	return t, nil
 }
 
 // Unregister drains and deletes a tenant: new submissions are
-// refused, pending ones are shed, in-service ones retire, streams are
-// destroyed, and every tenant buffer is freed.
+// refused, pending ones are shed, in-service ones retire, its
+// hstreams_tenant_* rows leave the registry, streams are destroyed,
+// and every tenant buffer is freed.
 func (s *Server) Unregister(name string) error {
 	s.mu.Lock()
 	t, err := s.tenantLocked(name)
@@ -223,6 +225,7 @@ func (s *Server) Unregister(name string) error {
 		s.cond.Wait()
 	}
 	delete(s.tenants, name)
+	s.mets.deleteTenant(name)
 	bufs := t.bufs
 	t.bufs = nil
 	streams := t.streams
@@ -241,9 +244,6 @@ func (s *Server) Unregister(name string) error {
 			}
 		}
 	}
-	t.mBufBytes.Set(0)
-	t.mStreams.Set(0)
-	t.mInflight.Set(0)
 	return firstErr
 }
 

@@ -2,20 +2,17 @@ package telemetry
 
 // query.go is the windowed query API over a Store: the building blocks
 // the health rule engine (internal/health) evaluates declarative SLO
-// rules with, factored out of the Timeline derivation so both share one
-// windowed-delta baseline semantics. Every query answers "over the last
-// window, what did the matching series do": last value, counter
-// increase, per-second rate, or an interpolated histogram quantile from
-// bucket-count deltas.
+// rules with. Every query answers "over the last window, what did the
+// matching series do": last value, counter increase, per-second rate,
+// or an interpolated histogram quantile from bucket-count deltas. All
+// of them read the rings in place through ring.window, the same
+// primitive Build uses.
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // WindowValue is one matching series' windowed query result.
 type WindowValue struct {
-	// Labels identify the series (base labels for quantile queries).
+	// Labels identify the series.
 	Labels map[string]string `json:"labels,omitempty"`
 	// Value is the query result: last value, delta, per-second rate,
 	// or quantile in seconds, depending on the query.
@@ -38,45 +35,38 @@ func MatchLabels(labels, match map[string]string) bool {
 	return true
 }
 
-// windowDeltaPts computes one counter series' increase across a window:
-// all is the full retained point slice, pts its in-window suffix
-// (clip(all, cutoff)), slots the ring capacity. The baseline is the
-// newest retained point before the cutoff when one exists; zero for
-// series whose entire history is retained and inside the window
-// (counters born there started at zero — a sampler that attaches after
-// work begins would otherwise under-report every first-window delta);
-// else the window's first point (conservative when the ring overwrote
-// older history). The returned span is zero when no in-window time
-// elapsed; rate consumers fall back to the window length.
-func windowDeltaPts(all, pts []Point, slots int) (float64, time.Duration) {
-	if len(pts) == 0 {
-		return 0, 0
+// clampWindow maps a non-positive or oversized query window to the
+// store's.
+func (st *Store) clampWindow(window time.Duration) time.Duration {
+	if window <= 0 || window > st.window {
+		return st.window
 	}
-	last := pts[len(pts)-1]
-	if dropped := len(all) - len(pts); dropped > 0 {
-		base := all[dropped-1]
-		return last.V - base.V, last.T.Sub(base.T)
-	}
-	if len(all) < slots { // born inside the retained window
-		return last.V, last.T.Sub(pts[0].T)
-	}
-	if len(pts) < 2 {
-		return 0, 0
-	}
-	return last.V - pts[0].V, last.T.Sub(pts[0].T)
+	return window
 }
 
-// queryWindow resolves a query's effective window and cutoff; ok is
-// false when the store is empty.
-func (st *Store) queryWindow(window time.Duration) (cutoff time.Time, w time.Duration, ok bool) {
-	if window <= 0 || window > st.window {
-		window = st.window
+// over calls eachLocked under one read lock, with the cutoff of the
+// given query window.
+func (st *Store) over(name string, match map[string]string, window time.Duration, hist bool, fn func(r *ring, w win)) {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	if st.hasNewest {
+		st.eachLocked(name, match, st.newest.Add(-st.clampWindow(window)), hist, fn)
 	}
-	now, ok := st.Newest()
-	if !ok {
-		return time.Time{}, window, false
+}
+
+// eachLocked calls fn with the window view of every ring of the named
+// family that is a histogram (hist) or a scalar (!hist), whose labels
+// contain match, and that has samples after cutoff. The caller must
+// hold st.mu.
+func (st *Store) eachLocked(name string, match map[string]string, cutoff time.Time, hist bool, fn func(r *ring, w win)) {
+	for _, r := range st.byName[name] {
+		if (r.bounds != nil) != hist || !MatchLabels(r.labels, match) {
+			continue
+		}
+		if w := r.window(cutoff); !w.empty() {
+			fn(r, w)
+		}
 	}
-	return now.Add(-window), window, true
 }
 
 // LatestOver returns the newest retained in-window value of every
@@ -84,50 +74,22 @@ func (st *Store) queryWindow(window time.Duration) (cutoff time.Time, w time.Dur
 // non-positive window means the store's full window; series with no
 // in-window points are omitted.
 func (st *Store) LatestOver(name string, match map[string]string, window time.Duration) []WindowValue {
-	cutoff, _, ok := st.queryWindow(window)
-	if !ok {
-		return nil
-	}
 	var out []WindowValue
-	for _, s := range st.Family(name) {
-		if !MatchLabels(s.Labels, match) {
-			continue
-		}
-		pts := clip(s.Points, cutoff)
-		if len(pts) == 0 {
-			continue
-		}
-		last := pts[len(pts)-1]
-		out = append(out, WindowValue{
-			Labels: s.Labels,
-			Value:  last.V,
-			Span:   last.T.Sub(pts[0].T),
-		})
-	}
+	st.over(name, match, window, false, func(r *ring, w win) {
+		out = append(out, WindowValue{Labels: r.labels, Value: w.last(0), Span: r.at(r.n - 1).Sub(r.at(w.first))})
+	})
 	return out
 }
 
 // DeltaOver returns each matching series' counter increase across the
-// window (windowed-delta baseline semantics; see windowDeltaPts).
-// Series with no in-window points are omitted; zero deltas are kept so
-// callers can tell "no increase" from "no data".
+// window (baseline rules: ring.window). Series with no in-window
+// points are omitted; zero deltas are kept so callers can tell "no
+// increase" from "no data".
 func (st *Store) DeltaOver(name string, match map[string]string, window time.Duration) []WindowValue {
-	cutoff, _, ok := st.queryWindow(window)
-	if !ok {
-		return nil
-	}
 	var out []WindowValue
-	for _, s := range st.Family(name) {
-		if !MatchLabels(s.Labels, match) {
-			continue
-		}
-		pts := clip(s.Points, cutoff)
-		if len(pts) == 0 {
-			continue
-		}
-		d, sp := windowDeltaPts(s.Points, pts, st.slots)
-		out = append(out, WindowValue{Labels: s.Labels, Value: d, Span: sp})
-	}
+	st.over(name, match, window, false, func(r *ring, w win) {
+		out = append(out, WindowValue{Labels: r.labels, Value: w.delta(0), Span: w.span()})
+	})
 	return out
 }
 
@@ -135,118 +97,31 @@ func (st *Store) DeltaOver(name string, match map[string]string, window time.Dur
 // counter delta divided by the observed span (falling back to the
 // window length when no in-window time elapsed).
 func (st *Store) RateOver(name string, match map[string]string, window time.Duration) []WindowValue {
-	_, w, ok := st.queryWindow(window)
-	if !ok {
-		return nil
-	}
 	out := st.DeltaOver(name, match, window)
 	for i := range out {
 		sp := out[i].Span
 		if sp <= 0 {
-			sp = w
+			sp = st.clampWindow(window)
 		}
-		if sec := sp.Seconds(); sec > 0 {
-			out[i].Value /= sec
-		} else {
-			out[i].Value = 0
-		}
+		out[i].Value /= sp.Seconds()
 	}
 	return out
 }
 
 // QuantileOver interpolates the q-quantile of each matching histogram
 // from its in-window bucket-count deltas, PromQL histogram_quantile
-// style. name is the histogram family (the store holds its buckets as
-// "<name>_bucket" series with an le label); match selects on the base
-// labels. Histograms with no in-window observations are omitted —
-// "empty window" yields no verdict rather than a misleading zero.
-// Count carries the in-window observation total, Span the widest
-// bucket-series span.
+// style. name is the histogram family (written by PutHistogram).
+// Histograms with no in-window observations are omitted — "empty
+// window" yields no verdict rather than a misleading zero. Count
+// carries the in-window observation total.
 func (st *Store) QuantileOver(name string, match map[string]string, q float64, window time.Duration) []WindowValue {
-	if window <= 0 || window > st.window {
-		window = st.window
-	}
-	type group struct {
-		labels map[string]string
-		bounds []float64
-		deltas []float64
-		span   time.Duration
-	}
-	groups := make(map[string]*group)
-	var order []string
-	// Scan the family's rings in place under one read lock: bucket
-	// metadata (bound, base labels, signature) is precomputed at
-	// series creation and windowDelta never copies a ring, so the
-	// per-tick quantile rule costs no allocation per bucket series.
-	st.mu.RLock()
-	if !st.hasNewest {
-		st.mu.RUnlock()
-		return nil
-	}
-	cutoff := st.newest.Add(-window)
-	for _, rs := range st.byName[name+"_bucket"] {
-		if !rs.bucket || !MatchLabels(rs.base, match) {
-			continue
-		}
-		d, sp, inWindow := rs.windowDelta(cutoff)
-		if inWindow == 0 {
-			continue
-		}
-		g, okG := groups[rs.baseSig]
-		if !okG {
-			g = &group{labels: rs.base}
-			groups[rs.baseSig] = g
-			order = append(order, rs.baseSig)
-		}
-		g.bounds = append(g.bounds, rs.bound)
-		g.deltas = append(g.deltas, d)
-		if sp > g.span {
-			g.span = sp
-		}
-	}
-	st.mu.RUnlock()
-	sort.Strings(order)
 	var out []WindowValue
-	for _, k := range order {
-		g := groups[k]
-		if len(g.bounds) == 0 {
-			continue
+	var deltas []float64
+	st.over(name, match, window, true, func(r *ring, w win) {
+		deltas = w.deltas(deltas[:0])
+		if total := deltas[len(deltas)-1]; total > 0 { // cumulative → the +Inf bucket
+			out = append(out, WindowValue{Labels: r.labels, Value: bucketQuantile(q, r.bounds, deltas), Span: w.span(), Count: total})
 		}
-		sort.Sort(byBound{g.bounds, g.deltas})
-		total := g.deltas[len(g.deltas)-1] // cumulative → the +Inf bucket
-		if total <= 0 {
-			continue
-		}
-		out = append(out, WindowValue{
-			Labels: g.labels,
-			Value:  bucketQuantile(q, g.bounds, g.deltas),
-			Span:   g.span,
-			Count:  total,
-		})
-	}
-	return out
-}
-
-// decimate thins ordered points to at most one per step, keeping the
-// newest point of each step-sized interval walking back from the
-// newest sample (which is always kept, so last-value reads are
-// unaffected). Used by BuildStep for coarse timeline views; windowed
-// deltas always run on the full-resolution points.
-func decimate(pts []Point, step time.Duration) []Point {
-	if step <= 0 || len(pts) < 2 {
-		return pts
-	}
-	out := make([]Point, 0, len(pts))
-	kept := pts[len(pts)-1]
-	out = append(out, kept)
-	for i := len(pts) - 2; i >= 0; i-- {
-		if kept.T.Sub(pts[i].T) >= step {
-			kept = pts[i]
-			out = append(out, kept)
-		}
-	}
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
+	})
 	return out
 }

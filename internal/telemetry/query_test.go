@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -180,25 +181,23 @@ func TestQuantileOverGrouping(t *testing.T) {
 	}
 }
 
+// TestDecimate checks the display walk BuildStep thins a window with:
+// at most one sample per step, newest first and always kept.
 func TestDecimate(t *testing.T) {
-	pts := make([]Point, 10) // one point per second
-	for i := range pts {
-		pts[i] = Point{T: base.Add(time.Duration(i) * time.Second), V: float64(i)}
+	st := NewStore(time.Minute, 16)
+	for i := 0; i < 10; i++ { // one point per second
+		st.Put("g", nil, base.Add(time.Duration(i)*time.Second), float64(i))
 	}
-	out := decimate(pts, 3*time.Second)
-	if len(out) != 4 {
-		t.Fatalf("decimated to %d points, want 4: %+v", len(out), out)
+	w := st.rings["g"].window(base)
+	var kept []float64
+	w.thin(3*time.Second, func(i int) { kept = append(kept, w.r.val(i, 0)) })
+	if want := []float64{9, 6, 3, 0}; fmt.Sprint(kept) != fmt.Sprint(want) {
+		t.Fatalf("thinned to %v, want %v", kept, want)
 	}
-	if out[len(out)-1].V != 9 {
-		t.Fatalf("newest point dropped: %+v", out)
-	}
-	for i := 1; i < len(out); i++ {
-		if !out[i].T.After(out[i-1].T) {
-			t.Fatalf("decimated points out of order: %+v", out)
-		}
-	}
-	if got := decimate(pts, 0); len(got) != len(pts) {
-		t.Fatal("non-positive step must be a no-op")
+	n := 0
+	w.thin(0, func(int) { n++ })
+	if n != 10 {
+		t.Fatalf("non-positive step kept %d of 10 samples", n)
 	}
 }
 

@@ -1,8 +1,7 @@
 package telemetry
 
 import (
-	"math"
-	"strconv"
+	"maps"
 	"sync"
 	"time"
 
@@ -52,24 +51,15 @@ type Sampler struct {
 	stop      chan struct{}
 	done      chan struct{}
 
-	// Cached ring handles from the previous tick, aligned with the
+	// Ring handles from the previous tick, aligned with the
 	// registry's deterministic snapshot order. Each entry is validated
-	// (name + labels, or histogram name + bound) before reuse, so a
-	// registry that grew mid-run only costs the shifted entries one
-	// slow-path resolution; the steady state never rebuilds the
-	// store's sorted-label keys. Touched only by the sampling
-	// goroutine (or synchronous SampleOnce callers).
-	scalars []*ringSeries
-	buckets []bucketSlot
-}
-
-// bucketSlot caches one histogram bucket's ring, identified by the
-// histogram family name, base labels (held by the ring itself), and
-// bucket bound (+Inf for the overflow bucket).
-type bucketSlot struct {
-	rs       *ringSeries
-	histName string
-	bound    float64
+	// (name, labels and bucket bounds) before reuse, so a registry that
+	// grew mid-run only costs the shifted entries one slow-path
+	// resolution; the steady state never rebuilds the store's
+	// sorted-label keys. Touched only by the sampling goroutine (or
+	// synchronous SampleOnce callers).
+	scalars []*ring
+	hists   []*ring
 }
 
 // NewSampler builds a sampler from opts (see SamplerOptions for the
@@ -94,7 +84,7 @@ func NewSampler(opts SamplerOptions) *Sampler {
 		store:    st,
 		interval: iv,
 		samples:  reg.Counter("hstreams_telemetry_samples_total", "Snapshots taken by the telemetry sampler."),
-		series:   reg.Gauge("hstreams_telemetry_series", "Time series retained in the telemetry store."),
+		series:   reg.Gauge("hstreams_telemetry_series", "Time series retained in the telemetry store; a histogram counts once."),
 		onSample: opts.OnSample,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -143,60 +133,37 @@ func (s *Sampler) Stop() {
 
 // SampleOnce takes one synchronous snapshot of the registry at the
 // given sample time: every flat sample (counters, gauges, histogram
-// _count/_sum) becomes a point, and every histogram bucket becomes a
-// point on a "<name>_bucket" series with an additional le label, so
-// windowed quantiles can be derived from bucket-count deltas.
+// _count/_sum) becomes a point of its series, and every histogram's
+// cumulative bucket counts become one sample of the histogram's series,
+// from which windowed quantiles are derived. It then drops the rings no
+// write has reached for a whole window: their series have left the
+// registry, so a churning label (a deleted tenant) costs the store
+// nothing once its last sample ages out.
 func (s *Sampler) SampleOnce(now time.Time) {
 	samples := s.reg.Snapshot()
 	hists := s.reg.SnapshotHistograms()
-	nb := 0
-	for _, h := range hists {
-		nb += len(h.Bounds) + 1
-	}
 
 	st := s.store
 	st.mu.Lock()
 	if len(s.scalars) != len(samples) {
-		s.scalars = make([]*ringSeries, len(samples))
+		s.scalars = make([]*ring, len(samples))
 	}
 	for i, smp := range samples {
-		rs := s.scalars[i]
-		if rs == nil || rs.name != smp.Name || !labelsEqual(rs.labels, smp.Labels) {
-			rs = st.seriesLocked(smp.Name, smp.Labels)
-			s.scalars[i] = rs
-		}
-		rs.put(Point{T: now, V: smp.Value})
+		cachedRing(st, s.scalars, i, smp.Name, smp.Labels, nil).next(now)[0] = smp.Value
 	}
-	if len(s.buckets) != nb {
-		s.buckets = make([]bucketSlot, nb)
+	if len(s.hists) != len(hists) {
+		s.hists = make([]*ring, len(hists))
 	}
-	j := 0
-	for _, h := range hists {
-		for i := 0; i <= len(h.Bounds); i++ {
-			b := math.Inf(1)
-			v := float64(h.Count)
-			if i < len(h.Bounds) {
-				b = h.Bounds[i]
-				v = float64(h.Cumulative[i])
-			}
-			sl := &s.buckets[j]
-			j++
-			if sl.rs == nil || sl.histName != h.Name || sl.bound != b || !bucketLabelsMatch(sl.rs.labels, h.Labels) {
-				le := "+Inf"
-				if !math.IsInf(b, 1) {
-					le = formatLE(b)
-				}
-				sl.rs = st.seriesLocked(h.Name+"_bucket", withLE(h.Labels, le))
-				sl.histName, sl.bound = h.Name, b
-			}
-			sl.rs.put(Point{T: now, V: v})
+	for i, h := range hists {
+		cachedRing(st, s.hists, i, h.Name, h.Labels, h.Bounds).putHist(now, h)
+	}
+	if written := len(samples) + len(hists); written > 0 {
+		st.touchLocked(now)
+		if len(st.rings) > written {
+			st.dropStaleLocked(now.Add(-st.window))
 		}
 	}
-	if (len(samples) > 0 || nb > 0) && (!st.hasNewest || now.After(st.newest)) {
-		st.newest = now
-		st.hasNewest = true
-	}
-	nseries := len(st.series)
+	nseries := len(st.rings)
 	st.mu.Unlock()
 
 	s.samples.Inc()
@@ -206,33 +173,13 @@ func (s *Sampler) SampleOnce(now time.Time) {
 	}
 }
 
-// bucketLabelsMatch reports whether got is exactly base plus an le
-// label (the le value itself is pinned by the cached bucket bound).
-func bucketLabelsMatch(got, base map[string]string) bool {
-	if len(got) != len(base)+1 {
-		return false
+// cachedRing returns the ring for entry i of a snapshot, reusing the
+// previous tick's handle when it still names the same series and
+// shape. The caller must hold st.mu.
+func cachedRing(st *Store, cache []*ring, i int, name string, labels map[string]string, bounds []float64) *ring {
+	if r := cache[i]; r != nil && r.name == name && maps.Equal(r.labels, labels) && r.holds(bounds) {
+		return r
 	}
-	for k, v := range base {
-		if got[k] != v {
-			return false
-		}
-	}
-	_, ok := got["le"]
-	return ok
-}
-
-// withLE copies labels and adds the bucket's le label.
-func withLE(labels map[string]string, le string) map[string]string {
-	out := make(map[string]string, len(labels)+1)
-	for k, v := range labels {
-		out[k] = v
-	}
-	out["le"] = le
-	return out
-}
-
-// formatLE renders a finite bucket bound the way the Prometheus text
-// format does (shortest round-trip representation).
-func formatLE(b float64) string {
-	return strconv.FormatFloat(b, 'g', -1, 64)
+	cache[i] = st.ringLocked(name, labels, bounds)
+	return cache[i]
 }

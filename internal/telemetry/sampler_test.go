@@ -25,16 +25,19 @@ func TestSamplerSnapshotsRegistry(t *testing.T) {
 	if len(s.Points) != 2 || s.Points[0].V != 3 || s.Points[1].V != 7 {
 		t.Fatalf("work_total series = %+v, want values 3 then 7", s.Points)
 	}
-	// Histograms flatten into per-bucket cumulative series with le
-	// labels, one per bound plus +Inf.
-	for _, le := range []string{"0.1", "1", "+Inf"} {
-		b := st.Get("lat_seconds_bucket", map[string]string{"le": le})
-		if len(b.Points) != 2 {
-			t.Fatalf("bucket le=%s has %d points, want 2", le, len(b.Points))
+	// A histogram is one series whose samples hold the cumulative
+	// bucket counts, one per bound plus +Inf.
+	r := st.rings["lat_seconds"]
+	if r == nil || r.n != 2 || !r.holds([]float64{0.1, 1}) {
+		t.Fatalf("lat_seconds ring = %+v, want two samples over bounds 0.1, 1", r)
+	}
+	for j := 0; j < 3; j++ {
+		if v := r.val(1, j); v != 1 {
+			t.Fatalf("bucket %d cumulative = %v, want 1", j, v)
 		}
 	}
-	if v := st.Get("lat_seconds_bucket", map[string]string{"le": "0.1"}).Points[1].V; v != 1 {
-		t.Fatalf("le=0.1 cumulative = %v, want 1", v)
+	if fam := st.Family("lat_seconds_bucket"); len(fam) != 0 {
+		t.Fatalf("store holds %d per-bucket series, want none", len(fam))
 	}
 	// The sampler reports on itself into the registry it samples.
 	var sawSelf bool

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -130,11 +131,17 @@ func TestBuildEmptyStore(t *testing.T) {
 }
 
 // putBuckets records one cumulative-histogram snapshot as the sampler
-// would: one <name>_bucket series per bound plus +Inf.
+// would: bounds end with "+Inf", and cum holds one count per bound.
 func putBuckets(st *Store, name string, labels map[string]string, at time.Time, bounds []string, cum []float64) {
+	h := metrics.HistSample{Name: name, Labels: labels, Bounds: []float64{}, Count: int64(cum[len(cum)-1])}
 	for i, le := range bounds {
-		st.Put(name+"_bucket", withLE(labels, le), at, cum[i])
+		if le != "+Inf" {
+			b, _ := strconv.ParseFloat(le, 64)
+			h.Bounds = append(h.Bounds, b)
+		}
+		h.Cumulative = append(h.Cumulative, int64(cum[i]))
 	}
+	st.PutHistogram(h, at)
 }
 
 func TestBuildWindowedQuantiles(t *testing.T) {

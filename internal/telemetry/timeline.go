@@ -2,9 +2,9 @@ package telemetry
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -123,8 +123,8 @@ type Timeline struct {
 
 // Build derives a Timeline from the store's retained window. A
 // non-positive window means the store's full window. reg, when
-// non-nil, supplies histogram exemplars (the store holds only scalar
-// points); pass the registry the sampler snapshots.
+// non-nil, supplies histogram exemplars (the store holds only bucket
+// counts); pass the registry the sampler snapshots.
 func Build(st *Store, reg *metrics.Registry, window time.Duration) *Timeline {
 	return BuildStep(st, reg, window, 0)
 }
@@ -134,8 +134,9 @@ func Build(st *Store, reg *metrics.Registry, window time.Duration) *Timeline {
 // (the newest point always survives, so last-value reads are exact),
 // which keeps coarse views of a dense ring cheap to render. Windowed
 // deltas, rates and quantiles always run on the full-resolution
-// points — decimating first would corrupt the dropped-count baseline
-// arithmetic. A non-positive step means no decimation.
+// points — decimating first would corrupt the baseline. A
+// non-positive step means no decimation. The whole view is read under
+// one store lock, so every section describes the same tick.
 func BuildStep(st *Store, reg *metrics.Registry, window, step time.Duration) *Timeline {
 	if window <= 0 {
 		window = st.Window()
@@ -144,66 +145,73 @@ func BuildStep(st *Store, reg *metrics.Registry, window, step time.Duration) *Ti
 		step = 0
 	}
 	tl := &Timeline{WindowNanos: int64(window), StepNanos: int64(step)}
-	now, ok := st.Newest()
-	if !ok {
+	var hists []metrics.HistSample
+	if reg != nil {
+		hists = reg.SnapshotHistograms()
+	}
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	if !st.hasNewest {
 		return tl
 	}
+	now := st.newest
 	tl.GeneratedAt = now
 	cutoff := now.Add(-window)
 
-	// One consistent snapshot of every series, clipped to the window.
-	// raw keeps the full-resolution in-window points for delta
-	// baselines; pts is the (possibly decimated) display view.
-	type snap struct {
-		s   Series
-		pts []Point
-		raw []Point
-	}
-	var all []snap
+	// Every ring with samples in the window, by name then key.
+	var views []win
 	oldest := now
-	for _, name := range st.Names() {
-		for _, s := range st.Family(name) {
-			raw := clip(s.Points, cutoff)
-			if len(raw) == 0 {
+	for _, name := range sortedKeys(st.byName) {
+		for _, r := range st.byName[name] {
+			w := r.window(cutoff)
+			if w.empty() {
 				continue
 			}
-			if raw[0].T.Before(oldest) {
-				oldest = raw[0].T
+			if t := r.at(w.first); t.Before(oldest) {
+				oldest = t
 			}
-			pts := decimate(raw, step)
-			if len(pts) > tl.Samples {
-				tl.Samples = len(pts)
-			}
-			all = append(all, snap{s: s, pts: pts, raw: raw})
+			n := 0
+			w.thin(step, func(int) { n++ })
+			tl.Samples = max(tl.Samples, n)
+			views = append(views, w)
 		}
 	}
 	span := now.Sub(oldest)
 	tl.SpanNanos = int64(span)
 	spanSec := span.Seconds()
 
-	// windowDelta is the counter increase across the window; baseline
-	// semantics live in windowDeltaPts, shared with the Store query
-	// API the health rule engine uses.
-	windowDelta := func(sn snap) (float64, time.Duration) {
-		return windowDeltaPts(sn.s.Points, sn.raw, st.slots)
-	}
-
-	empty := snap{}
-	get := func(name string, labels map[string]string) snap {
-		for _, sn := range all {
-			if sn.s.Name == name && labelsEqual(sn.s.Labels, labels) {
-				return sn
-			}
+	// get windows the scalar series (name, labels); the result is
+	// empty when it has no samples in the window.
+	get := func(name string, labels map[string]string) win {
+		if r := st.rings[key(name, labels)]; r != nil && r.bounds == nil {
+			return r.window(cutoff)
 		}
-		return empty
+		return win{}
 	}
 
-	// Windowed counter rates.
-	for _, sn := range all {
-		if !strings.HasSuffix(sn.s.Name, "_total") {
+	// Windowed counter rates, and windowed quantiles from bucket-count
+	// deltas.
+	for _, w := range views {
+		r := w.r
+		if r.bounds != nil {
+			deltas := w.deltas(nil)
+			total := deltas[len(deltas)-1] // cumulative → the +Inf bucket
+			if total <= 0 {
+				continue
+			}
+			tl.Latencies = append(tl.Latencies, LatencyView{
+				Name: r.name, Labels: r.labels, Count: int64(total + 0.5),
+				P50:      bucketQuantile(0.50, r.bounds, deltas),
+				P95:      bucketQuantile(0.95, r.bounds, deltas),
+				P99:      bucketQuantile(0.99, r.bounds, deltas),
+				Exemplar: pickExemplar(hists, r.name, r.labels, deltas),
+			})
 			continue
 		}
-		d, sp := windowDelta(sn)
+		if !strings.HasSuffix(r.name, "_total") {
+			continue
+		}
+		d, sp := w.delta(0), w.span()
 		if sp <= 0 {
 			sp = span
 		}
@@ -211,7 +219,7 @@ func BuildStep(st *Store, reg *metrics.Registry, window, step time.Duration) *Ti
 			continue
 		}
 		tl.Rates = append(tl.Rates, RateView{
-			Name: sn.s.Name, Labels: sn.s.Labels,
+			Name: r.name, Labels: r.labels,
 			PerSecond: d / sp.Seconds(), Delta: d,
 		})
 	}
@@ -230,87 +238,22 @@ func BuildStep(st *Store, reg *metrics.Registry, window, step time.Duration) *Ti
 		tl.Rates = tl.Rates[:maxRates]
 	}
 
-	// Windowed quantiles from bucket-count deltas. Bucket series are
-	// named "<family>_bucket" with an le label; group them back into
-	// histograms by base-label signature.
-	type group struct {
-		name   string
-		labels map[string]string
-		bounds []float64
-		deltas []float64
-	}
-	groups := make(map[string]*group)
-	var order []string
-	for _, sn := range all {
-		if !strings.HasSuffix(sn.s.Name, "_bucket") {
-			continue
-		}
-		le, okLE := sn.s.Labels["le"]
-		if !okLE {
-			continue
-		}
-		base := baseLabels(sn.s.Labels)
-		name := strings.TrimSuffix(sn.s.Name, "_bucket")
-		k := name + "\x1f" + labelSig(base)
-		g, okG := groups[k]
-		if !okG {
-			g = &group{name: name, labels: base}
-			groups[k] = g
-			order = append(order, k)
-		}
-		b := math.Inf(1)
-		if le != "+Inf" {
-			if v, err := strconv.ParseFloat(le, 64); err == nil {
-				b = v
-			}
-		}
-		d, _ := windowDelta(sn)
-		g.bounds = append(g.bounds, b)
-		g.deltas = append(g.deltas, d)
-	}
-	var hists []metrics.HistSample
-	if reg != nil {
-		hists = reg.SnapshotHistograms()
-	}
-	sort.Strings(order)
-	for _, k := range order {
-		g := groups[k]
-		sort.Sort(byBound{g.bounds, g.deltas})
-		// Cumulative → total is the +Inf bucket's delta.
-		total := g.deltas[len(g.deltas)-1]
-		if total <= 0 {
-			continue
-		}
-		lv := LatencyView{
-			Name: g.name, Labels: g.labels, Count: int64(total + 0.5),
-			P50: bucketQuantile(0.50, g.bounds, g.deltas),
-			P95: bucketQuantile(0.95, g.bounds, g.deltas),
-			P99: bucketQuantile(0.99, g.bounds, g.deltas),
-		}
-		lv.Exemplar = pickExemplar(hists, g.name, g.labels, g.deltas)
-		tl.Latencies = append(tl.Latencies, lv)
-	}
-
 	// Per-domain utilization attribution.
-	for _, sn := range all {
-		if sn.s.Name != "hstreams_domain_streams" {
-			continue
-		}
-		domain := sn.s.Labels["domain"]
-		streams := sn.pts[len(sn.pts)-1].V
+	st.eachLocked("hstreams_domain_streams", nil, cutoff, false, func(r *ring, w win) {
+		domain := r.labels["domain"]
+		streams := w.last(0)
 		uv := UtilView{
 			Domain: domain, Streams: int(streams + 0.5),
 			CapacitySeconds: spanSec * streams,
 			Categories:      map[string]float64{},
 		}
-		for kind, cat := range map[string]string{
-			"compute":  trace.CatCompute,
-			"transfer": trace.CatTransfer,
-			"sync":     trace.CatSync,
+		for _, c := range [...]struct{ kind, cat string }{
+			{"compute", trace.CatCompute},
+			{"transfer", trace.CatTransfer},
+			{"sync", trace.CatSync},
 		} {
-			d, _ := windowDelta(get("hstreams_action_duration_seconds_sum", map[string]string{"kind": kind, "domain": domain}))
-			if d > 0 {
-				uv.Categories[cat] = d
+			if d := get("hstreams_action_duration_seconds_sum", map[string]string{"kind": c.kind, "domain": domain}).delta(0); d > 0 {
+				uv.Categories[c.cat] = d
 				uv.BusySeconds += d
 			}
 		}
@@ -318,47 +261,34 @@ func BuildStep(st *Store, reg *metrics.Registry, window, step time.Duration) *Ti
 			uv.Utilization = uv.BusySeconds / uv.CapacitySeconds
 		}
 		tl.Utilization = append(tl.Utilization, uv)
-	}
+	})
 	sort.Slice(tl.Utilization, func(i, j int) bool { return tl.Utilization[i].Domain < tl.Utilization[j].Domain })
 
 	// Per-stream queue-depth watermarks.
-	for _, sn := range all {
-		if sn.s.Name != "hstreams_queue_depth" {
-			continue
-		}
-		stream := sn.s.Labels["stream"]
-		qv := QueueView{Stream: stream, Depth: sn.pts[len(sn.pts)-1].V}
-		for _, p := range sn.pts {
-			if p.V > qv.WindowMax {
-				qv.WindowMax = p.V
-			}
-		}
-		if pk := get("hstreams_queue_depth_peak", map[string]string{"stream": stream}).pts; len(pk) > 0 {
-			qv.Peak = pk[len(pk)-1].V
+	st.eachLocked("hstreams_queue_depth", nil, cutoff, false, func(r *ring, w win) {
+		stream := r.labels["stream"]
+		qv := QueueView{Stream: stream, Depth: w.last(0)}
+		w.thin(step, func(i int) { qv.WindowMax = max(qv.WindowMax, r.val(i, 0)) })
+		if pk := get("hstreams_queue_depth_peak", map[string]string{"stream": stream}); !pk.empty() {
+			qv.Peak = pk.last(0)
 		}
 		tl.Queues = append(tl.Queues, qv)
-	}
+	})
 	sort.Slice(tl.Queues, func(i, j int) bool { return tl.Queues[i].Stream < tl.Queues[j].Stream })
 
 	// Per-link bandwidth and occupancy.
-	for _, sn := range all {
-		if sn.s.Name != "hstreams_link_bytes_total" {
-			continue
-		}
-		src, dst := sn.s.Labels["src"], sn.s.Labels["dst"]
-		bd, _ := windowDelta(sn)
+	st.eachLocked("hstreams_link_bytes_total", nil, cutoff, false, func(r *ring, w win) {
+		bd := w.delta(0)
 		if bd <= 0 || spanSec <= 0 {
-			continue
+			return
 		}
-		lv := LinkView{Src: src, Dst: dst, BytesPerSecond: bd / spanSec}
-		xd, _ := windowDelta(get("hstreams_link_transfers_total", sn.s.Labels))
-		lv.Transfers = xd
-		od, _ := windowDelta(get("hstreams_link_occupancy_seconds_sum", sn.s.Labels))
-		if od > 0 {
+		lv := LinkView{Src: r.labels["src"], Dst: r.labels["dst"], BytesPerSecond: bd / spanSec}
+		lv.Transfers = get("hstreams_link_transfers_total", r.labels).delta(0)
+		if od := get("hstreams_link_occupancy_seconds_sum", r.labels).delta(0); od > 0 {
 			lv.Occupancy = od / spanSec
 		}
 		tl.Links = append(tl.Links, lv)
-	}
+	})
 	sort.Slice(tl.Links, func(i, j int) bool {
 		a, b := tl.Links[i], tl.Links[j]
 		if a.Src != b.Src {
@@ -370,66 +300,13 @@ func BuildStep(st *Store, reg *metrics.Registry, window, step time.Duration) *Ti
 	return tl
 }
 
-// clip returns the suffix of ordered points at or after cutoff.
-func clip(pts []Point, cutoff time.Time) []Point {
-	i := sort.Search(len(pts), func(i int) bool { return !pts[i].T.Before(cutoff) })
-	return pts[i:]
-}
-
-// labelsEqual reports whether two label maps hold the same pairs.
-func labelsEqual(a, b map[string]string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
 // labelSig renders labels as a sorted, comparable signature.
 func labelSig(labels map[string]string) string {
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
+	parts := make([]string, 0, len(labels))
+	for _, k := range sortedKeys(labels) {
 		parts = append(parts, k+"="+labels[k])
 	}
 	return strings.Join(parts, ",")
-}
-
-// baseLabels copies labels without the le bucket label.
-func baseLabels(labels map[string]string) map[string]string {
-	out := make(map[string]string, len(labels))
-	for k, v := range labels {
-		if k == "le" {
-			continue
-		}
-		out[k] = v
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// byBound sorts parallel bound/delta slices by ascending bound (+Inf
-// last), keeping cumulative bucket order.
-type byBound struct {
-	bounds []float64
-	deltas []float64
-}
-
-func (b byBound) Len() int           { return len(b.bounds) }
-func (b byBound) Less(i, j int) bool { return b.bounds[i] < b.bounds[j] }
-func (b byBound) Swap(i, j int) {
-	b.bounds[i], b.bounds[j] = b.bounds[j], b.bounds[i]
-	b.deltas[i], b.deltas[j] = b.deltas[j], b.deltas[i]
 }
 
 // bucketQuantile interpolates the q-quantile from cumulative bucket
@@ -469,7 +346,7 @@ func bucketQuantile(q float64, bounds, cum []float64) float64 {
 // percentile spike.
 func pickExemplar(hists []metrics.HistSample, name string, labels map[string]string, deltas []float64) *metrics.Exemplar {
 	for _, h := range hists {
-		if h.Name != name || !labelsEqual(h.Labels, labels) {
+		if h.Name != name || !maps.Equal(h.Labels, labels) {
 			continue
 		}
 		// Window deltas and registry buckets share index order: both
