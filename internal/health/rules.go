@@ -109,7 +109,7 @@ type Rule struct {
 	// Kind selects the evaluation mode.
 	Kind RuleKind `json:"kind"`
 	// Series is the metric family to evaluate (for RuleQuantile, the
-	// histogram family name without the _bucket suffix).
+	// histogram family's own name).
 	Series string `json:"series"`
 	// Match restricts evaluation to series whose labels contain these
 	// pairs (subset match); nil matches every series of the family.

@@ -66,7 +66,9 @@ func (s *Server) Submit(ctx context.Context, tenant string, req SubmitRequest) (
 			break
 		}
 		if t.q.OnFull == "shed" {
-			s.mets.shed.With(tenant, "pending-full").Inc() // under s.mu: Unregister may not delete the row yet
+			// Counted under s.mu, so a concurrent Unregister cannot
+			// delete the tenant's rows first and see this one return.
+			s.mets.shed.With(tenant, "pending-full").Inc()
 			s.mu.Unlock()
 			return nil, fmt.Errorf("%w: %q at %d", ErrPendingFull, tenant, t.q.MaxPending)
 		}

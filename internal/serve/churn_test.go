@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -33,7 +34,7 @@ func TestUnknownTenantCreatesNoSeries(t *testing.T) {
 	h := s.Handler()
 	before := len(reg.Snapshot())
 	for i := 0; i < 50; i++ {
-		name := "/v1/tenants/bogus-" + strings.Repeat("x", i%7) + string(rune('a'+i%26))
+		name := fmt.Sprintf("/v1/tenants/bogus-%d", i)
 		for _, r := range []struct{ method, path, body string }{
 			{"POST", name + "/submit", `{"kernel":"k"}`},
 			{"POST", name + "/buffers", `{"name":"b","size":8}`},
@@ -91,7 +92,7 @@ func TestTenantChurnLeavesNoSeries(t *testing.T) {
 	baseSamples, baseHists, baseSeries := len(reg.Snapshot()), len(reg.SnapshotHistograms()), st.Len()
 
 	for i := 0; i < 300; i++ {
-		name := "churn-" + strings.Repeat("n", i%5) + string(rune('a'+i%26)) + string(rune('a'+i/26))
+		name := fmt.Sprintf("churn-%d", i)
 		use(name)
 		tick() // the store sees the short-lived tenant's rows
 		if got := serveReq(h, "DELETE", "/v1/tenants/"+name, ""); got != http.StatusOK {

@@ -233,7 +233,8 @@ func (r *ring) points() []Point {
 // Store is a rolling time-series store: a fixed-size ring per series,
 // keyed by metric name plus label signature. All methods are safe for
 // concurrent use; writes never block reads for long (one mutex guards
-// the series map and ring cursors, and every operation is O(slots)).
+// the series map and ring cursors, a read or write of one series is
+// O(slots), and the sampler's stale-ring sweep is O(series)).
 type Store struct {
 	mu     sync.RWMutex
 	window time.Duration
