@@ -74,7 +74,7 @@ serve-smoke:
 # FUZZ_TARGETS are the native fuzz targets, as package:target.
 FUZZ_TARGETS = internal/coi:FuzzDecode internal/core:FuzzDecodeCheckpoint \
 	internal/fabric:FuzzAddrSpace internal/trace:FuzzFlightRecorder \
-	internal/telemetry:FuzzStoreWindow
+	internal/telemetry:FuzzStoreWindow internal/serve:FuzzServeRequests
 
 # fuzz-smoke runs every target under the native fuzzer for a short,
 # fixed time each: no input may panic a decoder, and whatever it
@@ -84,7 +84,10 @@ FUZZ_TARGETS = internal/coi:FuzzDecode internal/core:FuzzDecodeCheckpoint \
 # flight-recorder target checks a small ring against a by-value model
 # after every op of a random record/snapshot/reset sequence, and the
 # store-window target checks every windowed query of a small telemetry
-# store against a by-value reference after a random write sequence. A crasher
+# store against a by-value reference after a random write sequence, and
+# the serve target posts a random body to the tenant, buffer, submit or
+# negotiate endpoint and checks the status set, the error envelope and
+# the tenant's buffer accounting. A crasher
 # lands in <package>/testdata/fuzz/<target>; commit it as a regression
 # seed.
 fuzz-smoke:

@@ -394,6 +394,8 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 	}
 	a.slot = len(s.inflight)
 	s.inflight = append(s.inflight, a)
+	depth := int64(len(s.inflight))
+	s.enqueued.Add(1)
 	s.mu.Unlock()
 
 	for i, d := range extraDeps {
@@ -408,7 +410,6 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 	}
 
 	rt.outstanding.Add(1)
-	depth := s.ndepth.Add(1)
 	k := metricKind(a.kind)
 	s.met.enq[k].Inc()
 	s.met.depth.Add(1)
@@ -497,7 +498,7 @@ func (rt *Runtime) finish(a *Action, err error) {
 	s.mu.Unlock()
 
 	rt.outstanding.Add(-1)
-	s.ndepth.Add(-1)
+	s.retired.Add(1)
 	s.met.depth.Add(-1)
 	s.met.retired.Inc()
 

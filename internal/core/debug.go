@@ -52,26 +52,50 @@ type ActionStatus struct {
 	Age     time.Duration `json:"age"`
 }
 
-// StreamStatus is a point-in-time view of one stream's queue.
+// StreamStatus is a point-in-time view of one stream's queue: the
+// debug server serves it in /debug/streams and the health watchdog
+// polls it for stalls.
 type StreamStatus struct {
-	Name      string         `json:"name"`
-	Domain    string         `json:"domain"`
-	Destroyed bool           `json:"destroyed,omitempty"`
-	Depth     int            `json:"depth"`
-	Inflight  []ActionStatus `json:"inflight,omitempty"`
+	Name      string `json:"name"`
+	Domain    string `json:"domain"`
+	Destroyed bool   `json:"destroyed,omitempty"`
+	// Quarantined reports the sink domain's breaker state (always
+	// false in Sim mode, which has no resilience machinery).
+	Quarantined bool `json:"quarantined,omitempty"`
+	// Depth is the enqueued-but-incomplete action count.
+	Depth int `json:"depth"`
+	// Retired counts the stream's completed actions — monotonic and
+	// private to the runtime, so an unchanged value across a horizon
+	// with Depth > 0 is the watchdog's stall signal.
+	Retired uint64 `json:"retired"`
+	// Launched and Pending split the scanned window: actions handed to
+	// the executor versus actions gated on dependences, so a stalled
+	// stream with Launched == 0 is blocked in the dependence graph.
+	// Truncated reports that the scan stopped at maxStatusScan actions.
+	Launched  int  `json:"launched"`
+	Pending   int  `json:"pending"`
+	Truncated bool `json:"truncated,omitempty"`
+	// OldestAction is the id of the oldest scanned incomplete action
+	// (zero when the window is empty) — the flight-recorder span to
+	// chase when this stream stalls.
+	OldestAction uint64 `json:"oldest_action,omitempty"`
+	// Inflight details the oldest scanned actions in id order, at most
+	// maxInflightStatus of them.
+	Inflight []ActionStatus `json:"inflight,omitempty"`
 }
 
 // RuntimeStatus is a point-in-time view of one runtime: its clock, its
-// outstanding-action count, and every stream's incomplete window. The
-// debug server serves it as /debug/streams.
+// outstanding-action count, every stream's incomplete window and its
+// link traffic. The debug server serves it as /debug/streams.
 type RuntimeStatus struct {
-	Run         uint64         `json:"run"`
-	Mode        string         `json:"mode"`
-	Now         time.Duration  `json:"now"`
-	Outstanding int            `json:"outstanding"`
-	Finalized   bool           `json:"finalized,omitempty"`
-	Err         string         `json:"err,omitempty"`
-	Streams     []StreamStatus `json:"streams"`
+	Run         uint64            `json:"run"`
+	Mode        string            `json:"mode"`
+	Now         time.Duration     `json:"now"`
+	Outstanding int               `json:"outstanding"`
+	Finalized   bool              `json:"finalized,omitempty"`
+	Err         string            `json:"err,omitempty"`
+	Streams     []StreamStatus    `json:"streams"`
+	Links       []fabric.LinkStat `json:"links,omitempty"`
 }
 
 // LinkStats snapshots per-link traffic for the debug server: fabric
@@ -113,9 +137,14 @@ func (rt *Runtime) LinkStats() []fabric.LinkStat {
 	return out
 }
 
-// maxInflightStatus bounds the per-stream action detail in a status
-// snapshot so a deep queue cannot balloon the debug response.
-const maxInflightStatus = 64
+// maxStatusScan bounds the window scan per stream, so a deep queue
+// cannot make a snapshot — a watchdog tick — expensive; the depth and
+// retirement counts are exact regardless. maxInflightStatus bounds the
+// per-stream action detail, so it cannot balloon the debug response.
+const (
+	maxStatusScan     = 1024
+	maxInflightStatus = 64
+)
 
 // Status snapshots the runtime, taking each stream's lock in turn —
 // never more than one at once. It is safe to call from any goroutine
@@ -131,12 +160,14 @@ func (rt *Runtime) Status() RuntimeStatus {
 	} else {
 		now = rt.exec.now()
 	}
+	re, _ := rt.exec.(*realExec)
 	st := RuntimeStatus{
 		Run:         rt.runID,
 		Mode:        rt.cfg.Mode.String(),
 		Now:         now,
 		Outstanding: int(rt.outstanding.Load()),
 		Finalized:   rt.finalized.Load(),
+		Links:       rt.LinkStats(),
 	}
 	rt.mu.Lock()
 	streams := rt.streams
@@ -145,27 +176,54 @@ func (rt *Runtime) Status() RuntimeStatus {
 	}
 	rt.mu.Unlock()
 	for _, s := range streams {
-		s.mu.Lock()
-		ss := StreamStatus{
-			Name:      s.name,
-			Domain:    s.domain.spec.Name,
-			Destroyed: s.destroyed,
-			Depth:     len(s.inflight),
+		ss := StreamStatus{Name: s.name, Domain: s.domain.spec.Name}
+		if re != nil {
+			ss.Quarantined = re.res.dom[s.domain.index].isQuarantined()
 		}
-		// inflight is unordered (swap retirement); snapshot then sort
-		// by id so the report reads in enqueue order.
-		snap := append([]*Action(nil), s.inflight...)
-		s.mu.Unlock()
-		sort.Slice(snap, func(i, j int) bool { return snap[i].rec.ID < snap[j].rec.ID })
-		for _, a := range snap {
-			if len(ss.Inflight) == maxInflightStatus {
-				break
+		// inflight is unordered (swap retirement): one bounded pass
+		// counts the window and keeps the oldest actions by insertion
+		// into the id-ordered oldest[:n].
+		var oldest [maxInflightStatus]*Action
+		n := 0
+		s.mu.Lock()
+		ss.Destroyed = s.destroyed
+		ss.Depth = len(s.inflight)
+		ss.Retired = s.retired.Load()
+		win := s.inflight
+		if len(win) > maxStatusScan {
+			win = win[:maxStatusScan]
+			ss.Truncated = true
+		}
+		for _, a := range win {
+			if a.state.Load() == stateLaunched {
+				ss.Launched++
+			} else {
+				ss.Pending++
 			}
+			if n == len(oldest) {
+				if a.rec.ID > oldest[n-1].rec.ID {
+					continue
+				}
+				n--
+			}
+			i := n
+			for ; i > 0 && oldest[i-1].rec.ID > a.rec.ID; i-- {
+				oldest[i] = oldest[i-1]
+			}
+			oldest[i] = a
+			n++
+		}
+		s.mu.Unlock()
+		if n > 0 {
+			ss.OldestAction = oldest[0].rec.ID
+			ss.Inflight = make([]ActionStatus, n)
+		}
+		for i, a := range oldest[:n] {
 			state := "pending"
 			if a.state.Load() == stateLaunched {
 				state = "launched"
 			}
-			ss.Inflight = append(ss.Inflight, ActionStatus{
+			ss.Inflight[i] = ActionStatus{
 				ID:      a.rec.ID,
 				Kind:    a.kind.String(),
 				Label:   a.rec.Label,
@@ -173,7 +231,7 @@ func (rt *Runtime) Status() RuntimeStatus {
 				Pending: int(a.npend.Load()),
 				Enqueue: a.rec.Enqueue,
 				Age:     now - a.rec.Enqueue,
-			})
+			}
 		}
 		st.Streams = append(st.Streams, ss)
 	}

@@ -106,14 +106,13 @@ const (
 
 // maybeDrain pumps the engine while stream s has a large incomplete
 // window. Safe because start times come from propagated ready times,
-// not the engine clock. The window size comes from the stream's
-// atomic depth counter — the seed took the runtime lock on every
-// pump iteration just to read len(inflight).
+// not the engine clock. The window size is the stream's enqueued
+// minus retired count, read without taking its lock.
 func (se *simExec) maybeDrain(s *Stream) {
-	if s.ndepth.Load() < simInflightHigh {
+	if s.enqueued.Load()-s.retired.Load() < simInflightHigh {
 		return
 	}
-	for s.ndepth.Load() > simInflightLow {
+	for s.enqueued.Load()-s.retired.Load() > simInflightLow {
 		if !se.eng.Step() {
 			return
 		}

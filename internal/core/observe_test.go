@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -408,6 +409,42 @@ func TestDisableCausalTrace(t *testing.T) {
 	}
 }
 
+// TestTracingAddsNoAllocs is the deterministic proxy for the trace
+// overhead budget: a traced Sim enqueue→retire on one card stream must
+// allocate exactly as much as the same action with causal tracing off
+// (span values live in per-stream record slabs, the ring stores
+// pointers, and neither allocates per action).
+func TestTracingAddsNoAllocs(t *testing.T) {
+	perAction := func(disable bool) float64 {
+		rt, err := Init(Config{
+			Machine: platform.HSWPlusKNC(1), Mode: ModeSim, Metrics: metrics.New(),
+			Flight: trace.NewFlight(1 << 12), DisableCausalTrace: disable,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Fini()
+		s, err := rt.StreamCreate(rt.Card(0), 0, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(1000, func() {
+			a, err := s.EnqueueCompute("k", nil, nil, platform.Cost{Flops: 1e6})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	traced, untraced := perAction(false), perAction(true)
+	if traced != untraced {
+		t.Fatalf("allocations per action: traced %.2f, untraced %.2f; tracing must add none", traced, untraced)
+	}
+	t.Logf("allocations per action: %.2f traced and untraced", traced)
+}
+
 // TestLiveRuntimesRegistry checks Init/Fini registration.
 func TestLiveRuntimesRegistry(t *testing.T) {
 	before := len(LiveRuntimes())
@@ -459,5 +496,47 @@ func TestStatusSnapshot(t *testing.T) {
 	}
 	if st.Outstanding != 0 {
 		t.Fatalf("Outstanding = %d, want 0", st.Outstanding)
+	}
+	if st.Streams[0].Retired != 1 || len(st.Links) != 2 {
+		t.Fatalf("Retired = %d, %d links; want 1 and both directions of the card link", st.Streams[0].Retired, len(st.Links))
+	}
+
+	// A deep window reordered by swap retirement: the scan stops at
+	// maxStatusScan actions, and the detail is the oldest
+	// maxInflightStatus of them in id order.
+	var acts []*Action
+	for i := 0; i < 1500; i++ {
+		a, err := s.EnqueueCompute("k", nil, nil, platform.Cost{Flops: 1e6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		acts = append(acts, a)
+	}
+	if err := acts[100].Wait(); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	depth := len(s.inflight)
+	var ids []uint64
+	for _, a := range s.inflight[:maxStatusScan] {
+		ids = append(ids, a.rec.ID)
+	}
+	s.mu.Unlock()
+	if sort.SliceIsSorted(ids, func(i, j int) bool { return ids[i] < ids[j] }) {
+		t.Fatal("window still in id order; the test needs swap retirement to reorder it")
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ss := rt.Status().Streams[0]
+	if ss.Depth != depth || !ss.Truncated || ss.Launched+ss.Pending != maxStatusScan || ss.Retired != uint64(1+1500-depth) {
+		t.Fatalf("deep window: %+v, want depth %d, truncated, %d scanned, %d retired",
+			ss, depth, maxStatusScan, 1+1500-depth)
+	}
+	if len(ss.Inflight) != maxInflightStatus || ss.OldestAction != ids[0] {
+		t.Fatalf("deep window: %d detailed, oldest %d; want %d, oldest %d", len(ss.Inflight), ss.OldestAction, maxInflightStatus, ids[0])
+	}
+	for i, as := range ss.Inflight {
+		if as.ID != ids[i] {
+			t.Fatalf("Inflight[%d] = action %d, want %d (the oldest scanned, in id order)", i, as.ID, ids[i])
+		}
 	}
 }

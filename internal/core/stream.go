@@ -55,9 +55,11 @@ type Stream struct {
 	// action.
 	retire func(*Action)
 
-	// ndepth mirrors len(inflight) as an atomic so the Sim drain loop
-	// and the depth-peak gauge read it without taking mu.
-	ndepth atomic.Int64
+	// enqueued and retired count actions into and out of inflight.
+	// They are this stream's own, unlike hstreams_stream_retired_total
+	// (shared by same-named streams of every runtime on a registry);
+	// their difference is the depth the Sim drain loop reads without mu.
+	enqueued, retired atomic.Uint64
 
 	// met caches this stream's resolved metric series.
 	met *streamMetrics
@@ -125,7 +127,7 @@ func (rt *Runtime) StreamCreateOn(d *Domain, firstCore, nCores int, share *Strea
 		s.ident = spanIdents(rt, s.name, d)
 	}
 	// met must be resolved before the stream is published in
-	// rt.streams: Progress() snapshots that slice under rt.mu and
+	// rt.streams: Status() snapshots that slice under rt.mu and
 	// reads s.met without further coordination.
 	s.met = rt.mets.forStream(s.name, d.spec.Name)
 	rt.streams = append(rt.streams, s)

@@ -15,6 +15,7 @@ package debugserver
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -22,7 +23,6 @@ import (
 	"time"
 
 	"hstreams/internal/core"
-	"hstreams/internal/fabric"
 	"hstreams/internal/health"
 	"hstreams/internal/metrics"
 	"hstreams/internal/serve"
@@ -142,8 +142,7 @@ func newMux(opt Options) *http.ServeMux {
 func tenantsHandler(tenants func() []serve.TenantStatus) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		ts := tenants()
-		if r.URL.Query().Get("format") == "text" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		reply(w, wantText(r), ts, func(w io.Writer) {
 			fmt.Fprintf(w, "%-16s %6s %7s %7s %8s %8s %9s %12s\n",
 				"tenant", "weight", "pending", "inflight", "actions", "streams", "buffers", "buf-bytes")
 			for _, t := range ts {
@@ -151,13 +150,25 @@ func tenantsHandler(tenants func() []serve.TenantStatus) http.HandlerFunc {
 					t.Name, t.Quotas.Weight, t.Pending, t.Inflight,
 					t.Actions, len(t.Streams), t.Buffers, t.BufferBytes)
 			}
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(ts)
+		})
 	}
+}
+
+// wantText reports whether the request asks for ?format=text.
+func wantText(r *http.Request) bool { return r.URL.Query().Get("format") == "text" }
+
+// reply writes one endpoint response: text/plain rendered by text
+// when asText, otherwise v as indented JSON.
+func reply(w http.ResponseWriter, asText bool, v any, text func(io.Writer)) {
+	if asText {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		text(w)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
 }
 
 func indexHandler(w http.ResponseWriter, r *http.Request) {
@@ -224,14 +235,9 @@ func traceHandler(f *trace.FlightRecorder) http.HandlerFunc {
 
 // streamsPayload is the /debug/streams response document.
 type streamsPayload struct {
-	Now      time.Time        `json:"now"`
-	Runtimes []runtimePayload `json:"runtimes"`
-	Flight   flightPayload    `json:"flight"`
-}
-
-type runtimePayload struct {
-	core.RuntimeStatus
-	Links []fabric.LinkStat `json:"links,omitempty"`
+	Now      time.Time            `json:"now"`
+	Runtimes []core.RuntimeStatus `json:"runtimes"`
+	Flight   flightPayload        `json:"flight"`
 }
 
 type flightPayload struct {
@@ -247,15 +253,9 @@ func streamsHandler(runtimes func() []*core.Runtime, f *trace.FlightRecorder) ht
 			Flight: flightPayload{Cap: f.Cap(), Total: f.Total(), Dropped: f.Dropped()},
 		}
 		for _, rt := range runtimes() {
-			doc.Runtimes = append(doc.Runtimes, runtimePayload{
-				RuntimeStatus: rt.Status(),
-				Links:         rt.LinkStats(),
-			})
+			doc.Runtimes = append(doc.Runtimes, rt.Status())
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(doc)
+		reply(w, false, doc, nil)
 	}
 }
 
@@ -273,15 +273,7 @@ func critpathHandler(f *trace.FlightRecorder) http.HandlerFunc {
 			spans = trace.LatestRun(spans)
 		}
 		rep := trace.Analyze(spans)
-		if r.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(rep)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, rep.Format())
+		reply(w, r.URL.Query().Get("format") != "json", rep, func(w io.Writer) { fmt.Fprint(w, rep.Format()) })
 	}
 }
 
@@ -324,15 +316,7 @@ func timelineHandler(st *telemetry.Store, reg *metrics.Registry) http.HandlerFun
 			}
 		}
 		tl := telemetry.BuildStep(st, reg, window, step)
-		if r.URL.Query().Get("format") == "text" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprint(w, tl.Format())
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(tl)
+		reply(w, wantText(r), tl, func(w io.Writer) { fmt.Fprint(w, tl.Format()) })
 	}
 }
 
@@ -365,15 +349,7 @@ func healthHandler(e *health.Engine) http.HandlerFunc {
 			fmt.Fprintf(w, "%s=%v severity=%s\n", probe, pass, rep.Severity)
 			return
 		}
-		if r.URL.Query().Get("format") == "text" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprint(w, rep.Format())
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(rep)
+		reply(w, wantText(r), rep, func(w io.Writer) { fmt.Fprint(w, rep.Format()) })
 	}
 }
 
@@ -401,19 +377,13 @@ func eventsHandler(j *health.Journal) http.HandlerFunc {
 				events = events[len(events)-n:]
 			}
 		}
-		if r.URL.Query().Get("format") == "text" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		doc := eventsPayload{Cap: j.Cap(), Total: j.Total(), Dropped: j.Dropped(), Events: events}
+		reply(w, wantText(r), doc, func(w io.Writer) {
 			fmt.Fprintf(w, "events: %d retained of %d recorded (%d dropped, cap %d)\n",
-				len(events), j.Total(), j.Dropped(), j.Cap())
+				len(events), doc.Total, doc.Dropped, doc.Cap)
 			for _, ev := range events {
 				fmt.Fprintln(w, ev.Format())
 			}
-			return
-		}
-		doc := eventsPayload{Cap: j.Cap(), Total: j.Total(), Dropped: j.Dropped(), Events: events}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(doc)
+		})
 	}
 }

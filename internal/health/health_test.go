@@ -167,16 +167,16 @@ func putBuckets(st *telemetry.Store, name string, labels map[string]string, at t
 func TestClassifyCauses(t *testing.T) {
 	cases := []struct {
 		name          string
-		p             core.StreamProgress
+		p             core.StreamStatus
 		deadlocked    bool
 		linkSaturated bool
 		want          StallCause
 	}{
-		{"quarantine wins", core.StreamProgress{Quarantined: true, Launched: 0}, true, true, CauseQuarantine},
-		{"deadlock", core.StreamProgress{Launched: 0}, true, false, CauseDeadlock},
-		{"dep-stall", core.StreamProgress{Launched: 0}, false, false, CauseDepStall},
-		{"link-saturation", core.StreamProgress{Launched: 2}, false, true, CauseLinkSaturation},
-		{"unknown", core.StreamProgress{Launched: 2}, false, false, CauseUnknown},
+		{"quarantine wins", core.StreamStatus{Quarantined: true, Launched: 0}, true, true, CauseQuarantine},
+		{"deadlock", core.StreamStatus{Launched: 0}, true, false, CauseDeadlock},
+		{"dep-stall", core.StreamStatus{Launched: 0}, false, false, CauseDepStall},
+		{"link-saturation", core.StreamStatus{Launched: 2}, false, true, CauseLinkSaturation},
+		{"unknown", core.StreamStatus{Launched: 2}, false, false, CauseUnknown},
 	}
 	for _, c := range cases {
 		if got := classify(c.p, c.deadlocked, c.linkSaturated); got != c.want {
@@ -452,6 +452,65 @@ func TestEngineWatchdogDepStall(t *testing.T) {
 	if !sawStall || !sawClear {
 		t.Fatalf("journal stall/clear = %v/%v, want both", sawStall, sawClear)
 	}
+}
+
+// TestStallNotMaskedByOtherRuntime checks that the watchdog counts
+// retirement per runtime: two runtimes on one registry own same-named
+// streams, and runtime B retiring work on its stream must not read as
+// progress on runtime A's wedged one.
+func TestStallNotMaskedByOtherRuntime(t *testing.T) {
+	reg := metrics.New()
+	newRT := func() (*core.Runtime, *core.Stream) {
+		rt, err := core.Init(core.Config{Machine: platform.HSWPlusKNC(0), Mode: core.ModeReal, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := rt.StreamCreate(rt.Host(), 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt, s
+	}
+	rtA, sA := newRT()
+	rtB, sB := newRT()
+	if sA.Name() != sB.Name() {
+		t.Fatalf("stream names %q and %q differ; the test needs them equal", sA.Name(), sB.Name())
+	}
+	gate := make(chan struct{})
+	defer func() { close(gate); rtA.Fini(); rtB.Fini() }()
+	rtA.RegisterKernel("block", func(*core.KernelCtx) { <-gate })
+	rtB.RegisterKernel("nop", func(*core.KernelCtx) {})
+	if _, err := sA.EnqueueCompute("block", nil, nil, platform.Cost{}); err != nil {
+		t.Fatal(err)
+	}
+
+	e := New(Options{
+		Store:    telemetry.NewStore(time.Minute, 16),
+		Registry: reg,
+		Journal:  NewJournal(64, reg),
+		Runtimes: func() []*core.Runtime { return []*core.Runtime{rtA} },
+		Rules:    []Rule{},
+	})
+	e.horizon = 50 * time.Millisecond
+	var at time.Time
+	for i := 0; i < 10; i++ {
+		a, err := sB.EnqueueCompute("nop", nil, nil, platform.Cost{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		at = base.Add(time.Duration(i) * 20 * time.Millisecond)
+		e.Tick(at)
+	}
+	for _, st := range e.ReportAt(at).Stalls {
+		if st.Run == rtA.RunID() && st.Stream == sA.Name() {
+			return
+		}
+	}
+	t.Fatalf("%s of runtime A not reported stalled while runtime B retired work on its namesake: %+v",
+		sA.Name(), e.ReportAt(at).Stalls)
 }
 
 // TestEngineConcurrentSnapshotWhileFiring exercises Tick, ReportAt,

@@ -76,7 +76,7 @@ type Stall struct {
 	OldestAction uint64 `json:"oldest_action,omitempty"`
 }
 
-// classify maps one stalled stream's progress row to a cause.
+// classify maps one stalled stream's status to a cause.
 // deadlocked reports that every busy stream of the runtime is
 // dependence-blocked with nothing launched; linkSaturated that the
 // stream's domain links run at or above the saturation floor.
@@ -84,7 +84,7 @@ type Stall struct {
 // dependence-blocked stream is a deadlock only when the whole runtime
 // is; launched-but-stuck work is the link's fault only when the link
 // is provably busy.
-func classify(p core.StreamProgress, deadlocked, linkSaturated bool) StallCause {
+func classify(p core.StreamStatus, deadlocked, linkSaturated bool) StallCause {
 	switch {
 	case p.Quarantined:
 		return CauseQuarantine
@@ -131,21 +131,20 @@ func (e *Engine) tickWatchdog(now time.Time) []Stall {
 	}
 	var stalls []Stall
 	for _, rt := range e.runtimes() {
-		progress := rt.Progress()
-		run := rt.RunID()
+		st := rt.Status()
 
 		// Pass 1: update per-stream progress memory and collect stall
 		// candidates past the horizon. busy/busyBlocked feed the
 		// deadlock test: only when EVERY busy stream is
 		// dependence-blocked can nothing ever finish.
 		type cand struct {
-			p  core.StreamProgress
+			p  core.StreamStatus
 			tr *streamTrack
 		}
 		var cands []cand
 		busy, busyBlocked := 0, 0
-		for _, p := range progress {
-			k := trackKey{run, p.Stream}
+		for _, p := range st.Streams {
+			k := trackKey{st.Run, p.Name}
 			tr := e.tracks[k]
 			if tr == nil {
 				tr = &streamTrack{retired: p.Retired, since: now}
@@ -159,7 +158,7 @@ func (e *Engine) tickWatchdog(now time.Time) []Stall {
 					tr.stalled = false
 					e.journal.Record(Event{
 						When: now, Kind: KindWatchdogClear,
-						Stream: p.Stream, Domain: p.Domain, Cause: tr.cause.String(),
+						Stream: p.Name, Domain: p.Domain, Cause: tr.cause.String(),
 					})
 				}
 				continue
@@ -182,7 +181,7 @@ func (e *Engine) tickWatchdog(now time.Time) []Stall {
 			if !c.tr.stalled || c.tr.cause != cause {
 				e.journal.Record(Event{
 					When: now, Kind: KindWatchdogStall, Severity: sev,
-					Stream: c.p.Stream, Domain: c.p.Domain,
+					Stream: c.p.Name, Domain: c.p.Domain,
 					Cause: cause.String(), Span: c.p.OldestAction,
 					Detail: fmt.Sprintf("no retirement for %v, depth %d", now.Sub(c.tr.since).Round(time.Millisecond), c.p.Depth),
 				})
@@ -190,9 +189,9 @@ func (e *Engine) tickWatchdog(now time.Time) []Stall {
 			}
 			c.tr.stalled, c.tr.cause = true, cause
 			stalls = append(stalls, Stall{
-				Run: run, Stream: c.p.Stream, Domain: c.p.Domain,
+				Run: st.Run, Stream: c.p.Name, Domain: c.p.Domain,
 				Cause: cause, Severity: sev,
-				Depth: c.p.Depth, Stalled: now.Sub(c.tr.since),
+				Depth: int64(c.p.Depth), Stalled: now.Sub(c.tr.since),
 				OldestAction: c.p.OldestAction,
 			})
 		}

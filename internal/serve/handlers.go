@@ -163,6 +163,10 @@ type negotiateRequest struct {
 type negotiateResponse struct {
 	// OK is true when every requirement is met.
 	OK bool `json:"ok"`
+	// Error is set when OK is false, so the 409 carries the error
+	// envelope every failed request does; MissingKernels and Mismatch
+	// say why.
+	Error string `json:"error,omitempty"`
 	// MissingKernels lists required kernels the server lacks.
 	MissingKernels []string `json:"missing_kernels,omitempty"`
 	// Mismatch describes a version or mode mismatch.
@@ -201,7 +205,7 @@ func (s *Server) handleNegotiate(w http.ResponseWriter, r *http.Request) {
 	}
 	status := http.StatusOK
 	if !resp.OK {
-		status = http.StatusConflict
+		status, resp.Error = http.StatusConflict, "serve: negotiation failed"
 	}
 	writeJSON(w, status, resp)
 }

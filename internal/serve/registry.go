@@ -17,7 +17,8 @@ type Quotas struct {
 	// < 1 default to 1.
 	Weight int `json:"weight"`
 	// MaxStreams is the tenant's stream-group size. 0 takes
-	// Options.StreamsPerTenant.
+	// Options.StreamsPerTenant; more than Options.MaxInflight is
+	// refused, since no more actions than that are ever in service.
 	MaxStreams int `json:"max_streams,omitempty"`
 	// MaxBufferBytes caps the tenant's total live buffer bytes.
 	// 0 means unlimited.
@@ -111,6 +112,9 @@ func (s *Server) Register(name string, q Quotas) (*Tenant, error) {
 	}
 	if q.Weight < 1 {
 		q.Weight = 1
+	}
+	if q.MaxStreams > s.opt.MaxInflight {
+		return nil, fmt.Errorf("serve: max_streams %d over the server's %d in-service slots", q.MaxStreams, s.opt.MaxInflight)
 	}
 	if q.MaxStreams < 1 {
 		q.MaxStreams = s.opt.StreamsPerTenant

@@ -65,6 +65,9 @@ func TestRegisterValidation(t *testing.T) {
 	if _, err := s.Register("a", Quotas{OnFull: "bounce"}); err == nil {
 		t.Fatal("bad on_full accepted")
 	}
+	if _, err := s.Register("a", Quotas{MaxStreams: 9}); err == nil {
+		t.Fatal("max_streams over the 8 in-service slots accepted")
+	}
 	if _, err := s.Register("a", Quotas{}); err != nil {
 		t.Fatal(err)
 	}
