@@ -1,8 +1,7 @@
 GO ?= go
 
 .PHONY: all build test race vet fmt golden doclint debug-smoke chaos-smoke \
-	health-smoke serve-smoke fuzz-smoke check bench clean bench-sched bench-sched-guard \
-	bench-sched-smoke bench-trace bench-telemetry bench-telemetry-smoke loc knobs
+	health-smoke serve-smoke fuzz-smoke overhead check bench clean loc knobs
 
 # DOC_PKGS are the packages held to the godoc floor by doclint: the
 # paper-critical stack plus the serving layer and the facade.
@@ -95,58 +94,26 @@ fuzz-smoke:
 		$(GO) test -run='^$$' -fuzz="^$${t#*:}$$" -fuzztime=10s ./$${t%%:*} || exit 1; \
 	done
 
+# overhead holds the observation stack and the layering to their
+# wall-clock bounds on this host: the flight recorder and the
+# trace + telemetry + health stack each within 5% of a bare tier-1
+# matmul (interleaved median of per-round ratios, re-measured once
+# when over), and an 8 MB hStreams transfer within 2x of the raw
+# fabric DMA. Each benchmark runs once and fails the run over its
+# bound. Tier-1 (go test ./...) asserts only their deterministic
+# proxies, so it cannot fail for the host's reasons; bench
+# (go run ./bench) times the scheduler and the per-layer costs.
+overhead:
+	$(GO) test -run '^$$' -bench '^Benchmark(TraceOverhead|TelemetryOverhead|Layering)$$' -benchtime 1x .
+
 # check is the pre-commit gate: build, vet, formatting, the doc lint,
-# the exposition golden, tests under the race detector, a single-shot
-# scheduler throughput smoke (function, not timing — the timing gate
-# is bench-sched-guard), the telemetry smoke, the chaos smoke, the
-# health smoke, the serving smoke, and the decoder fuzz smoke.
-check: build vet fmt doclint golden race bench-sched-smoke bench-telemetry-smoke chaos-smoke health-smoke serve-smoke fuzz-smoke
+# the exposition golden, tests under the race detector, the wall-clock
+# overhead bounds, the chaos smoke, the health smoke, the serving
+# smoke, and the decoder fuzz smoke.
+check: build vet fmt doclint golden race overhead chaos-smoke health-smoke serve-smoke fuzz-smoke
 
 bench:
 	$(GO) run ./cmd/hsbench -fig all
-
-# bench-sched measures scheduler actions/sec (best-of-N sampling lives
-# in the test) and rewrites BENCH_sched_throughput.json; commit the
-# result when the scheduler intentionally changes speed. This target
-# is the ONLY way the committed artifact gets rewritten — a plain
-# `go test ./...` measures but never writes (SCHED_BENCH_OUT unset),
-# so routine test runs cannot clobber the baseline with an outlier.
-bench-sched:
-	SCHED_BENCH_OUT=BENCH_sched_throughput.json \
-		$(GO) test -run 'TestSchedThroughputArtifact$$' -count=1 -v .
-
-# bench-sched-guard fails if a fresh measurement regresses >10%
-# against the committed artifact.
-bench-sched-guard:
-	./scripts/bench_sched.sh
-
-# bench-sched-smoke runs each throughput case once to prove the
-# benchmark workload still executes cleanly.
-bench-sched-smoke:
-	$(GO) test -bench SchedThroughput -benchtime 1x -run '^$$' .
-
-# bench-trace measures flight-recorder overhead on the tier-1 matmul
-# and rewrites BENCH_trace_overhead.json; like bench-sched, this
-# target is the only writer of the committed artifact (TRACE_BENCH_OUT
-# unset during plain test runs).
-bench-trace:
-	TRACE_BENCH_OUT=BENCH_trace_overhead.json \
-		$(GO) test -run 'TestTraceOverheadBudget$$' -count=1 -v .
-
-# bench-telemetry measures the combined trace + sampler + exemplar
-# stack against a bare run on the tier-1 matmul and rewrites
-# BENCH_telemetry_overhead.json; like the other bench targets, this is
-# the only writer of the committed artifact (TELEM_BENCH_OUT unset
-# during plain test runs).
-bench-telemetry:
-	TELEM_BENCH_OUT=BENCH_telemetry_overhead.json \
-		$(GO) test -run 'TestTelemetryOverheadBudget$$' -count=1 -v .
-
-# bench-telemetry-smoke proves a sampled run yields a fully-populated
-# timeline (rates, exemplar-carrying quantiles, utilization, links) —
-# function, not timing; the timing gate is bench-telemetry.
-bench-telemetry-smoke:
-	$(GO) test -run 'TestTimelineSmoke$$' -count=1 .
 
 # loc prints non-test, non-generated Go lines per package (bench/
 # excluded) — the figures ROADMAP and simplicity PRs quote. Not part of

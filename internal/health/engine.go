@@ -171,9 +171,9 @@ func (e *Engine) Rules() []Rule { return e.rules }
 // hstreams_health_* gauges. Designed to hang off the telemetry
 // sampler (SamplerOptions.OnSample) so verdicts ride the sampling
 // cadence; the per-tick cost is a handful of windowed store queries
-// plus one Progress snapshot per live runtime, which fits inside the
-// committed telemetry overhead budget (telemetry_overhead_test.go
-// runs the full default pack in its measured arm).
+// plus one Status snapshot per live runtime, which fits inside the
+// 5% telemetry overhead budget (BenchmarkTelemetryOverhead, run by
+// make overhead, runs the full default pack in its measured arm).
 func (e *Engine) Tick(now time.Time) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -184,6 +184,45 @@ func TestIdleTenantBanksNoCredit(t *testing.T) {
 	}
 }
 
+// TestGrantOrderFollowsWeights queues 3k submissions per tenant at
+// weights 2:1 behind a held slot. Of the first 3k grants exactly 2k go
+// to gold, and no prefix strays from 2:1 by more than one grant.
+// Saturated throughput shares over the real binary are make
+// serve-smoke's check.
+func TestGrantOrderFollowsWeights(t *testing.T) {
+	const k = 20
+	s, rt := testServer(t, Options{MaxInflight: 1})
+	_, open := gateKernel(t, rt)
+	log := newGrantLog(rt)
+	if _, err := s.Register("gold", Quotas{Weight: 2, MaxPending: 3 * k}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Register("bronze", Quotas{Weight: 1, MaxPending: 3 * k}); err != nil {
+		t.Fatal(err)
+	}
+	mustSubmit(t, s, "gold", "gate")
+	waitGold := submitTagged(t, s, "gold", 3*k)
+	waitBronze := submitTagged(t, s, "bronze", 3*k)
+	waitStatus(t, s, "gold", 1, 3*k)
+	waitStatus(t, s, "bronze", 0, 3*k)
+	open()
+	waitGold()
+	waitBronze()
+	order := string(log.order[:3*k])
+	gold := 0
+	for i, c := range order {
+		if c == 'g' {
+			gold++
+		}
+		if n := i + 1; 3*gold < 2*n-3 || 3*gold > 2*n+3 {
+			t.Fatalf("after %d grants gold holds %d, want 2:1 within one grant; order %q", n, gold, order)
+		}
+	}
+	if gold != 2*k {
+		t.Fatalf("gold holds %d of the first %d grants, want %d; order %q", gold, 3*k, 2*k, order)
+	}
+}
+
 // TestSubmitDuringRegister spins a submitter on each name while it is
 // being registered: the tenant must be invisible until its stream
 // group is complete, then serve the submission.

@@ -49,6 +49,8 @@ func FuzzServeRequests(f *testing.F) {
 		{3, `{"mode":"shadow"}`},
 		{2, `{"kernel":`},
 		{3, `[]`},
+		{0, `{"name":"a"} trailing garbage`},
+		{0, `{"name":"b"}{"name":"c"}`},
 	} {
 		f.Add(seed.sel, []byte(seed.body))
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -88,12 +89,26 @@ func writeErr(w http.ResponseWriter, err error) {
 // a submit naming many operands, is a few kilobytes.
 const maxBodyBytes = 1 << 20
 
+// errTrailingData refuses a body that holds more than one JSON value.
+var errTrailingData = errors.New("request body has data after the JSON value")
+
 // decode parses the request body into v, refusing bodies over
-// maxBodyBytes with an *http.MaxBytesError.
+// maxBodyBytes with an *http.MaxBytesError and anything but whitespace
+// after the first JSON value with errTrailingData, so a second object
+// is never silently dropped.
 func decode(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case errors.As(err, new(*http.MaxBytesError)):
+		return err
+	}
+	return errTrailingData
 }
 
 // capabilityDoc is the GET /v1/capabilities response: what this

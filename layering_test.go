@@ -6,12 +6,15 @@
 //
 //	raw fabric DMA  →  COI buffer write  →  hStreams EnqueueXfer
 //
-// — and verify that each layer's addition stays small for large
-// transfers, mirroring the paper's "<5 % overhead for transfers above
-// 1 MB" observation about the real stack.
+// — and verify that the stack adds a per-action cost, never a second
+// copy of the data: TestLayeringAddsNoCopy counts bytes in tier-1, and
+// BenchmarkLayering, run by make overhead, holds the wall clock to a
+// loose bound, mirroring the paper's "<5 % overhead for transfers
+// above 1 MB" observation about the real stack.
 package hstreams_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -69,93 +72,123 @@ func coiPath(b testing.TB, iters int) time.Duration {
 	return time.Since(start)
 }
 
-// hstreamsPath moves layerBytes through a full hStreams transfer
-// action (enqueue, dependence analysis, COI, fabric, completion).
-func hstreamsPath(b testing.TB, iters int) time.Duration {
+// hstreamsXfer builds a Real runtime with one card stream and one
+// layerBytes buffer, and returns a function that moves the buffer to
+// the card through a full hStreams transfer action (enqueue,
+// dependence analysis, COI, fabric, completion) and waits for it.
+func hstreamsXfer(tb testing.TB) (*core.Runtime, func()) {
 	rt, err := core.Init(core.Config{Machine: platform.HSWPlusKNC(1), Mode: core.ModeReal})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer rt.Fini()
 	s, err := rt.StreamCreate(rt.Card(0), 0, 8)
 	if err != nil {
-		b.Fatal(err)
+		rt.Fini()
+		tb.Fatal(err)
 	}
 	buf, err := rt.Alloc1D("x", layerBytes)
 	if err != nil {
-		b.Fatal(err)
+		rt.Fini()
+		tb.Fatal(err)
 	}
-	start := time.Now()
-	for i := 0; i < iters; i++ {
+	return rt, func() {
 		a, err := s.EnqueueXferAll(buf, core.ToSink)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := a.Wait(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
+	}
+}
+
+// hstreamsPath moves layerBytes through a full hStreams transfer
+// action.
+func hstreamsPath(b testing.TB, iters int) time.Duration {
+	rt, xfer := hstreamsXfer(b)
+	defer rt.Fini()
+	start := time.Now()
+	for i := 0; i < iters; i++ {
+		xfer()
 	}
 	return time.Since(start)
 }
 
-// TestLayeringOverheadSmall asserts the §III property on this
-// implementation: the hStreams layer's addition over the raw
-// transport stays small for large transfers. Measurements are
-// interleaved and the best-of-N taken per path so that ambient load
-// on a shared machine (other test packages run in parallel) cannot
-// skew one side.
-func TestLayeringOverheadSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("moves hundreds of MB")
-	}
-	if raceEnabled {
-		// Race instrumentation taxes the synchronization-heavy
-		// hStreams path far more than the raw memcpy path, so the
-		// wall-clock ratio below stops measuring layering overhead.
-		t.Skip("wall-clock bound is not meaningful under the race detector")
-	}
-	const iters, rounds = 8, 5
-	best := func(cur, d time.Duration) time.Duration {
-		if cur == 0 || d < cur {
-			return d
+// maxXferHeapBytes bounds the heap bytes one 8 MiB hStreams transfer
+// may allocate. It measures about 470 B in 6 objects, a per-action
+// cost; one copy of the data would be 8 MiB.
+const maxXferHeapBytes = 4 << 10
+
+// TestLayeringAddsNoCopy is the tier-1 proxy for the §III property:
+// one 8 MiB hStreams transfer puts exactly its bytes on the link and
+// allocates a per-action amount of heap, so the stack adds per-action
+// costs, never a second copy of the data.
+func TestLayeringAddsNoCopy(t *testing.T) {
+	rt, xfer := hstreamsXfer(t)
+	defer rt.Fini()
+	linkBytes := func() (n int64) {
+		for _, l := range rt.LinkStats() {
+			n += l.Bytes
 		}
-		return cur
+		return n
 	}
-	var raw, viaCOI, viaHS time.Duration
-	for r := 0; r < rounds; r++ {
-		raw = best(raw, fabricPath(t, iters))
-		viaCOI = best(viaCOI, coiPath(t, iters))
-		viaHS = best(viaHS, hstreamsPath(t, iters))
+	xfer() // the first transfer waits for the card instance
+	const iters = 16
+	before := linkBytes()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < iters; i++ {
+		xfer()
 	}
-	t.Logf("8 MB ×%d best-of-%d: fabric %v, COI %v, hStreams %v", iters, rounds, raw, viaCOI, viaHS)
-	// The paper's claim is <5% on dedicated hardware. Wall clock on a
-	// shared CI box jitters by integer factors even best-of-N, so the
-	// enforced bound is deliberately loose (2×) — the point is that
-	// the stack adds per-action costs in the microseconds, not
-	// another copy of the data; BenchmarkLayering reports the real
-	// throughput decomposition.
-	if float64(viaHS) > 2.0*float64(raw) {
-		t.Errorf("hStreams layer overhead too high: %v vs raw %v", viaHS, raw)
+	runtime.ReadMemStats(&m1)
+	if got := linkBytes() - before; got != iters*layerBytes {
+		t.Fatalf("%d transfers of %d B put %d B on the link, want exactly %d", iters, layerBytes, got, iters*layerBytes)
 	}
+	perBytes := (m1.TotalAlloc - m0.TotalAlloc) / iters
+	perObjs := (m1.Mallocs - m0.Mallocs) / iters
+	if perBytes > maxXferHeapBytes {
+		t.Fatalf("one %d-B transfer allocated %d B in %d objects, want ≤ %d B", layerBytes, perBytes, perObjs, maxXferHeapBytes)
+	}
+	t.Logf("one %d-B transfer: %d link bytes, %d heap bytes in %d objects", layerBytes, layerBytes, perBytes, perObjs)
 }
 
 // BenchmarkLayering reports per-layer throughput for the same 8 MB
-// transfer (the §III overhead decomposition).
+// transfer (the §III overhead decomposition) and fails the run when
+// the hStreams path takes more than twice the raw fabric DMA; make
+// overhead runs it once (-benchtime 1x) inside make check. Paths are
+// measured interleaved, best-of-N each, so that ambient load on a
+// shared machine cannot skew one side. The paper's claim is <5% on
+// dedicated hardware; wall clock on a shared CI box jitters by integer
+// factors even best-of-N, so the bound is deliberately loose: the
+// point is that the stack adds per-action costs in the microseconds,
+// not another copy of the data. Race instrumentation taxes the
+// synchronization-heavy hStreams path far more than the raw memcpy
+// path, so the bound is meaningless under the race detector.
 func BenchmarkLayering(b *testing.B) {
-	cases := []struct {
+	const rounds = 5
+	iters := 8 * b.N
+	paths := []struct {
 		name string
 		run  func(testing.TB, int) time.Duration
+		best time.Duration
 	}{
-		{"fabricDMA", fabricPath},
-		{"coiBufferWrite", coiPath},
-		{"hstreamsXfer", hstreamsPath},
+		{name: "fabricDMA", run: fabricPath},
+		{name: "coiBufferWrite", run: coiPath},
+		{name: "hstreamsXfer", run: hstreamsPath},
 	}
-	for _, c := range cases {
-		c := c
-		b.Run(c.name, func(b *testing.B) {
-			d := c.run(b, b.N)
-			mbps := float64(layerBytes) * float64(b.N) / d.Seconds() / 1e6
-			b.ReportMetric(mbps, "MB/s")
-		})
+	for r := 0; r < rounds; r++ {
+		for i := range paths {
+			if d := paths[i].run(b, iters); paths[i].best == 0 || d < paths[i].best {
+				paths[i].best = d
+			}
+		}
+	}
+	for _, p := range paths {
+		b.ReportMetric(float64(layerBytes)*float64(iters)/p.best.Seconds()/1e6, p.name+"_MB/s")
+	}
+	raw, viaHS := paths[0].best, paths[2].best
+	b.Logf("8 MB ×%d best-of-%d: fabric %v, COI %v, hStreams %v", iters, rounds, raw, paths[1].best, viaHS)
+	if float64(viaHS) > 2.0*float64(raw) {
+		b.Fatalf("hStreams layer overhead too high: %v vs raw %v", viaHS, raw)
 	}
 }

@@ -10,7 +10,7 @@
 #   - a flag.* definition (flag.Int, flag.StringVar, flag.Func, ...)
 #     under cmd/ or examples/,
 #   - an os.Getenv / os.LookupEnv read anywhere outside bench/, tests
-#     included (the only ones today gate the BENCH_*.json writers).
+#     included.
 #
 # Rows are "count  source"; the last row is the total. Run from the
 # repository root (make knobs). Uses only sh, find, sort and awk.
