@@ -62,13 +62,14 @@ chaos-smoke:
 health-smoke:
 	$(GO) test -run 'TestHealthSmoke$$' -count=1 -v .
 
-# serve-smoke is the serving layer's CI gate: boot hsserve with two
-# tenants at 2:1 weights, saturate both with hsbench's load mode, and
-# assert throughput shares match the weights within ±10%, queue-depth
+# serve-smoke is the serving layer's CI gate: TestServeSmoke boots
+# hsserve with two tenants at 2:1 weights, saturates both with
+# closed-loop waited submits for a fixed number of completions, and
+# asserts throughput shares match the weights within ±10%, queue-depth
 # peaks stay within the bound, the hstreams_tenant_* families are
 # populated, and SIGTERM shutdown leaks zero buffers (SERVING.md).
 serve-smoke:
-	./scripts/serve_smoke.sh
+	$(GO) test -run '^TestServeSmoke$$' -count=1 -v ./cmd/hsserve
 
 # FUZZ_TARGETS are the native fuzz targets, as package:target.
 FUZZ_TARGETS = internal/coi:FuzzDecode internal/core:FuzzDecodeCheckpoint \

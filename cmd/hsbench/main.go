@@ -65,21 +65,10 @@ func main() {
 	flag.DurationVar(&chaosOpts.backoff, "retry-backoff", 100*time.Microsecond, "base exponential backoff between re-attempts (chaos figure)")
 	flag.DurationVar(&chaosOpts.deadline, "deadline", 0, "per-action deadline across attempts in the chaos figure (0 disables)")
 	flag.IntVar(&chaosOpts.breaker, "breaker", 0, "consecutive transient failures that quarantine a domain in the chaos figure (0 disables the breaker)")
-	var load loadOptions
-	flag.StringVar(&load.url, "load-url", "", "serving load-generator mode: drive the hsserve instance at this base URL (e.g. http://127.0.0.1:8080), print a throughput summary, and exit")
-	flag.StringVar(&load.tenant, "load-tenant", "bench", "tenant to register and drive in load mode")
-	flag.IntVar(&load.weight, "load-weight", 1, "fair-share weight for the load-mode tenant")
-	flag.DurationVar(&load.duration, "load-duration", 3*time.Second, "how long load mode keeps submitting")
-	flag.IntVar(&load.concurrency, "load-concurrency", 8, "closed-loop load-mode workers (each keeps one waited submission outstanding)")
-	flag.DurationVar(&load.cost, "load-cost", 2*time.Millisecond, "per-action service time load mode requests from the spin kernel")
 	flag.Parse()
 
 	if *replayFile != "" {
 		runReplay(*replayFile)
-		return
-	}
-	if load.url != "" {
-		runLoad(load)
 		return
 	}
 

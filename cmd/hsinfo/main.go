@@ -3,37 +3,15 @@
 // to users (§II: "Domains are discoverable and enumerable to users.
 // Each domain has a set of properties…").
 //
-// With -metrics, hsinfo additionally brings the runtime up in Sim
-// mode on the selected machine, drives a small probe workload
-// (transfer → compute → transfer on every card and the host), and
-// dumps the live telemetry registry — a quick end-to-end check that
-// the observability stack sees every layer.
-//
-// With -timeline, the same probe runs under a continuous telemetry
-// sampler and the rolling-window views (rates, quantiles, utilization,
-// queues, links) are rendered — the smallest end-to-end demo of the
-// telemetry layer.
-//
-// With -health, the probe runs with the health engine riding the
-// sampler and the combined verdict (SLO rules, stall watchdog, event
-// journal) is rendered — the smallest end-to-end demo of the health
-// layer.
-//
-// Usage: hsinfo [-machine HSW+2KNC] [-metrics json|prom] [-timeline] [-health]
+// Usage: hsinfo [-machine HSW+2KNC]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
-	"hstreams/internal/core"
-	"hstreams/internal/debugserver"
-	"hstreams/internal/health"
-	"hstreams/internal/metrics"
 	"hstreams/internal/platform"
-	"hstreams/internal/telemetry"
 )
 
 func machines() map[string]*platform.Machine {
@@ -50,31 +28,9 @@ func machines() map[string]*platform.Machine {
 
 func main() {
 	name := flag.String("machine", "", "show one machine (default: all)")
-	metricsFmt := flag.String("metrics", "", "after enumeration, probe the machine in Sim mode and dump live telemetry: json or prom")
-	timeline := flag.Bool("timeline", false, "after enumeration, probe the machine in Sim mode under the continuous sampler and render the rolling-window telemetry views")
-	healthFlag := flag.Bool("health", false, "after enumeration, probe the machine in Sim mode with the health engine riding the sampler and render its verdict")
-	debugAddr := flag.String("debug-addr", "", "serve live debug endpoints on this address while hsinfo runs (port 0 picks a free port)")
-	debugLinger := flag.Duration("debug-linger", 0, "keep the debug server up this long before exiting (requires -debug-addr)")
 	flag.Parse()
 
-	if *debugAddr != "" {
-		srv, err := debugserver.Start(*debugAddr, debugserver.Options{})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hsinfo: %v\n", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Printf("debug server listening on http://%s\n", srv.Addr())
-		defer func() {
-			if *debugLinger > 0 {
-				fmt.Printf("lingering %v for debug clients\n", *debugLinger)
-				time.Sleep(*debugLinger)
-			}
-		}()
-	}
-
 	ms := machines()
-	probeMachine := "HSW+2KNC"
 	if *name != "" {
 		m, ok := ms[*name]
 		if !ok {
@@ -86,164 +42,19 @@ func main() {
 			os.Exit(1)
 		}
 		show(m)
-		probeMachine = *name
-	} else {
-		for _, n := range []string{"HSW", "HSW+1KNC", "HSW+2KNC", "IVB", "IVB+1KNC", "IVB+2KNC", "HSW+1K40"} {
-			show(ms[n])
-			fmt.Println()
-		}
+		return
 	}
-
-	if *metricsFmt != "" {
-		if err := dumpMetrics(ms[probeMachine], *metricsFmt); err != nil {
-			fmt.Fprintf(os.Stderr, "hsinfo: %v\n", err)
-			os.Exit(1)
-		}
+	for _, n := range []string{"HSW", "HSW+1KNC", "HSW+2KNC", "IVB", "IVB+1KNC", "IVB+2KNC", "HSW+1K40"} {
+		show(ms[n])
+		fmt.Println()
 	}
-	if *timeline {
-		if err := dumpTimeline(ms[probeMachine]); err != nil {
-			fmt.Fprintf(os.Stderr, "hsinfo: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *healthFlag {
-		if err := dumpHealth(ms[probeMachine]); err != nil {
-			fmt.Fprintf(os.Stderr, "hsinfo: %v\n", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// dumpHealth runs the probe workload with the full health stack over
-// private instances — registry, store, journal, engine — so the
-// rendered verdict is exactly the probe's: the health counterpart of
-// dumpTimeline.
-func dumpHealth(m *platform.Machine) error {
-	reg := metrics.New()
-	store := telemetry.NewStore(telemetry.DefWindow, telemetry.DefSlots)
-	journal := health.NewJournal(health.DefJournalCap, reg)
-	var rts []*core.Runtime
-	engine := health.New(health.Options{
-		Store:    store,
-		Registry: reg,
-		Journal:  journal,
-		Runtimes: func() []*core.Runtime { return rts },
-	})
-	sampler := telemetry.NewSampler(telemetry.SamplerOptions{
-		Registry: reg,
-		Store:    store,
-		Interval: 2 * time.Millisecond,
-		OnSample: engine.Tick,
-	})
-	rt, err := core.Init(core.Config{Machine: m, Mode: core.ModeSim, Metrics: reg, OnEvent: journal.CoreEvent})
-	if err != nil {
-		return err
-	}
-	rts = append(rts, rt)
-	sampler.Start()
-	perr := probe(rt)
-	rt.Fini()
-	sampler.Stop()
-	if perr != nil {
-		return perr
-	}
-	engine.Tick(time.Now())
-	fmt.Printf("health verdict after Sim probe of %s:\n", m)
-	fmt.Print(engine.Report().Format())
-	return nil
-}
-
-// dumpTimeline runs the probe workload under a private registry and a
-// fast continuous sampler, then renders the derived rolling-window
-// views — the telemetry counterpart of dumpMetrics.
-func dumpTimeline(m *platform.Machine) error {
-	reg := metrics.New()
-	store := telemetry.NewStore(telemetry.DefWindow, telemetry.DefSlots)
-	sampler := telemetry.NewSampler(telemetry.SamplerOptions{
-		Registry: reg,
-		Store:    store,
-		Interval: 2 * time.Millisecond,
-	})
-	rt, err := core.Init(core.Config{Machine: m, Mode: core.ModeSim, Metrics: reg})
-	if err != nil {
-		return err
-	}
-	sampler.Start()
-	perr := probe(rt)
-	rt.Fini()
-	sampler.Stop()
-	if perr != nil {
-		return perr
-	}
-	fmt.Printf("rolling-window telemetry after Sim probe of %s:\n", m)
-	fmt.Print(telemetry.Build(store, reg, 0).Format())
-	return nil
-}
-
-// dumpMetrics runs the probe workload on m under a private registry
-// and writes the resulting telemetry to stdout.
-func dumpMetrics(m *platform.Machine, format string) error {
-	if format != "json" && format != "prom" {
-		return fmt.Errorf("unknown -metrics format %q (want json or prom)", format)
-	}
-	reg := metrics.New()
-	rt, err := core.Init(core.Config{Machine: m, Mode: core.ModeSim, Metrics: reg})
-	if err != nil {
-		return err
-	}
-	if err := probe(rt); err != nil {
-		rt.Fini()
-		return err
-	}
-	rt.Fini()
-	fmt.Printf("live telemetry after Sim probe of %s:\n", m)
-	if format == "json" {
-		return reg.WriteJSON(os.Stdout)
-	}
-	return reg.WriteProm(os.Stdout)
-}
-
-// probe enqueues a transfer → compute → transfer chain on one stream
-// per domain, exercising streams, the dependence tracker, the
-// cost-model executor and (for cards) the modeled links.
-func probe(rt *core.Runtime) error {
-	const bufBytes = 4 << 20
-	for _, d := range rt.Domains() {
-		s, err := rt.StreamCreate(d, 0, d.Spec().Cores())
-		if err != nil {
-			return err
-		}
-		b, err := rt.Alloc1D(fmt.Sprintf("probe.%s", d.Spec().Name), bufBytes)
-		if err != nil {
-			return err
-		}
-		if _, err := s.EnqueueXferAll(b, core.ToSink); err != nil {
-			return err
-		}
-		// A DGEMM-class task of modest tile size, so the efficiency
-		// ramp yields a realistic rate rather than the model's floor.
-		cost := platform.Cost{Kernel: platform.KDGEMM, Flops: 1e9, Bytes: bufBytes, N: 512}
-		if _, err := s.EnqueueCompute("probe", nil, []core.Operand{b.All(core.InOut)}, cost); err != nil {
-			return err
-		}
-		if _, err := s.EnqueueXferAll(b, core.ToSource); err != nil {
-			return err
-		}
-	}
-	rt.ThreadSynchronize()
-	return rt.Err()
 }
 
 func show(m *platform.Machine) {
 	fmt.Printf("%s\n", m)
 	fmt.Printf("  %-8s %-5s %6s %8s %8s %9s %8s %8s\n",
 		"domain", "kind", "cores", "thr/core", "GHz", "peak GF/s", "mem GB", "BW GB/s")
-	for i, d := range m.Domains() {
-		role := "host"
-		if i > 0 {
-			role = fmt.Sprintf("card%d", i-1)
-		}
-		_ = role
+	for _, d := range m.Domains() {
 		fmt.Printf("  %-8s %-5s %6d %8d %8.2f %9.0f %8.0f %8.0f\n",
 			d.Name, d.Kind, d.Cores(), d.ThreadsPerCore, d.ClockGHz, d.PeakGFlops(), d.MemGB, d.MemBWGBs)
 	}

@@ -1,0 +1,179 @@
+package main
+
+import (
+	"bufio"
+	"fmt"
+	"io"
+	"net/http"
+	"os"
+	"os/exec"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"syscall"
+	"testing"
+	"time"
+)
+
+// serverArg is the argument under which the test binary re-executes
+// itself as hsserve, with the rest of its arguments as hsserve's flags.
+const serverArg = "-as-hsserve"
+
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == serverArg {
+		os.Args = append(os.Args[:1], os.Args[2:]...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestServeSmoke is the serving layer's CI gate (make serve-smoke). It
+// boots hsserve with two tenants at 2:1 weights on four in-service
+// slots, keeps eight waited 5 ms spin submits outstanding per tenant
+// until a fixed number have completed, and asserts:
+//
+//  1. completed work divides by weight: gold/bronze = 2.0 ± 10%;
+//  2. no stream's queue-depth peak exceeds -queue-depth;
+//  3. /metrics carries the tenant families, and gold's weight as 2;
+//  4. SIGTERM shuts the server down with exit 0 and zero leaked
+//     buffers (gold holds one buffer that shutdown must free).
+//
+// Every submit past the first few waits for a slot, so the ratio is
+// stride admission's under saturation, and the run length is a count,
+// not a duration.
+func TestServeSmoke(t *testing.T) {
+	const (
+		depth       = 4
+		workers     = 8 // closed-loop submitters per tenant
+		completions = 600
+	)
+	cmd := exec.Command(os.Args[0], serverArg, "-addr", "127.0.0.1:0",
+		"-max-inflight", "4", "-queue-depth", strconv.Itoa(depth),
+		"-tenant", "gold:2", "-tenant", "bronze:1")
+	cmd.Stderr = os.Stderr
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cmd.Process.Kill() }) // already reaped is fine
+	out := bufio.NewScanner(stdout)
+	var base string
+	for base == "" && out.Scan() {
+		if rest, ok := strings.CutPrefix(out.Text(), "hsserve listening on "); ok {
+			base, _, _ = strings.Cut(rest, " ")
+		}
+	}
+	if base == "" {
+		t.Fatal("hsserve exited without announcing its address")
+	}
+	logc := make(chan string, 1)
+	go func() {
+		var log strings.Builder
+		for out.Scan() {
+			log.WriteString(out.Text() + "\n")
+		}
+		logc <- log.String()
+	}()
+
+	if code := post(t, base+"/v1/tenants/gold/buffers", `{"name":"smoke","size":4096}`); code != http.StatusCreated {
+		t.Fatalf("allocating gold's buffer: HTTP %d", code)
+	}
+
+	// 1. Fair share over the first completions; a 429 (a full stream
+	// window) is submitted again.
+	submit := fmt.Sprintf(`{"kernel":"spin","args":[%d],"wait":true}`, 5*time.Millisecond)
+	var done atomic.Int64
+	ok := map[string]*atomic.Int64{"gold": new(atomic.Int64), "bronze": new(atomic.Int64)}
+	var wg sync.WaitGroup
+	for tenant, n := range ok {
+		for range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for done.Load() < completions {
+					switch code := post(t, base+"/v1/tenants/"+tenant+"/submit", submit); code {
+					case http.StatusOK:
+						if done.Add(1) <= completions {
+							n.Add(1)
+						}
+					case http.StatusTooManyRequests:
+					default:
+						t.Errorf("%s submit: HTTP %d", tenant, code)
+						return
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	g, b := ok["gold"].Load(), ok["bronze"].Load()
+	ratio := float64(g) / float64(b)
+	t.Logf("completed gold=%d bronze=%d: ratio %.3f (want 2.0 ± 10%%)", g, b, ratio)
+	if ratio < 1.8 || ratio > 2.2 {
+		t.Errorf("fair-share ratio gold/bronze = %.3f, want 2.0 ± 10%%", ratio)
+	}
+
+	// 2 and 3. Scrape /metrics.
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exposition := string(body)
+	streams := 0
+	for _, ln := range strings.Split(exposition, "\n") {
+		if rest, ok := strings.CutPrefix(ln, "hstreams_queue_depth_peak{"); ok {
+			_, v, _ := strings.Cut(rest, "} ")
+			streams++
+			if peak, err := strconv.Atoi(v); err != nil || peak > depth {
+				t.Errorf("%s: peak over the bound %d", ln, depth)
+			}
+		}
+	}
+	if streams == 0 {
+		t.Error("/metrics reports no hstreams_queue_depth_peak")
+	}
+	for _, fam := range []string{"hstreams_tenant_actions_total", "hstreams_tenant_weight",
+		"hstreams_tenant_admission_wait_seconds_count", "hstreams_buffers_live"} {
+		if !strings.Contains(exposition, "\n"+fam) {
+			t.Errorf("/metrics lacks %s", fam)
+		}
+	}
+	if !strings.Contains(exposition, "\n"+`hstreams_tenant_weight{tenant="gold"} 2`+"\n") {
+		t.Error("/metrics does not export gold's weight as 2")
+	}
+
+	// 4. Graceful shutdown.
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	log := <-logc
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("hsserve after SIGTERM: %v\n%s", err, log)
+	}
+	if !strings.Contains(log, "leaked buffers: 0") {
+		t.Fatalf("hsserve shutdown log lacks \"leaked buffers: 0\":\n%s", log)
+	}
+}
+
+// post sends a JSON body and returns the status code, draining and
+// closing the response; a transport error fails the test.
+func post(t *testing.T, url, body string) int {
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Error(err)
+		return 0
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode
+}

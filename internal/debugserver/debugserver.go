@@ -1,5 +1,5 @@
 // Package debugserver is the live observability endpoint: one opt-in
-// HTTP server (hsbench/hsinfo -debug-addr) exposing the process's
+// HTTP server (hsbench/hsserve -debug-addr) exposing the process's
 // telemetry while runs are in flight — Prometheus metrics, Go pprof
 // profiles, the causal-span flight recorder as a Chrome trace, stream
 // queue snapshots, the critical-path analysis of the latest run, and

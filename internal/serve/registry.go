@@ -63,7 +63,6 @@ type Tenant struct {
 	mInflight *metrics.Gauge
 	mPending  *metrics.Gauge
 	mBufBytes *metrics.Gauge
-	mStreams  *metrics.Gauge
 	mWeight   *metrics.Gauge
 	mWait     *metrics.Histogram
 }
@@ -153,7 +152,6 @@ func (s *Server) Register(name string, q Quotas) (*Tenant, error) {
 		mInflight: s.mets.inflight.With(name),
 		mPending:  s.mets.pending.With(name),
 		mBufBytes: s.mets.bufBytes.With(name),
-		mStreams:  s.mets.streams.With(name),
 		mWeight:   s.mets.weight.With(name),
 		mWait:     s.mets.wait.With(name),
 	}
@@ -189,7 +187,6 @@ func (s *Server) Register(name string, q Quotas) (*Tenant, error) {
 		// banked credit against incumbents.
 		t.pass = s.gpass
 		t.mWeight.Set(int64(q.Weight))
-		t.mStreams.Set(int64(len(t.streams)))
 		s.tenants[name] = t
 	}
 	s.mu.Unlock()

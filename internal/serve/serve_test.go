@@ -389,6 +389,26 @@ func TestHTTPLifecycle(t *testing.T) {
 	if !bytes.Contains(buf.Bytes(), []byte("hstreams_tenant_actions_total")) {
 		t.Fatal("/metrics missing hstreams_tenant_actions_total")
 	}
+	// Exactly the tenant families that a rule, playbook, view or test
+	// reads: no per-endpoint request counter, no stream-group gauge.
+	var tenantFams []string
+	for _, ln := range strings.Split(buf.String(), "\n") {
+		if f := strings.Fields(ln); len(f) == 4 && f[1] == "TYPE" && strings.HasPrefix(f[2], "hstreams_tenant_") {
+			tenantFams = append(tenantFams, f[2])
+		}
+	}
+	wantFams := []string{
+		"hstreams_tenant_actions_total",
+		"hstreams_tenant_admission_wait_seconds",
+		"hstreams_tenant_buffer_bytes",
+		"hstreams_tenant_inflight",
+		"hstreams_tenant_pending",
+		"hstreams_tenant_shed_total",
+		"hstreams_tenant_weight",
+	}
+	if got, want := strings.Join(tenantFams, " "), strings.Join(wantFams, " "); got != want {
+		t.Fatalf("/metrics tenant families = %s, want %s", got, want)
+	}
 
 	// Delete the tenant; its status endpoint then 404s.
 	req, _ = http.NewRequest(http.MethodDelete, hs.URL+"/v1/tenants/web", nil)
