@@ -75,8 +75,8 @@ type Action struct {
 	// Operands (compute: user-declared; transfers: the moved range).
 	ops []Operand
 
-	// Scheduling state. succs, lastSucc and slot are guarded by the
-	// owning stream's lock (for succs/lastSucc that is the lock of
+	// Scheduling state. succs, lastSucc, slot and fslot are guarded by
+	// the owning stream's lock (for succs/lastSucc that is the lock of
 	// *this* action's stream — successors are registered while holding
 	// the predecessor's stream lock). npend and state are atomic: a
 	// predecessor in another stream decrements npend without taking
@@ -86,6 +86,7 @@ type Action struct {
 	succs    []*Action
 	lastSucc uint64 // id of the newest successor; O(1) dedup stamp
 	slot     int    // index in stream.inflight; O(1) swap retirement
+	fslot    int    // index in stream.frontier, -1 once it left
 
 	// Results. fin flips after err and the timestamps are in place;
 	// doneCh is allocated lazily by the first waiter, so the hot path
@@ -312,11 +313,16 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 
 	// addDep links a behind predecessor b. Must run while holding b's
 	// stream lock; tolerates duplicates (the lastSucc stamp replaces
-	// the seed's linear succs scan) and completed predecessors.
+	// the seed's linear succs scan) and completed predecessors. A
+	// same-stream link takes b off the stream's frontier; an event
+	// edge from another stream leaves it on its own stream's.
 	nDeps := 0
 	addDep := func(b *Action, why trace.DepKind) {
 		if b == a || b.completed() || b.lastSucc == a.rec.ID {
 			return
+		}
+		if b.stream == s {
+			s.leaveFrontier(b)
 		}
 		b.lastSucc = a.rec.ID
 		b.succs = append(b.succs, a)
@@ -376,8 +382,14 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 		// extraDeps; discovery and barrier bookkeeping would invent
 		// edges the original run never had.
 	} else if a.kind == ActSync {
-		for _, b := range s.inflight {
-			addDep(b, trace.DepSync)
+		// Every incomplete action of the stream reaches a frontier
+		// member through same-stream edges and finishes no later than
+		// it, so linking behind the frontier orders the sync after the
+		// whole window. Each link takes its predecessor off the
+		// frontier; walking it from the end keeps the swap removal
+		// from moving an unvisited member.
+		for i := len(s.frontier) - 1; i >= 0; i-- {
+			addDep(s.frontier[i], trace.DepSync)
 		}
 		// The barrier dominates everything before it: later actions
 		// depend on it alone, and the epoch bump lazily invalidates
@@ -394,6 +406,8 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 	}
 	a.slot = len(s.inflight)
 	s.inflight = append(s.inflight, a)
+	a.fslot = len(s.frontier)
+	s.frontier = append(s.frontier, a)
 	depth := int64(len(s.inflight))
 	s.enqueued.Add(1)
 	s.mu.Unlock()
@@ -484,6 +498,7 @@ func (rt *Runtime) finish(a *Action, err error) {
 	moved.slot = i
 	s.inflight[last] = nil
 	s.inflight = s.inflight[:last]
+	s.leaveFrontier(a)
 	if s.barrier == a {
 		s.barrier = nil
 	}

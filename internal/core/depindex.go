@@ -19,21 +19,28 @@ package core
 //
 // A write depends on (and carves away) every overlapping last-writer
 // (WAW) and live-reader (WAR) interval; a read depends on every
-// overlapping last-writer interval (RAW) and adds itself to r. This
-// produces the transitive reduction of the seed's full hazard edge
-// set: an edge the index omits (e.g. third writer → first writer) is
-// always implied by the chain it keeps, so the FIFO semantic — and
-// the critical path the flight recorder reconstructs from the
-// recorded edges — are preserved exactly. The differential property
-// test (depindex_test.go) checks the produced edge set against an
-// independent per-cell last-writer/live-reader model.
+// overlapping last-writer interval (RAW) and adds itself to r. Along
+// each byte's chain of accesses this omits every edge the chain
+// already implies (e.g. third writer → first writer), so the FIFO
+// semantic — and the critical path the flight recorder reconstructs
+// from the recorded edges — are preserved exactly. It is not a full
+// transitive reduction: a write still links behind every live reader
+// of its bytes, even when one reader already reaches the others
+// through a chain on other bytes. The differential property test
+// (depindex_test.go) checks the produced edge set against an
+// independent per-cell last-writer/live-reader model, and the
+// transitive closure of the edges against that of the all-pairs
+// hazard set.
 //
 // Sync actions never enter the index. A sync orders against every
-// incomplete action, so enqueueing one bumps the stream's epoch
-// counter: interval sets whose epoch is stale are reset lazily on
-// next touch, because everything they describe is dominated by the
-// barrier. Actions enqueued after a sync depend on it directly (and
-// on nothing older) while it is incomplete.
+// incomplete action, but links only behind the stream's frontier (the
+// incomplete actions no later action of the stream depends on, kept
+// by enqueue and finish): every other incomplete action reaches a
+// frontier member through same-stream edges. Enqueueing a sync bumps
+// the stream's epoch counter: interval sets whose epoch is stale are
+// reset lazily on next touch, because everything they describe is
+// dominated by the barrier. Actions enqueued after a sync depend on
+// it directly (and on nothing older) while it is incomplete.
 
 // opIval is one live operand interval owned by an incomplete action.
 type opIval struct {

@@ -19,8 +19,9 @@ import (
 // model — the retained naive scan, evaluated cell by cell rather than
 // interval by interval, so the two implementations share no code.
 //
-// The index produces the transitive reduction of the seed's full
-// hazard edge set, so equality is asserted at two levels:
+// The index emits fewer edges than the seed's full hazard edge set
+// (reduced along each byte's chain of accesses; syncs link behind the
+// stream's frontier only), so equality is asserted at three levels:
 //
 //   - edge-exact against the reference model, which implements the
 //     same reduced rule independently (per byte instead of per
@@ -29,6 +30,9 @@ import (
 //     window drains, and programs stay below the drain threshold) and
 //     Real mode with gate-blocked streams (every action roots at an
 //     incomplete gate kernel, so the inflight window only grows);
+//   - order-exact in Sim mode: per stream, the transitive closure of
+//     the captured edges equals that of the naive all-pairs hazard
+//     set, whichever edges are materialized;
 //   - containment plus dynamic FIFO-semantic checks in free-running
 //     Real mode with one concurrent source per stream, where
 //     completions race enqueues and prune edges nondeterministically:
@@ -138,19 +142,22 @@ func genDiffProg(r *rand.Rand, nStreams, perStream int, sameStreamExtras bool) *
 
 // refEdges computes the expected reduced dependence-edge set of every
 // program step, independently of the scheduler: per stream and buffer
-// it tracks, byte by byte, the last writer and the readers since, and
-// a barrier id for the newest sync. It assumes nothing completes while
-// the program is enqueued.
+// it tracks, byte by byte, the last writer and the readers since, a
+// barrier id for the newest sync, and the stream's frontier — the
+// prior steps no later step of the same stream has an edge to, which
+// is what a sync links behind. It assumes nothing completes while the
+// program is enqueued.
 func refEdges(p *diffProg) []map[int]trace.DepKind {
 	type cells struct {
 		lastW   []int
 		readers []map[int]bool
 	}
 	barrier := make([]int, p.nStreams)
-	all := make([][]int, p.nStreams)
+	front := make([]map[int]bool, p.nStreams)
 	state := make([]map[int]*cells, p.nStreams)
 	for s := range state {
 		barrier[s] = -1
+		front[s] = make(map[int]bool)
 		state[s] = make(map[int]*cells)
 	}
 	cellsFor := func(s, buf int) *cells {
@@ -176,7 +183,7 @@ func refEdges(p *diffProg) []map[int]trace.DepKind {
 		}
 		s := a.stream
 		if a.kind == ActSync {
-			for _, j := range all[s] {
+			for j := range front[s] {
 				add(j, trace.DepSync)
 			}
 			barrier[s] = i
@@ -206,7 +213,12 @@ func refEdges(p *diffProg) []map[int]trace.DepKind {
 		for _, j := range a.extra {
 			add(j, trace.DepEvent)
 		}
-		all[s] = append(all[s], i)
+		for j := range e {
+			if p.acts[j].stream == s {
+				delete(front[s], j)
+			}
+		}
+		front[s][i] = true
 		exp[i] = e
 	}
 	return exp
@@ -380,6 +392,58 @@ func checkFIFOSemantic(t *testing.T, p *diffProg, acts []*Action) {
 	}
 }
 
+// sameStreamClosure returns, for every program step, the set of
+// earlier steps of its stream it transitively depends on through the
+// same-stream edges of edges (index: step, value: predecessors).
+func sameStreamClosure(p *diffProg, edges func(i int) []int) [][]bool {
+	reach := make([][]bool, len(p.acts))
+	for i, a := range p.acts {
+		reach[i] = make([]bool, len(p.acts))
+		for _, j := range edges(i) {
+			if j >= i || p.acts[j].stream != a.stream {
+				continue
+			}
+			reach[i][j] = true
+			for k, r := range reach[j] {
+				reach[i][k] = reach[i][k] || r
+			}
+		}
+	}
+	return reach
+}
+
+// checkClosure asserts that, per stream, the transitive closure of the
+// captured edges equals the closure of the naive all-pairs hazard set
+// plus the same-stream explicit deps: whichever edges the scheduler
+// materializes, the partial order they induce is the FIFO semantic's.
+func checkClosure(t *testing.T, p *diffProg, got []map[int]trace.DepKind) {
+	t.Helper()
+	captured := sameStreamClosure(p, func(i int) []int {
+		var js []int
+		for j := range got[i] {
+			js = append(js, j)
+		}
+		return js
+	})
+	naive := sameStreamClosure(p, func(i int) []int {
+		js := append([]int(nil), p.acts[i].extra...)
+		for j := 0; j < i; j++ {
+			if p.acts[j].stream == p.acts[i].stream && hazardDiff(p.acts[i], p.acts[j]) {
+				js = append(js, j)
+			}
+		}
+		return js
+	})
+	for i := range p.acts {
+		for j := range p.acts {
+			if captured[i][j] != naive[i][j] {
+				t.Errorf("act %d (%s s%d) after %d: captured order %v, naive hazard order %v",
+					i, p.acts[i].kind, p.acts[i].stream, j, captured[i][j], naive[i][j])
+			}
+		}
+	}
+}
+
 func TestDepIndexDifferentialSim(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -394,7 +458,9 @@ func TestDepIndexDifferentialSim(t *testing.T) {
 			if err := h.rt.Err(); err != nil {
 				t.Fatal(err)
 			}
-			compareExact(t, p, refEdges(p), h.capturedEdges(t))
+			got := h.capturedEdges(t)
+			compareExact(t, p, refEdges(p), got)
+			checkClosure(t, p, got)
 			checkFIFOSemantic(t, p, h.actions)
 		})
 	}

@@ -25,15 +25,22 @@ type Stream struct {
 	nCores    int
 
 	// mu is the stream's scheduling lock — the sharded replacement
-	// for the seed's global runtime lock. It guards inflight (and the
-	// slot field of its members), destroyed, the operand-interval
-	// index, and the succs/lastSucc lists of this stream's actions.
-	// The scheduler never holds two stream locks at once.
+	// for the seed's global runtime lock. It guards inflight and
+	// frontier (and the slot and fslot fields of their members),
+	// destroyed, the operand-interval index, and the succs/lastSucc
+	// lists of this stream's actions. The scheduler never holds two
+	// stream locks at once.
 	mu sync.Mutex
 	// inflight holds enqueued-but-incomplete actions; order is
 	// arbitrary (finish retires by swapping the last entry into the
 	// retiree's slot), membership is what matters.
 	inflight []*Action
+	// frontier holds the incomplete actions that no later action of
+	// the stream depends on; a sync links behind these alone. An
+	// action joins at enqueue and leaves when a same-stream successor
+	// links behind it or when it retires, both in O(1) by the same
+	// swap as inflight.
+	frontier []*Action
 	// destroyed rejects further enqueues.
 	destroyed bool
 	// index is the per-buffer operand-interval dependence index; see
@@ -177,6 +184,22 @@ func spanIdents(rt *Runtime, name string, d *Domain) [4]*trace.Ident {
 	var id [4]*trace.Ident
 	id[ActCompute], id[ActXferToSink], id[ActXferToSrc], id[ActSync] = plain, toSink, toSrc, plain
 	return id
+}
+
+// leaveFrontier takes a off the stream's frontier if it is still
+// there. Caller holds s.mu.
+func (s *Stream) leaveFrontier(a *Action) {
+	i := a.fslot
+	if i < 0 {
+		return
+	}
+	last := len(s.frontier) - 1
+	moved := s.frontier[last]
+	s.frontier[i] = moved
+	moved.fslot = i
+	s.frontier[last] = nil
+	s.frontier = s.frontier[:last]
+	a.fslot = -1
 }
 
 // ID returns the stream's integer handle — hStreams represents
