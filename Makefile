@@ -73,13 +73,15 @@ serve-smoke:
 
 # FUZZ_TARGETS are the native fuzz targets, as package:target.
 FUZZ_TARGETS = internal/coi:FuzzDecode internal/core:FuzzDecodeCheckpoint \
-	internal/fabric:FuzzAddrSpace internal/trace:FuzzFlightRecorder \
+	internal/core:FuzzDepIndex internal/fabric:FuzzAddrSpace internal/trace:FuzzFlightRecorder \
 	internal/telemetry:FuzzStoreWindow internal/serve:FuzzServeRequests
 
 # fuzz-smoke runs every target under the native fuzzer for a short,
 # fixed time each: no input may panic a decoder, and whatever it
 # accepts must re-encode to an equal value (the checkpoint target also
-# replays what it accepts); the AddrSpace target checks the allocator's
+# replays what it accepts); the dependence-index target draws a random
+# program shape and holds the Sim edge set to the per-byte reference
+# model exactly; the AddrSpace target checks the allocator's
 # invariants after every op of a random alloc/free sequence, and the
 # flight-recorder target checks a small ring against a by-value model
 # after every op of a random record/snapshot/reset sequence, and the

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"hstreams/internal/metrics"
 	"hstreams/internal/platform"
@@ -13,7 +14,9 @@ import (
 
 // Differential property test for the operand-interval dependence
 // index: randomized multi-stream programs with overlapping, adjacent
-// and disjoint operand ranges run through the real scheduler, and the
+// and disjoint operand ranges, and region-state programs (long-lived
+// whole-range reads over shuffled partial writes), run through the
+// real scheduler, and the
 // captured dependence edges (trace.Dep kinds included) are compared
 // against an independent per-byte last-writer/live-reader reference
 // model — the retained naive scan, evaluated cell by cell rather than
@@ -30,9 +33,9 @@ import (
 //     window drains, and programs stay below the drain threshold) and
 //     Real mode with gate-blocked streams (every action roots at an
 //     incomplete gate kernel, so the inflight window only grows);
-//   - order-exact in Sim mode: per stream, the transitive closure of
-//     the captured edges equals that of the naive all-pairs hazard
-//     set, whichever edges are materialized;
+//   - order-exact in Sim and gate-blocked Real mode: per stream, the
+//     transitive closure of the captured edges equals that of the
+//     naive all-pairs hazard set, whichever edges are materialized;
 //   - containment plus dynamic FIFO-semantic checks in free-running
 //     Real mode with one concurrent source per stream, where
 //     completions race enqueues and prune edges nondeterministically:
@@ -65,19 +68,43 @@ type diffProg struct {
 	acts     []diffAct
 }
 
-const diffQuantum = 8 // operand offsets/lengths land on multiples of this
+// diffShape is what genDiffProg draws a program from.
+type diffShape struct {
+	streams, perStream int
+	bufSize, quantum   int64 // operand offsets and lengths are multiples of quantum
+	syncPct            int   // weight of markers and event-waits against 85 for computes and transfers
+	// region draws each stream's steps as whole-range reads (a few
+	// partial) alternating with quantized partial writes at shuffled
+	// offsets: long-lived region operands that many short writes
+	// overlap. It has no markers and no explicit deps.
+	region bool
+	// sameStreamExtras restricts explicit deps to the enqueuing stream
+	// (required when streams are driven by concurrent sources — a
+	// cross-stream handle may not exist yet).
+	sameStreamExtras bool
+}
+
+// mixedShape is the default program: small buffers, every step kind.
+func mixedShape(streams, perStream int) diffShape {
+	return diffShape{streams: streams, perStream: perStream, bufSize: 64, quantum: 8, syncPct: 15}
+}
+
+// regionShape is the region-state program: 64 quanta per buffer, so
+// whole-range readers meet many distinct writer boundaries.
+func regionShape(streams, perStream int) diffShape {
+	return diffShape{streams: streams, perStream: perStream, bufSize: 512, quantum: 8, region: true}
+}
 
 // genDiffProg builds a random program: per stream a leading gate
-// action, then a mix of computes (1–3 operands, random access modes),
-// transfers, markers, event-waits and computes with explicit deps.
-// Operand ranges are quantized so overlapping, exactly-adjacent and
-// disjoint pairs all occur often. sameStreamExtras restricts explicit
-// deps to the enqueuing stream (required when streams are driven by
-// concurrent sources — a cross-stream handle may not exist yet).
-func genDiffProg(r *rand.Rand, nStreams, perStream int, sameStreamExtras bool) *diffProg {
-	p := &diffProg{nStreams: nStreams, nBufs: 2 * nStreams, bufSize: 64}
-	nQ := int(p.bufSize / diffQuantum)
-	for s := 0; s < nStreams; s++ {
+// action, then the steps sh describes. In the mixed shape they are a
+// mix of computes (1–3 operands, random access modes), transfers,
+// markers, event-waits and computes with explicit deps. Operand ranges
+// are quantized so overlapping, exactly-adjacent and disjoint pairs
+// all occur often.
+func genDiffProg(r *rand.Rand, sh diffShape) *diffProg {
+	p := &diffProg{nStreams: sh.streams, nBufs: 2 * sh.streams, bufSize: sh.bufSize}
+	nQ := int(p.bufSize / sh.quantum)
+	for s := 0; s < sh.streams; s++ {
 		gate := diffAct{stream: s, kind: ActCompute, gate: true}
 		for b := 0; b < p.nBufs; b++ {
 			gate.ops = append(gate.ops, diffOp{buf: b, off: 0, ln: p.bufSize, acc: InOut})
@@ -85,8 +112,8 @@ func genDiffProg(r *rand.Rand, nStreams, perStream int, sameStreamExtras bool) *
 		p.acts = append(p.acts, gate)
 	}
 	randOp := func() diffOp {
-		off := int64(r.Intn(nQ)) * diffQuantum
-		ln := int64(1+r.Intn(int((p.bufSize-off)/diffQuantum))) * diffQuantum
+		off := int64(r.Intn(nQ)) * sh.quantum
+		ln := int64(1+r.Intn(int((p.bufSize-off)/sh.quantum))) * sh.quantum
 		return diffOp{
 			buf: r.Intn(p.nBufs),
 			off: off,
@@ -94,10 +121,40 @@ func genDiffProg(r *rand.Rand, nStreams, perStream int, sameStreamExtras bool) *
 			acc: []Access{In, Out, InOut}[r.Intn(3)],
 		}
 	}
+	if sh.region {
+		// Each stream's steps touch the first two buffers; the
+		// streams are then interleaved at random, keeping each one's
+		// order.
+		steps := make([][]diffAct, sh.streams)
+		for s := range steps {
+			perm := r.Perm(nQ)
+			for n := 0; n < sh.perStream; n++ {
+				op := diffOp{buf: r.Intn(2), ln: p.bufSize, acc: In}
+				if n%2 == 1 {
+					op.off = int64(perm[n/2%nQ]) * sh.quantum
+					op.ln = min(int64(1+r.Intn(3))*sh.quantum, p.bufSize-op.off)
+					op.acc = []Access{Out, InOut}[r.Intn(2)]
+				} else if r.Intn(4) == 0 {
+					op = randOp()
+					op.buf, op.acc = r.Intn(2), In
+				}
+				steps[s] = append(steps[s], diffAct{stream: s, kind: ActCompute, ops: []diffOp{op}})
+			}
+		}
+		for left := sh.streams * sh.perStream; left > 0; left-- {
+			s := r.Intn(sh.streams)
+			for len(steps[s]) == 0 {
+				s = (s + 1) % sh.streams
+			}
+			p.acts = append(p.acts, steps[s][0])
+			steps[s] = steps[s][1:]
+		}
+		return p
+	}
 	pickExtras := func(i, s int) []int {
 		var pool []int
 		for j := 0; j < i; j++ {
-			if !sameStreamExtras || p.acts[j].stream == s {
+			if !sh.sameStreamExtras || p.acts[j].stream == s {
 				pool = append(pool, j)
 			}
 		}
@@ -110,10 +167,10 @@ func genDiffProg(r *rand.Rand, nStreams, perStream int, sameStreamExtras bool) *
 		}
 		return out
 	}
-	for n := 0; n < nStreams*perStream; n++ {
-		s := r.Intn(nStreams)
+	for n := 0; n < sh.streams*sh.perStream; n++ {
+		s := r.Intn(sh.streams)
 		i := len(p.acts)
-		switch roll := r.Intn(100); {
+		switch roll := r.Intn(85 + sh.syncPct); {
 		case roll < 70: // compute, sometimes with explicit deps
 			a := diffAct{stream: s, kind: ActCompute, ops: []diffOp{randOp()}}
 			for r.Intn(2) == 0 && len(a.ops) < 3 {
@@ -131,7 +188,7 @@ func genDiffProg(r *rand.Rand, nStreams, perStream int, sameStreamExtras bool) *
 				dir, op.acc = ToSource, In
 			}
 			p.acts = append(p.acts, diffAct{stream: s, kind: ActXferToSink, dir: dir, ops: []diffOp{op}})
-		case roll < 93: // marker
+		case roll < 85+sh.syncPct*8/15: // marker
 			p.acts = append(p.acts, diffAct{stream: s, kind: ActSync})
 		default: // event-wait (marker if nothing to wait on yet)
 			p.acts = append(p.acts, diffAct{stream: s, kind: ActSync, extra: pickExtras(i, s)})
@@ -444,55 +501,118 @@ func checkClosure(t *testing.T, p *diffProg, got []map[int]trace.DepKind) {
 	}
 }
 
+// diffSim runs p in Sim mode and asserts the captured edges equal
+// refEdges exactly, induce the naive hazard order, and executed in
+// that order.
+func diffSim(t *testing.T, p *diffProg) {
+	t.Helper()
+	h := newDiffHarness(t, p, ModeSim, func(*KernelCtx) {})
+	for i := range p.acts {
+		h.enqueueOne(t, p, i)
+	}
+	// Nothing completed while enqueueing: the engine is pumped only on
+	// waits and above-threshold drains.
+	h.rt.ThreadSynchronize()
+	if err := h.rt.Err(); err != nil {
+		t.Fatal(err)
+	}
+	got := h.capturedEdges(t)
+	compareExact(t, p, refEdges(p), got)
+	checkClosure(t, p, got)
+	checkFIFOSemantic(t, p, h.actions)
+	checkClearedSlots(t, h)
+}
+
+// checkClearedSlots asserts that every slot past the end of an
+// interval set's lists is zero: whatever a reset, a drop or a
+// replacement removed no longer pins its action.
+func checkClearedSlots(t *testing.T, h *diffHarness) {
+	t.Helper()
+	for si, s := range h.streams {
+		s.mu.Lock()
+		for b, iv := range s.index {
+			for name, list := range map[string][]opIval{"w": iv.w, "r": iv.r} {
+				for k, n := range list[len(list):cap(list)] {
+					if n != (opIval{}) {
+						t.Errorf("stream %d buf %s: %s[%d] past len %d holds a record of action %d",
+							si, b.name, name, len(list)+k, len(list), n.act.ID())
+					}
+				}
+			}
+		}
+		s.mu.Unlock()
+	}
+}
+
 func TestDepIndexDifferentialSim(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			p := genDiffProg(rand.New(rand.NewSource(seed)), 4, 60, false)
-			h := newDiffHarness(t, p, ModeSim, func(*KernelCtx) {})
-			for i := range p.acts {
-				h.enqueueOne(t, p, i)
-			}
-			// Nothing completed while enqueueing: the engine is pumped
-			// only on waits and above-threshold drains.
-			h.rt.ThreadSynchronize()
-			if err := h.rt.Err(); err != nil {
-				t.Fatal(err)
-			}
-			got := h.capturedEdges(t)
-			compareExact(t, p, refEdges(p), got)
-			checkClosure(t, p, got)
-			checkFIFOSemantic(t, p, h.actions)
+			diffSim(t, genDiffProg(rand.New(rand.NewSource(seed)), mixedShape(4, 60)))
+		})
+		t.Run(fmt.Sprintf("region%d", seed), func(t *testing.T) {
+			diffSim(t, genDiffProg(rand.New(rand.NewSource(seed)), regionShape(2, 150)))
 		})
 	}
 }
 
 func TestDepIndexDifferentialRealGated(t *testing.T) {
+	run := func(t *testing.T, p *diffProg) {
+		release := make(chan struct{})
+		h := newDiffHarness(t, p, ModeReal, func(*KernelCtx) { <-release })
+		for i := range p.acts {
+			h.enqueueOne(t, p, i)
+		}
+		// Every stream's actions root at its gate, which is still
+		// blocked: the inflight window only grew, so the captured edges
+		// must match the no-completions reference exactly.
+		close(release)
+		h.rt.ThreadSynchronize()
+		if err := h.rt.Err(); err != nil {
+			t.Fatal(err)
+		}
+		got := h.capturedEdges(t)
+		compareExact(t, p, refEdges(p), got)
+		checkClosure(t, p, got)
+		checkFIFOSemantic(t, p, h.actions)
+	}
 	for seed := int64(10); seed < 13; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			p := genDiffProg(rand.New(rand.NewSource(seed)), 4, 40, false)
-			release := make(chan struct{})
-			h := newDiffHarness(t, p, ModeReal, func(*KernelCtx) { <-release })
-			for i := range p.acts {
-				h.enqueueOne(t, p, i)
-			}
-			// Every stream's actions root at its gate, which is still
-			// blocked: the inflight window only grew, so the captured
-			// edges must match the no-completions reference exactly.
-			close(release)
-			h.rt.ThreadSynchronize()
-			if err := h.rt.Err(); err != nil {
-				t.Fatal(err)
-			}
-			compareExact(t, p, refEdges(p), h.capturedEdges(t))
-			checkFIFOSemantic(t, p, h.actions)
+			run(t, genDiffProg(rand.New(rand.NewSource(seed)), mixedShape(4, 40)))
+		})
+		t.Run(fmt.Sprintf("region%d", seed), func(t *testing.T) {
+			run(t, genDiffProg(rand.New(rand.NewSource(seed)), regionShape(2, 100)))
 		})
 	}
+}
+
+// FuzzDepIndex draws the generator's seed and shape from the input and
+// holds the Sim edge set to refEdges exactly.
+func FuzzDepIndex(f *testing.F) {
+	f.Add(int64(0), uint8(4), uint8(8), uint8(8), uint8(15), false)
+	f.Add(int64(1), uint8(2), uint8(64), uint8(8), uint8(0), true)
+	f.Add(int64(2), uint8(1), uint8(200), uint8(3), uint8(4), false)
+	f.Fuzz(func(t *testing.T, seed int64, streams, quanta, quantum, syncPct uint8, region bool) {
+		sh := diffShape{
+			streams:   1 + int(streams%4),
+			perStream: 40,
+			quantum:   1 + int64(quantum%16),
+			syncPct:   int(syncPct % 31),
+			region:    region,
+		}
+		sh.bufSize = sh.quantum * (1 + int64(quanta%128))
+		if region {
+			sh.perStream = 80
+		}
+		diffSim(t, genDiffProg(rand.New(rand.NewSource(seed)), sh))
+	})
 }
 
 func TestDepIndexDifferentialRealFree(t *testing.T) {
 	for seed := int64(20); seed < 23; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			p := genDiffProg(rand.New(rand.NewSource(seed)), 4, 40, true)
+			sh := mixedShape(4, 40)
+			sh.sameStreamExtras = true
+			p := genDiffProg(rand.New(rand.NewSource(seed)), sh)
 			h := newDiffHarness(t, p, ModeReal, func(*KernelCtx) {})
 			// One concurrent source per stream; completions race
 			// enqueues, so edges to already-completed predecessors are
@@ -556,5 +676,109 @@ func TestDepIndexDifferentialRealFree(t *testing.T) {
 			}
 			checkFIFOSemantic(t, p, h.actions)
 		})
+	}
+}
+
+// tileShape enqueues depth actions on one Sim card stream over one
+// buffer of 64-B tiles, touching the tiles in a seeded permutation,
+// and returns the time spent in EnqueueCompute and the dependence
+// edges the actions got (their pending count: nothing completes below
+// the Sim drain threshold). region alternates a
+// whole-buffer read with a write of the next tile (depth/2 tiles);
+// otherwise every action writes its own tile (depth tiles, disjoint).
+// each, if non-nil, runs after every enqueue.
+func tileShape(tb testing.TB, depth int, region bool, each func(*Stream, Operand)) (enq time.Duration, edges int64) {
+	tb.Helper()
+	const tile = 64
+	rt, err := Init(Config{
+		Machine:            platform.HSWPlusKNC(1),
+		Mode:               ModeSim,
+		Metrics:            metrics.New(),
+		DisableCausalTrace: true,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer rt.Fini()
+	s, err := rt.StreamCreate(rt.Card(0), 0, 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tiles := depth
+	if region {
+		tiles = depth / 2
+	}
+	b, err := rt.Alloc1D("region", int64(tiles)*tile)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	perm := rand.New(rand.NewSource(7)).Perm(tiles)
+	for i, k := 0, 0; i < depth; i++ {
+		op := b.Range(0, b.Size(), In)
+		if !region || i%2 == 1 {
+			op = b.Range(int64(perm[k])*tile, tile, Out)
+			k++
+		}
+		t0 := time.Now()
+		a, err := s.EnqueueCompute("nop", nil, []Operand{op}, platform.Cost{})
+		enq += time.Since(t0)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		edges += int64(a.npend.Load())
+		if each != nil {
+			each(s, op)
+		}
+	}
+	rt.ThreadSynchronize()
+	return enq, edges
+}
+
+// TestDepIndexRegionBounded is the output-sensitivity proxy: on the
+// region-state shape (whole-region reads alternating with single-tile
+// writes in shuffled order, 3,000 tiles) the index never holds more
+// than indexSlack × (live actions + distinct operand boundaries)
+// records. A reader set that splits every live reader around each
+// written tile holds ~n²/8 records instead.
+func TestDepIndexRegionBounded(t *testing.T) {
+	const n, indexSlack = 3000, 2
+	bounds := map[int64]bool{}
+	worst := 0.0
+	tileShape(t, 2*n, true, func(s *Stream, op Operand) {
+		bounds[op.Off], bounds[op.Off+op.Len] = true, true
+		s.mu.Lock()
+		iv := s.index[op.Buf]
+		records, live := len(iv.w)+len(iv.r), len(s.inflight)
+		s.mu.Unlock()
+		if limit := indexSlack * (live + len(bounds)); records > limit {
+			t.Fatalf("index holds %d records, over %d × (%d live + %d boundaries)",
+				records, indexSlack, live, len(bounds))
+		}
+		worst = max(worst, float64(records)/float64(live+len(bounds)))
+	})
+	t.Logf("worst records / (live + boundaries) = %.2f", worst)
+}
+
+// BenchmarkEnqueueAtDepth reports the mean enqueue cost of a Sim stream
+// whose window grows to each depth (nothing completes below the Sim
+// drain threshold), for the region-state shape and for disjoint tile
+// writes. It reports edges/enqueue beside ns/enqueue: in the region
+// shape every action links behind the live half of the window, so its
+// edges, and the work they carry, grow with depth whatever the index
+// costs.
+func BenchmarkEnqueueAtDepth(b *testing.B) {
+	for _, shape := range []string{"region", "disjoint"} {
+		for _, depth := range []int{256, 1024, 4000} {
+			b.Run(fmt.Sprintf("%s/depth=%d", shape, depth), func(b *testing.B) {
+				var enq time.Duration
+				var edges int64
+				for i := 0; i < b.N; i++ {
+					t, e := tileShape(b, depth, shape == "region", nil)
+					enq, edges = enq+t, edges+e
+				}
+				b.ReportMetric(float64(enq.Nanoseconds())/float64(b.N*depth), "ns/enqueue")
+				b.ReportMetric(float64(edges)/float64(b.N*depth), "edges/enqueue")
+			})
+		}
 	}
 }

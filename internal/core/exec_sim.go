@@ -97,8 +97,10 @@ func (se *simExec) launch(a *Action) {
 
 // Inflight thresholds: when a stream's incomplete-action window grows
 // past high, the executor pumps completions until it shrinks below
-// low, keeping the per-enqueue dependence scan bounded for programs
-// with hundreds of thousands of actions.
+// low. This bounds what a window holds — its actions, their index
+// records and successor lists — for programs with hundreds of
+// thousands of actions. It does not bound the index's per-operand
+// cost, which never depended on the window (depindex.go).
 const (
 	simInflightHigh = 4096
 	simInflightLow  = 1024

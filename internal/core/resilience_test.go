@@ -407,7 +407,7 @@ func TestBreakerFlushAfterFree(t *testing.T) {
 func TestFIFOSemanticUnderFaults(t *testing.T) {
 	for seed := int64(30); seed < 33; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			p := genDiffProg(rand.New(rand.NewSource(seed)), 3, 25, false)
+			p := genDiffProg(rand.New(rand.NewSource(seed)), mixedShape(3, 25))
 			reg := metrics.New()
 			inj := fault.NewInjector(fault.Plan{
 				Seed:          uint64(seed),

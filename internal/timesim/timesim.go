@@ -14,7 +14,6 @@
 package timesim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -25,7 +24,7 @@ import (
 type Engine struct {
 	now    time.Duration
 	seq    uint64
-	events eventHeap
+	events []event // binary min-heap in (at, seq) order
 	fired  uint64
 }
 
@@ -48,8 +47,7 @@ func (e *Engine) At(t time.Duration, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("timesim: scheduling event at %v before now %v", t, e.now))
 	}
-	e.seq++
-	heap.Push(&e.events, event{at: t, seq: e.seq, fn: fn})
+	e.push(t, fn)
 }
 
 // After schedules fn to run d from now. Negative d panics.
@@ -65,8 +63,7 @@ func (e *Engine) Post(t time.Duration, fn func()) {
 	if t < e.now {
 		t = e.now
 	}
-	e.seq++
-	heap.Push(&e.events, event{at: t, seq: e.seq, fn: fn})
+	e.push(t, fn)
 }
 
 // Step fires the earliest pending event, advancing the clock to its
@@ -75,7 +72,7 @@ func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(event)
+	ev := e.pop()
 	e.now = ev.at
 	e.fired++
 	ev.fn()
@@ -109,21 +106,61 @@ type event struct {
 	fn  func()
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// before is the firing order: by time, ties in scheduling order. seq
+// is unique, so the order is total and every run fires identically.
+func (ev *event) before(o *event) bool {
+	return ev.at < o.at || ev.at == o.at && ev.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	*h = old[:n-1]
-	return ev
+
+// push adds an event for fn at t, moving parents down into the hole
+// until its slot is found.
+func (e *Engine) push(t time.Duration, fn func()) {
+	e.seq++
+	ev := event{at: t, seq: e.seq, fn: fn}
+	e.events = append(e.events, event{})
+	h := e.events
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = ev
+}
+
+// pop removes and returns the earliest event: the last event moves
+// into the hole the root leaves, sinking below earlier children. The
+// vacated slot is cleared so the heap does not keep a fired fn
+// reachable.
+func (e *Engine) pop() event {
+	h := e.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{}
+	h = h[:n]
+	e.events = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = last
+	return top
 }

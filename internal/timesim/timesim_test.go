@@ -2,10 +2,12 @@ package timesim
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
 	"time"
+	"weak"
 )
 
 func TestEngineOrdersByTime(t *testing.T) {
@@ -277,4 +279,110 @@ func TestPostClampsPastEvents(t *testing.T) {
 	if firedAt != 20*time.Millisecond {
 		t.Fatalf("future Post fired at %v, want 20ms", firedAt)
 	}
+}
+
+// Post and Step allocate nothing once the heap has grown: the events
+// live by value in the engine's slice.
+func TestPostStepAllocFree(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		e.Post(time.Duration(i), fn)
+	}
+	e.Drain()
+	allocs := testing.AllocsPerRun(1000, func() {
+		for i := 0; i < 16; i++ {
+			e.Post(e.Now()+time.Duration(i%5), fn)
+		}
+		for i := 0; i < 16; i++ {
+			e.Step()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Post+Step allocate %v times per 16 events, want 0", allocs)
+	}
+}
+
+// Seeded interleavings of At, Post (past times included), Step and
+// events that schedule events fire in the order a stable sort of the
+// pending events by time gives at every step — (at, seq) order.
+func TestEngineOrderMatchesStableSort(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine()
+		type pend struct {
+			at time.Duration
+			id int
+		}
+		var pending []pend // in scheduling order
+		var got []int
+		next := 0
+		var schedule func(post bool)
+		schedule = func(post bool) {
+			id := next
+			next++
+			at := e.Now() + time.Duration(rng.Intn(8))
+			if post {
+				at -= time.Duration(rng.Intn(8)) // may lie in the past
+			}
+			fn := func() {
+				got = append(got, id)
+				if rng.Intn(4) == 0 {
+					schedule(rng.Intn(2) == 0)
+				}
+			}
+			if post {
+				e.Post(at, fn)
+				at = max(at, e.Now())
+			} else {
+				e.At(at, fn)
+			}
+			pending = append(pending, pend{at, id})
+		}
+		for op := 0; op < 2000; op++ {
+			if rng.Intn(3) > 0 {
+				schedule(rng.Intn(2) == 0)
+				continue
+			}
+			if len(pending) == 0 {
+				if e.Step() {
+					t.Fatal("Step fired with nothing pending")
+				}
+				continue
+			}
+			sort.SliceStable(pending, func(i, j int) bool { return pending[i].at < pending[j].at })
+			want := pending[0]
+			pending = pending[1:]
+			n := len(got)
+			if !e.Step() || len(got) != n+1 || got[n] != want.id || e.Now() != want.at {
+				t.Fatalf("seed %d op %d: fired %v at %v, want event %d at %v", seed, op, got[n:], e.Now(), want.id, want.at)
+			}
+		}
+		if e.Pending() != len(pending) {
+			t.Fatalf("seed %d: Pending = %d, want %d", seed, e.Pending(), len(pending))
+		}
+	}
+}
+
+// A fired event's fn is unreachable from the engine once Step
+// returns: the heap clears the slot it vacates, and no stale copy of
+// a moved event stays behind past its end.
+func TestStepDropsFiredEvent(t *testing.T) {
+	e := NewEngine()
+	early, late := postHolding(e, 0), postHolding(e, 1)
+	e.Step()
+	e.Step()
+	runtime.GC()
+	if early.Value() != nil || late.Value() != nil {
+		t.Fatal("a fired event's closure is still reachable from the engine")
+	}
+	runtime.KeepAlive(e)
+}
+
+// postHolding posts an event whose fn holds the only reference to a
+// fresh object, and returns a weak pointer to that object.
+func postHolding(e *Engine, at time.Duration) weak.Pointer[[64]byte] {
+	obj := new([64]byte)
+	e.Post(at, func() { obj[0]++ })
+	return weak.Make(obj)
 }
