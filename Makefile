@@ -1,7 +1,7 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt golden doclint debug-smoke chaos-smoke \
-	health-smoke serve-smoke fuzz-smoke overhead check bench clean loc knobs
+.PHONY: all build test race vet fmt golden doclint fuzz-smoke overhead check \
+	bench clean loc knobs
 
 # DOC_PKGS are the packages held to the godoc floor by doclint: the
 # paper-critical stack plus the serving layer and the facade.
@@ -41,35 +41,6 @@ golden:
 # package comment) in the paper-critical packages.
 doclint:
 	$(GO) run ./scripts/doclint $(DOC_PKGS)
-
-# debug-smoke boots hsbench with the live debug server and asserts
-# every endpoint answers 200 with plausible content.
-debug-smoke:
-	./scripts/debug_smoke.sh
-
-# chaos-smoke runs the Real-mode hetero matmul under the seeded fault
-# injector (retry and breaker profiles) and asserts the result still
-# verifies with a nonzero number of injected faults — the resilience
-# layer's CI gate (OPERATIONS.md).
-chaos-smoke:
-	./scripts/chaos_smoke.sh
-
-# health-smoke drives a seeded chaos-profile run under the health
-# engine end-to-end: the breaker-trip and quarantine rules must take
-# /debug/health ok→critical (readiness probe failing), the journal
-# must record the deterministic event skeleton, and the verdict must
-# recover to ok after the runtime finalizes (OPERATIONS.md).
-health-smoke:
-	$(GO) test -run 'TestHealthSmoke$$' -count=1 -v .
-
-# serve-smoke is the serving layer's CI gate: TestServeSmoke boots
-# hsserve with two tenants at 2:1 weights, saturates both with
-# closed-loop waited submits for a fixed number of completions, and
-# asserts throughput shares match the weights within ±10%, queue-depth
-# peaks stay within the bound, the hstreams_tenant_* families are
-# populated, and SIGTERM shutdown leaks zero buffers (SERVING.md).
-serve-smoke:
-	$(GO) test -run '^TestServeSmoke$$' -count=1 -v ./cmd/hsserve
 
 # FUZZ_TARGETS are the native fuzz targets, as package:target.
 FUZZ_TARGETS = internal/coi:FuzzDecode internal/core:FuzzDecodeCheckpoint \
@@ -111,9 +82,11 @@ overhead:
 
 # check is the pre-commit gate: build, vet, formatting, the doc lint,
 # the exposition golden, tests under the race detector, the wall-clock
-# overhead bounds, the chaos smoke, the health smoke, the serving
-# smoke, and the decoder fuzz smoke.
-check: build vet fmt doclint golden race overhead chaos-smoke health-smoke serve-smoke fuzz-smoke
+# overhead bounds, and the decoder fuzz smoke. The end-to-end gates
+# are Go tests that race runs once each: TestChaosGate and
+# TestDebugGate (cmd/hsbench), TestHealthSmoke (.) and TestServeSmoke
+# (cmd/hsserve).
+check: build vet fmt doclint golden race overhead fuzz-smoke
 
 bench:
 	$(GO) run ./cmd/hsbench -fig all

@@ -17,9 +17,13 @@
 // The extra "chaos" figure (not part of -fig all) runs the Real-mode
 // hetero matmul under the deterministic fault injector and verifies
 // the result bit-for-bit against the reference product — the
-// resilience layer's end-to-end gate (see OPERATIONS.md and `make
-// chaos-smoke`). Tune it with -faults, -fault-seed, -retry,
+// resilience layer's end-to-end gate (see OPERATIONS.md and
+// TestChaosGate). Tune it with -faults, -fault-seed, -retry,
 // -retry-backoff, -deadline and -breaker.
+//
+// -debug-addr serves the live debug endpoints while the figures run;
+// TestDebugGate checks them. A batch run's end-of-run views come from
+// -metrics, -trace, -critpath, -timeline and -health.
 package main
 
 import (
@@ -52,7 +56,6 @@ func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: 3, 6, 7, 8, 9, overhead, ompss, rtm, tuning, lu, all, chaos")
 	metricsFile := flag.String("metrics", "", "write accumulated runtime telemetry to this file in Prometheus text format ('-' for stdout)")
 	debugAddr := flag.String("debug-addr", "", "serve live debug endpoints (/metrics, /debug/pprof, /debug/trace, /debug/streams, /debug/critpath, /debug/timeline, /debug/health, /debug/events) on this address, e.g. 127.0.0.1:6060 (port 0 picks a free port)")
-	debugLinger := flag.Duration("debug-linger", 0, "keep the debug server up this long after the figures finish (requires -debug-addr)")
 	critpath := flag.Bool("critpath", false, "print the critical-path report of the last schedule after the figures finish")
 	traceFile := flag.String("trace", "", "write the flight recorder's retained spans as Chrome trace JSON to this file (load in Perfetto for dependency arrows)")
 	timeline := flag.Bool("timeline", false, "sample the registry continuously and print the rolling-window telemetry views (rates, quantiles, utilization, queues, links) after the figures finish")
@@ -62,7 +65,7 @@ func main() {
 	flag.Float64Var(&chaosOpts.prob, "faults", 0, "fault-injection probability for transfer and kernel faults in the chaos figure (0 uses its default)")
 	flag.Uint64Var(&chaosOpts.seed, "fault-seed", 1, "seed for the deterministic fault injector (chaos figure)")
 	flag.IntVar(&chaosOpts.retry, "retry", 0, "max re-attempts per transiently failing action in the chaos figure (0 uses its default)")
-	flag.DurationVar(&chaosOpts.backoff, "retry-backoff", 100*time.Microsecond, "base exponential backoff between re-attempts (chaos figure)")
+	flag.DurationVar(&chaosOpts.backoff, "retry-backoff", chaosBackoff, "base exponential backoff between re-attempts (chaos figure)")
 	flag.DurationVar(&chaosOpts.deadline, "deadline", 0, "per-action deadline across attempts in the chaos figure (0 disables)")
 	flag.IntVar(&chaosOpts.breaker, "breaker", 0, "consecutive transient failures that quarantine a domain in the chaos figure (0 disables the breaker)")
 	flag.Parse()
@@ -72,35 +75,11 @@ func main() {
 		return
 	}
 
-	// The health engine rides the sampler: its journal captures every
-	// runtime's lifecycle events via the process-wide hook, and the
-	// sampler's OnSample drives rule evaluation and the watchdog on the
-	// sampling cadence.
-	var engine *health.Engine
-	if *healthFlag || *debugAddr != "" {
-		engine = health.New(health.Options{})
-		core.SetDefaultEventHook(engine.Journal().CoreEvent)
-	}
-
-	// The sampler feeds the process-wide telemetry store; it runs
-	// whenever something will read it — the -timeline or -health
-	// rendering, or the debug server's /debug/timeline and
-	// /debug/health endpoints.
-	var sampler *telemetry.Sampler
-	if *timeline || *healthFlag || *debugAddr != "" {
-		opts := telemetry.SamplerOptions{Interval: 100 * time.Millisecond}
-		if engine != nil {
-			opts.OnSample = engine.Tick
-		}
-		sampler = telemetry.NewSampler(opts)
-		sampler.Start()
-	}
-
-	if *debugAddr != "" {
-		srv, err := debugserver.Start(*debugAddr, debugserver.Options{Health: engine})
-		check(err)
-		defer srv.Close()
-		fmt.Printf("debug server listening on http://%s\n", srv.Addr())
+	obs, err := observe(*healthFlag, *timeline, *debugAddr)
+	check(err)
+	if obs.debug != nil {
+		defer obs.debug.Close()
+		fmt.Printf("debug server listening on http://%s\n", obs.debug.Addr())
 	}
 
 	runs := map[string]func(){
@@ -130,15 +109,15 @@ func main() {
 		f()
 	}
 	telemetrySummary()
-	if sampler != nil {
-		sampler.Stop() // takes the final end-of-run sample
+	if obs.sampler != nil {
+		obs.sampler.Stop() // takes the final end-of-run sample
 	}
 	if *timeline {
-		fmt.Print(telemetry.Build(sampler.Store(), metrics.Default(), 0).Format())
+		fmt.Print(telemetry.Build(obs.sampler.Store(), metrics.Default(), 0).Format())
 	}
 	if *healthFlag {
-		engine.Tick(time.Now()) // final verdict over the end-of-run window
-		fmt.Print(engine.Report().Format())
+		obs.engine.Tick(time.Now()) // final verdict over the end-of-run window
+		fmt.Print(obs.engine.Report().Format())
 	}
 	if *checkpointFile != "" {
 		check(writeCheckpoint(*checkpointFile))
@@ -153,10 +132,45 @@ func main() {
 	if *traceFile != "" {
 		check(writeChromeTrace(*traceFile))
 	}
-	if *debugAddr != "" && *debugLinger > 0 {
-		fmt.Printf("lingering %v for debug clients\n", *debugLinger)
-		time.Sleep(*debugLinger)
+}
+
+// observers is hsbench's observation wiring: the health engine, fed
+// every runtime's lifecycle events through the process-wide hook; the
+// sampler, which feeds the process-wide telemetry store and ticks the
+// engine on its cadence; and the live debug server over both. Each is
+// nil unless something will read it.
+type observers struct {
+	engine  *health.Engine
+	sampler *telemetry.Sampler
+	debug   *debugserver.Server
+}
+
+// observe starts the observers the -health, -timeline and -debug-addr
+// flags ask for. The engine runs for -health or the debug server's
+// /debug/health; the sampler for any of the three. The caller stops
+// the sampler (its final end-of-run sample) and closes the server.
+func observe(healthOn, timeline bool, debugAddr string) (*observers, error) {
+	var o observers
+	if healthOn || debugAddr != "" {
+		o.engine = health.New(health.Options{})
+		core.SetDefaultEventHook(o.engine.Journal().CoreEvent)
 	}
+	if debugAddr != "" {
+		srv, err := debugserver.Start(debugAddr, debugserver.Options{Health: o.engine})
+		if err != nil {
+			return nil, err
+		}
+		o.debug = srv
+	}
+	if timeline || o.engine != nil {
+		opts := telemetry.SamplerOptions{Interval: 100 * time.Millisecond}
+		if o.engine != nil {
+			opts.OnSample = o.engine.Tick
+		}
+		o.sampler = telemetry.NewSampler(opts)
+		o.sampler.Start()
+	}
+	return &o, nil
 }
 
 // telemetrySummary prints a one-line digest of the process-wide
@@ -582,40 +596,56 @@ func tuning() {
 	}
 }
 
-// chaosOpts carries the chaos figure's flag values.
-var chaosOpts struct {
-	prob     float64
+// chaosOptions are the chaos figure's settings, one field per flag.
+type chaosOptions struct {
+	prob     float64 // 0 uses 0.05
 	seed     uint64
-	retry    int
+	retry    int // 0 uses 8
 	backoff  time.Duration
 	deadline time.Duration
 	breaker  int
 }
 
-// chaos runs the Real-mode hetero matmul with the deterministic fault
-// injector installed and verifies the result against the reference
-// product — proving the resilience layer delivers correct answers
-// under transfer/kernel faults, not just that it retries. A private
-// metrics registry isolates this run's counters so the printed line is
-// exactly the chaos run's accounting. Exits nonzero on any failure.
-func chaos() {
-	prob := chaosOpts.prob
-	if prob <= 0 {
-		prob = 0.05
+// chaosBackoff is -retry-backoff's default.
+const chaosBackoff = 100 * time.Microsecond
+
+// chaosOpts carries the chaos figure's flag values.
+var chaosOpts chaosOptions
+
+// withDefaults resolves the zero values that select a default.
+func (o chaosOptions) withDefaults() chaosOptions {
+	if o.prob <= 0 {
+		o.prob = 0.05
 	}
-	retry := chaosOpts.retry
-	if retry <= 0 {
-		retry = 8
+	if o.retry <= 0 {
+		o.retry = 8
 	}
+	return o
+}
+
+// chaosResult is a chaos run's accounting, the counters its summary
+// line prints.
+type chaosResult struct {
+	verify                                                       error // nil when the product matched the reference
+	retries, deadlineHits, faultsInjected, reroutes, quarantines float64
+	gflops                                                       float64
+}
+
+// runChaos runs the Real-mode hetero matmul with the deterministic
+// fault injector installed and verifies the result against the
+// reference product — proving the resilience layer delivers correct
+// answers under transfer/kernel faults, not just that it retries. A
+// private metrics registry isolates this run's counters, so the result
+// is exactly the chaos run's accounting.
+func runChaos(o chaosOptions) chaosResult {
+	o = o.withDefaults()
 	plan := fault.Plan{
-		Seed:          chaosOpts.seed,
-		TransferError: prob,
-		KernelError:   prob,
-		SlowLink:      prob,
+		Seed:          o.seed,
+		TransferError: o.prob,
+		KernelError:   o.prob,
+		SlowLink:      o.prob,
 		SlowLatency:   50 * time.Microsecond,
 	}
-	fmt.Printf("== chaos: Real-mode hetero matmul under faults (p=%.3f seed=%d retry=%d deadline=%v breaker=%d) ==\n",
-		prob, plan.Seed, retry, chaosOpts.deadline, chaosOpts.breaker)
 	reg := metrics.New()
 	inj := fault.NewInjector(plan, reg)
 	a, err := app.Init(app.Options{
@@ -626,29 +656,44 @@ func chaos() {
 		Metrics:        reg,
 		Faults:         inj,
 		Retry: core.RetryPolicy{
-			Max: retry, Backoff: chaosOpts.backoff, BackoffMax: 50 * chaosOpts.backoff,
+			Max: o.retry, Backoff: o.backoff, BackoffMax: 50 * o.backoff,
 			Jitter: 0.5, Seed: plan.Seed,
 		},
-		Deadline: chaosOpts.deadline,
-		Breaker:  core.BreakerPolicy{Threshold: chaosOpts.breaker},
+		Deadline: o.deadline,
+		Breaker:  core.BreakerPolicy{Threshold: o.breaker},
 	})
-	check(err)
+	if err != nil {
+		return chaosResult{verify: err}
+	}
 	matmul.RegisterExtra(a.RT)
 	res, err := matmul.Run(a, matmul.Config{N: 96, Tile: 12, UseHost: true, LoadBalance: true, Verify: true})
 	a.Fini()
+	return chaosResult{
+		verify:         err,
+		retries:        reg.Total("hstreams_retries_total"),
+		deadlineHits:   reg.Total("hstreams_deadline_exceeded_total"),
+		faultsInjected: reg.Total("hstreams_faults_injected_total"),
+		reroutes:       reg.Total("hstreams_rerouted_total"),
+		quarantines:    reg.Total("hstreams_breaker_trips_total"),
+		gflops:         res.GFlops,
+	}
+}
+
+// chaos is the -fig chaos figure: runChaos under the flag values,
+// printed as one summary line. Exits nonzero when the result does not
+// verify.
+func chaos() {
+	o := chaosOpts.withDefaults()
+	fmt.Printf("== chaos: Real-mode hetero matmul under faults (p=%.3f seed=%d retry=%d deadline=%v breaker=%d) ==\n",
+		o.prob, o.seed, o.retry, o.deadline, o.breaker)
+	r := runChaos(o)
 	verify := "ok"
-	if err != nil {
-		verify = fmt.Sprintf("FAILED (%v)", err)
+	if r.verify != nil {
+		verify = fmt.Sprintf("FAILED (%v)", r.verify)
 	}
 	fmt.Printf("chaos: verify=%s retries=%.0f deadline-exceeded=%.0f faults-injected=%.0f reroutes=%.0f quarantines=%.0f gflops=%.1f\n",
-		verify,
-		reg.Total("hstreams_retries_total"),
-		reg.Total("hstreams_deadline_exceeded_total"),
-		reg.Total("hstreams_faults_injected_total"),
-		reg.Total("hstreams_rerouted_total"),
-		reg.Total("hstreams_breaker_trips_total"),
-		res.GFlops)
-	if err != nil {
+		verify, r.retries, r.deadlineHits, r.faultsInjected, r.reroutes, r.quarantines, r.gflops)
+	if r.verify != nil {
 		os.Exit(1)
 	}
 }

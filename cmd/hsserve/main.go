@@ -15,8 +15,8 @@
 // Shutdown on SIGINT/SIGTERM is graceful: admission stops, tenants
 // drain, every tenant buffer is freed, the runtime finalizes, and the
 // process prints the end-of-run leaked-buffer count (the
-// hstreams_buffers_live gauge, which must be zero — the serve-smoke
-// CI gate asserts it).
+// hstreams_buffers_live gauge, which must be zero — TestServeSmoke
+// asserts it).
 package main
 
 import (

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,6 +15,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"hstreams/internal/serve"
 )
 
 // serverArg is the argument under which the test binary re-executes
@@ -29,15 +32,17 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestServeSmoke is the serving layer's CI gate (make serve-smoke). It
-// boots hsserve with two tenants at 2:1 weights on four in-service
+// TestServeSmoke is the serving layer's CI gate. It boots hsserve with
+// its debug server and two tenants at 2:1 weights on four in-service
 // slots, keeps eight waited 5 ms spin submits outstanding per tenant
 // until a fixed number have completed, and asserts:
 //
 //  1. completed work divides by weight: gold/bronze = 2.0 ± 10%;
 //  2. no stream's queue-depth peak exceeds -queue-depth;
 //  3. /metrics carries the tenant families, and gold's weight as 2;
-//  4. SIGTERM shuts the server down with exit 0 and zero leaked
+//  4. /debug/tenants lists gold (weight 2) and bronze (weight 1), as
+//     JSON and as the ?format=text table;
+//  5. SIGTERM shuts the server down with exit 0 and zero leaked
 //     buffers (gold holds one buffer that shutdown must free).
 //
 // Every submit past the first few waits for a slot, so the ratio is
@@ -50,6 +55,7 @@ func TestServeSmoke(t *testing.T) {
 		completions = 600
 	)
 	cmd := exec.Command(os.Args[0], serverArg, "-addr", "127.0.0.1:0",
+		"-debug-addr", "127.0.0.1:0",
 		"-max-inflight", "4", "-queue-depth", strconv.Itoa(depth),
 		"-tenant", "gold:2", "-tenant", "bronze:1")
 	cmd.Stderr = os.Stderr
@@ -62,14 +68,16 @@ func TestServeSmoke(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = cmd.Process.Kill() }) // already reaped is fine
 	out := bufio.NewScanner(stdout)
-	var base string
-	for base == "" && out.Scan() {
+	var base, debug string
+	for debug == "" && out.Scan() {
 		if rest, ok := strings.CutPrefix(out.Text(), "hsserve listening on "); ok {
 			base, _, _ = strings.Cut(rest, " ")
+		} else if rest, ok := strings.CutPrefix(out.Text(), "debug server listening on "); ok {
+			debug = rest
 		}
 	}
-	if base == "" {
-		t.Fatal("hsserve exited without announcing its address")
+	if base == "" || debug == "" {
+		t.Fatal("hsserve exited without announcing its two addresses")
 	}
 	logc := make(chan string, 1)
 	go func() {
@@ -119,16 +127,7 @@ func TestServeSmoke(t *testing.T) {
 	}
 
 	// 2 and 3. Scrape /metrics.
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	exposition := string(body)
+	exposition := get(t, base+"/metrics")
 	streams := 0
 	for _, ln := range strings.Split(exposition, "\n") {
 		if rest, ok := strings.CutPrefix(ln, "hstreams_queue_depth_peak{"); ok {
@@ -152,7 +151,26 @@ func TestServeSmoke(t *testing.T) {
 		t.Error("/metrics does not export gold's weight as 2")
 	}
 
-	// 4. Graceful shutdown.
+	// 4. /debug/tenants lists both tenants with their weights, as
+	// JSON and as the text table.
+	var status []serve.TenantStatus
+	if err := json.Unmarshal([]byte(get(t, debug+"/debug/tenants")), &status); err != nil {
+		t.Fatal(err)
+	}
+	weights := map[string]int{}
+	for _, ts := range status {
+		weights[ts.Name] = ts.Quotas.Weight
+	}
+	if len(weights) != 2 || weights["gold"] != 2 || weights["bronze"] != 1 {
+		t.Errorf("/debug/tenants weights = %v, want gold:2 bronze:1", weights)
+	}
+	table := get(t, debug+"/debug/tenants?format=text")
+	if !strings.HasPrefix(table, "tenant ") || !strings.Contains(table, "\ngold ") ||
+		!strings.Contains(table, "\nbronze ") {
+		t.Errorf("/debug/tenants?format=text does not render the table:\n%s", table)
+	}
+
+	// 5. Graceful shutdown.
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
@@ -163,6 +181,25 @@ func TestServeSmoke(t *testing.T) {
 	if !strings.Contains(log, "leaked buffers: 0") {
 		t.Fatalf("hsserve shutdown log lacks \"leaked buffers: 0\":\n%s", log)
 	}
+}
+
+// get fetches url and returns the body; a transport error or a status
+// other than 200 fails the test.
+func get(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: HTTP %d", url, resp.StatusCode)
+	}
+	return string(body)
 }
 
 // post sends a JSON body and returns the status code, draining and

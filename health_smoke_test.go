@@ -2,8 +2,8 @@
 // chaos run must trip a domain breaker, drive /debug/health from ok
 // to critical (readiness probe failing), journal a deterministic
 // event skeleton, and recover to ok once the runtime finalizes and
-// the triggering deltas slide out of the telemetry window. `make
-// health-smoke` runs exactly this test.
+// the triggering deltas slide out of the telemetry window. Run it
+// alone with `go test -run TestHealthSmoke .`.
 package hstreams_test
 
 import (

@@ -123,6 +123,15 @@ func (cm *coreMetrics) forStream(name, domain string) *streamMetrics {
 	return sm
 }
 
+// deleteStream removes the per-stream series forStream resolved.
+func (cm *coreMetrics) deleteStream(name string) {
+	cm.depth.Delete(name)
+	cm.depthPeak.Delete(name)
+	cm.retired.Delete(name)
+	cm.shed.Delete(name)
+	cm.blocked.Delete(name)
+}
+
 // Metrics returns the registry the runtime reports into — the one
 // supplied via Config.Metrics, or metrics.Default(). It stays
 // readable after Fini.

@@ -332,13 +332,21 @@ func (s *Stream) EnqueueEventWait(evs ...*Action) (*Action, error) {
 
 // Destroy drains the stream and rejects further enqueues
 // (hStreams_StreamDestroy). The integer handle and the stream's past
-// events remain valid; only new work is refused. Destroy is
-// idempotent.
+// events remain valid; only new work is refused. Once drained, the
+// stream's five per-stream series (hstreams_queue_depth,
+// hstreams_queue_depth_peak, hstreams_stream_retired_total,
+// hstreams_queue_shed_total and hstreams_enqueue_blocked_total)
+// leave the registry, so stream churn
+// does not grow it. Series are keyed by stream name, so a same-named
+// stream of another runtime on the same registry shares those rows
+// and loses them too. Destroy is idempotent.
 func (s *Stream) Destroy() error {
 	s.mu.Lock()
 	s.destroyed = true
 	s.mu.Unlock()
-	return s.Synchronize()
+	err := s.Synchronize()
+	s.rt.mets.deleteStream(s.name)
+	return err
 }
 
 // enqueueReplay re-enqueues one checkpointed action with its recorded

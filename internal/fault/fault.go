@@ -22,8 +22,8 @@
 // direction or sink domain) and that site's decision ordinal, so a
 // single-stream program replays the exact same fault schedule on
 // every run — which is what the retry-determinism tests and the
-// chaos-smoke CI gate pin. Production builds pay nothing when
-// injection is off: the hooks are a single nil check.
+// chaos CI gate (cmd/hsbench's TestChaosGate) pin. Production builds
+// pay nothing when injection is off: the hooks are a single nil check.
 package fault
 
 import (

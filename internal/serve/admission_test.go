@@ -187,8 +187,8 @@ func TestIdleTenantBanksNoCredit(t *testing.T) {
 // TestGrantOrderFollowsWeights queues 3k submissions per tenant at
 // weights 2:1 behind a held slot. Of the first 3k grants exactly 2k go
 // to gold, and no prefix strays from 2:1 by more than one grant.
-// Saturated throughput shares over the real binary are make
-// serve-smoke's check.
+// Saturated throughput shares over the real binary are
+// TestServeSmoke's check (cmd/hsserve).
 func TestGrantOrderFollowsWeights(t *testing.T) {
 	const k = 20
 	s, rt := testServer(t, Options{MaxInflight: 1})

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"hstreams/internal/core"
 	"hstreams/internal/metrics"
 	"hstreams/internal/telemetry"
 )
@@ -54,14 +55,30 @@ func TestUnknownTenantCreatesNoSeries(t *testing.T) {
 // TestTenantChurnLeavesNoSeries churns short-lived tenants through the
 // HTTP API beside two standing ones while a sampler runs at synthetic
 // times, and checks that one window after the churn the registry and
-// the telemetry store are back at the standing tenants' baseline.
+// the telemetry store are back at the standing tenants' baseline. It
+// runs on a Shadow server and on a Real runtime, where each tenant
+// also creates a stream group whose per-stream core series must leave
+// with the tenant.
 func TestTenantChurnLeavesNoSeries(t *testing.T) {
-	reg := metrics.New()
-	s, err := New(Options{Shadow: true, Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	t.Run("shadow", func(t *testing.T) {
+		reg := metrics.New()
+		s, err := New(Options{Shadow: true, Registry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		checkChurnLeavesNoSeries(t, s, reg)
+	})
+	t.Run("real", func(t *testing.T) {
+		s, rt := testServer(t, Options{})
+		rt.RegisterKernel("k", func(*core.KernelCtx) {})
+		checkChurnLeavesNoSeries(t, s, rt.Metrics())
+	})
+}
+
+// checkChurnLeavesNoSeries is TestTenantChurnLeavesNoSeries over one
+// server and the registry it reports into.
+func checkChurnLeavesNoSeries(t *testing.T, s *Server, reg *metrics.Registry) {
 	h := s.Handler()
 	st := telemetry.NewStore(10*time.Second, 40)
 	sam := telemetry.NewSampler(telemetry.SamplerOptions{Registry: reg, Store: st, Interval: time.Hour})
