@@ -98,10 +98,10 @@ loc:
 	./scripts/loc.sh
 
 # knobs prints the independently settable values per source — exported
-# fields of the exported Config/Options/Quotas/*Policy/*Plan structs,
-# flag definitions under cmd/ and examples/, environment reads — and a
-# total, so "no new knobs" is quoted from a command. Like loc, it
-# reports and does not gate.
+# fields of exported structs whose names end in Config, Options,
+# Quotas, Policy or Plan, flag definitions under cmd/ and examples/,
+# environment reads — and a total, so "no new knobs" is quoted from a
+# command. Like loc, it reports and does not gate.
 knobs:
 	./scripts/knobs.sh
 

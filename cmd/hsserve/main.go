@@ -1,7 +1,7 @@
 // Command hsserve is the multi-tenant serving front end: it brings up
 // one Real-mode hStreams runtime, mounts the internal/serve HTTP/JSON
 // API on -addr, and multiplexes tenants onto the runtime with
-// weighted fair-share admission, bounded per-stream queues, and
+// weighted fair-share admission, bounded admission queues, and
 // per-tenant quotas (SERVING.md is the operator guide).
 //
 // Built-in kernels:
@@ -52,7 +52,6 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 8, "server-wide bound on actions in service across all tenants")
 	streamsPerTenant := flag.Int("streams-per-tenant", 2, "default stream-group size per tenant")
 	streamWidth := flag.Int("stream-width", 1, "cores granted to each tenant stream (groups overlap)")
-	queueDepth := flag.Int("queue-depth", 16, "default bound on each tenant stream's incomplete-action window")
 	maxPending := flag.Int("max-pending", 64, "default bound on each tenant's admitted-but-undispatched queue")
 	shadow := flag.Bool("shadow", false, "shadow mode: run the full admission/quota/accounting path without executing anything (no runtime)")
 	var tenants []tenantSpec
@@ -102,7 +101,6 @@ func main() {
 		MaxInflight:       *maxInflight,
 		StreamsPerTenant:  *streamsPerTenant,
 		StreamWidth:       *streamWidth,
-		DefaultQueueDepth: *queueDepth,
 		DefaultMaxPending: *maxPending,
 		Shadow:            *shadow,
 	})

@@ -115,29 +115,9 @@ type (
 // succeed within Config.Deadline.
 var ErrDeadlineExceeded = core.ErrDeadlineExceeded
 
-// Buffer-lifecycle and admission errors, re-exported for errors.Is
-// tests against facade-level calls.
-var (
-	// ErrBufferFreed is reported by Buf.Free on a second free and by
-	// enqueues whose operands name a freed buffer.
-	ErrBufferFreed = core.ErrBufferFreed
-	// ErrQueueFull is reported by enqueues shed at a stream's queue
-	// bound under QueueShed.
-	ErrQueueFull = core.ErrQueueFull
-)
-
-// QueuePolicy picks what a bounded stream does with enqueues that
-// arrive while its incomplete-action window is at Config.MaxQueueDepth
-// (or the bound set via Stream.SetQueueBound).
-type QueuePolicy = core.QueuePolicy
-
-// Queue-bound policies.
-const (
-	// QueueBlock backpressures the enqueuer until the window drains.
-	QueueBlock = core.QueueBlock
-	// QueueShed fails the enqueue fast with ErrQueueFull.
-	QueueShed = core.QueueShed
-)
+// ErrBufferFreed is reported by Buf.Free on a second free and by
+// enqueues whose operands name a freed buffer.
+var ErrBufferFreed = core.ErrBufferFreed
 
 // NewFaultInjector builds the deterministic seeded injector for a
 // plan, reporting injection telemetry into reg (nil: detached

@@ -38,11 +38,6 @@ type Options struct {
 	// HostCores caps how many host cores the host streams share
 	// (leaving the rest for the source thread). Zero means all.
 	HostCores int
-	// SourceOverhead is the modeled per-enqueue cost (Sim mode).
-	SourceOverhead time.Duration
-	// DisableBufferPool turns off the COI sink buffer pool (Real
-	// mode).
-	DisableBufferPool bool
 	// Metrics receives the runtime's telemetry; nil uses the
 	// process-wide metrics.Default() registry.
 	Metrics *metrics.Registry
@@ -86,8 +81,6 @@ func Init(opt Options) (*App, error) {
 	rt, err := core.Init(core.Config{
 		Machine:            opt.Machine,
 		Mode:               opt.Mode,
-		SourceOverhead:     opt.SourceOverhead,
-		DisableBufferPool:  opt.DisableBufferPool,
 		Metrics:            opt.Metrics,
 		Flight:             opt.Flight,
 		DisableCausalTrace: opt.DisableCausalTrace,
@@ -155,11 +148,6 @@ func (a *App) carve(d *core.Domain, nCores, n int) ([]*core.Stream, error) {
 
 // Fini synchronizes and shuts the runtime down.
 func (a *App) Fini() { a.RT.Fini() }
-
-// StreamsOf returns the streams carved from domain d.
-func (a *App) StreamsOf(d *core.Domain) []*core.Stream {
-	return a.streams[d.Index()]
-}
 
 // HostStreams returns the host-as-target streams (may be empty).
 func (a *App) HostStreams() []*core.Stream { return a.streams[0] }

@@ -335,43 +335,10 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 	fifoDep := func(b *Action) { addDep(b, trace.DepFIFO) }
 
 	s.mu.Lock()
-	for {
-		if s.destroyed {
-			s.mu.Unlock()
-			releaseOps(a.ops)
-			return nil, ErrBadStream
-		}
-		// Bounded-queue admission: the check runs under s.mu, so the
-		// append below can never push len(inflight) past the bound —
-		// the depth-peak gauge is capped by construction.
-		if s.maxDepth <= 0 || len(s.inflight) < s.maxDepth {
-			break
-		}
-		if s.policy == QueueShed {
-			depth := len(s.inflight)
-			s.mu.Unlock()
-			s.met.shed.Inc()
-			releaseOps(a.ops)
-			return nil, fmt.Errorf("%w: %s at depth %d", ErrQueueFull, s.name, depth)
-		}
-		// QueueBlock: wait for any inflight member to retire, then
-		// re-evaluate. The wait pumps the virtual clock in Sim mode,
-		// so the source thread's time advances across the stall and
-		// the action's earliest start moves with it.
-		head := s.inflight[0]
+	if s.destroyed {
 		s.mu.Unlock()
-		s.met.blocked.Inc()
-		rt.exec.waitAction(head)
-		if rt.cfg.Mode == ModeSim {
-			se := rt.exec.(*simExec)
-			se.mu.Lock()
-			if a.ready < se.hostTime {
-				a.ready = se.hostTime
-				a.rec.Enqueue = se.hostTime
-			}
-			se.mu.Unlock()
-		}
-		s.mu.Lock()
+		releaseOps(a.ops)
+		return nil, ErrBadStream
 	}
 	// Dependences: program order within the stream, restricted to
 	// hazardous operand overlap; sync actions order against

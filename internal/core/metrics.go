@@ -56,10 +56,6 @@ type coreMetrics struct {
 	buffersFreed    *metrics.Counter // Free calls accepted
 	reclaimDeferred *metrics.Counter // frees deferred on in-flight references
 	proxyRecycled   *metrics.Counter // proxy ranges returned to the allocator
-
-	// Bounded-queue admission (Config.MaxQueueDepth).
-	shed    *metrics.CounterVec // stream: enqueues refused with ErrQueueFull
-	blocked *metrics.CounterVec // stream: enqueues that waited for queue space
 }
 
 func newCoreMetrics(reg *metrics.Registry) *coreMetrics {
@@ -89,9 +85,6 @@ func newCoreMetrics(reg *metrics.Registry) *coreMetrics {
 		buffersFreed:    reg.Counter("hstreams_buffers_freed_total", "Buf.Free calls accepted (first Free per buffer)."),
 		reclaimDeferred: reg.Counter("hstreams_buffers_reclaim_deferred_total", "Frees whose reclamation was deferred until in-flight references retired."),
 		proxyRecycled:   reg.Counter("hstreams_proxy_recycled_total", "Proxy address ranges returned to the recycling allocator."),
-
-		shed:    reg.CounterVec("hstreams_queue_shed_total", "Enqueues refused with ErrQueueFull by a full bounded queue under QueueShed, per stream.", "stream"),
-		blocked: reg.CounterVec("hstreams_enqueue_blocked_total", "Enqueues that waited for queue space under QueueBlock, per stream.", "stream"),
 	}
 }
 
@@ -101,7 +94,6 @@ type streamMetrics struct {
 	dur, stall, sched [mkCount]*metrics.Histogram
 	depth, depthPeak  *metrics.Gauge
 	retired           *metrics.Counter
-	shed, blocked     *metrics.Counter
 }
 
 func (cm *coreMetrics) forStream(name, domain string) *streamMetrics {
@@ -109,8 +101,6 @@ func (cm *coreMetrics) forStream(name, domain string) *streamMetrics {
 		depth:     cm.depth.With(name),
 		depthPeak: cm.depthPeak.With(name),
 		retired:   cm.retired.With(name),
-		shed:      cm.shed.With(name),
-		blocked:   cm.blocked.With(name),
 	}
 	for k := 0; k < mkCount; k++ {
 		kind := metricKindNames[k]
@@ -128,8 +118,6 @@ func (cm *coreMetrics) deleteStream(name string) {
 	cm.depth.Delete(name)
 	cm.depthPeak.Delete(name)
 	cm.retired.Delete(name)
-	cm.shed.Delete(name)
-	cm.blocked.Delete(name)
 }
 
 // Metrics returns the registry the runtime reports into — the one

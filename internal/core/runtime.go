@@ -55,7 +55,6 @@ var (
 	ErrEmptyMachine  = errors.New("core: machine must have a host domain")
 	ErrBadBufferSize = errors.New("core: buffer size must be positive")
 	ErrBufferFreed   = errors.New("core: buffer freed")
-	ErrQueueFull     = errors.New("core: stream queue full")
 )
 
 // Mode selects the execution back end.
@@ -68,50 +67,12 @@ const (
 	ModeSim
 )
 
-// QueuePolicy selects what an enqueue does when its stream's bounded
-// queue is at capacity (Config.MaxQueueDepth).
-type QueuePolicy int
-
-const (
-	// QueueBlock makes the enqueue wait for queue space — backpressure
-	// propagates to the source thread. This is the default.
-	QueueBlock QueuePolicy = iota
-	// QueueShed makes the enqueue fail fast with ErrQueueFull, never
-	// entering the stream — load shedding. A shed action leaves no
-	// trace in the dependence index, so FIFO semantics among the
-	// accepted actions are exactly those of a run that never submitted
-	// it.
-	QueueShed
-)
-
-// String labels the policy for flags and diagnostics.
-func (p QueuePolicy) String() string {
-	switch p {
-	case QueueBlock:
-		return "block"
-	case QueueShed:
-		return "shed"
-	default:
-		return fmt.Sprintf("QueuePolicy(%d)", int(p))
-	}
-}
-
 // Config configures Init.
 type Config struct {
 	// Machine is the platform to run on. Required.
 	Machine *platform.Machine
 	// Mode selects real or simulated execution.
 	Mode Mode
-	// MaxQueueDepth bounds each stream's enqueued-but-incomplete
-	// action window. Zero keeps the window unbounded (the library
-	// default — batch harnesses manage their own pipelining). Serving
-	// front ends should set it: an unbounded queue lets one stalled
-	// sink absorb the process. Streams can override it individually
-	// with Stream.SetQueueBound.
-	MaxQueueDepth int
-	// QueuePolicy selects blocking or shedding when a bounded queue
-	// is full. The zero value is QueueBlock.
-	QueuePolicy QueuePolicy
 	// SourceOverhead is the modeled per-enqueue cost on the source
 	// thread (Sim mode only). Zero means free enqueues.
 	SourceOverhead time.Duration

@@ -51,12 +51,6 @@ type Stream struct {
 	epoch   uint64
 	barrier *Action
 
-	// maxDepth bounds len(inflight); 0 is unbounded. policy picks
-	// block or shed at the bound. Both are guarded by mu and default
-	// to the runtime Config values.
-	maxDepth int
-	policy   QueuePolicy
-
 	// retire is the retirement hook (SetRetireHook); nil for none.
 	// Guarded by mu; finish reads it in the section that retires the
 	// action.
@@ -126,8 +120,6 @@ func (rt *Runtime) StreamCreateOn(d *Domain, firstCore, nCores int, share *Strea
 		firstCore: firstCore,
 		nCores:    nCores,
 		index:     make(map[*Buf]*bufIvals),
-		maxDepth:  rt.cfg.MaxQueueDepth,
-		policy:    rt.cfg.QueuePolicy,
 	}
 	s.name = fmt.Sprintf("%s.s%d", d.spec.Name, s.id)
 	if rt.flight != nil {
@@ -215,17 +207,6 @@ func (s *Stream) Domain() *Domain { return s.domain }
 // Width returns the number of cores granted to the sink.
 func (s *Stream) Width() int { return s.nCores }
 
-// SetQueueBound overrides the stream's queue bound and full-queue
-// policy (the defaults come from Config.MaxQueueDepth/QueuePolicy).
-// depth 0 removes the bound. Enqueues already blocked on the old
-// bound re-evaluate against the new one as they retry.
-func (s *Stream) SetQueueBound(depth int, policy QueuePolicy) {
-	s.mu.Lock()
-	s.maxDepth = depth
-	s.policy = policy
-	s.mu.Unlock()
-}
-
 // SetRetireHook installs fn as the stream's retirement hook; nil
 // removes it. fn runs once per action retired after the call, on the
 // goroutine that completed the action: the action has left the
@@ -237,14 +218,6 @@ func (s *Stream) SetRetireHook(fn func(*Action)) {
 	s.mu.Lock()
 	s.retire = fn
 	s.mu.Unlock()
-}
-
-// QueueBound returns the stream's current queue bound (0 when
-// unbounded) and full-queue policy.
-func (s *Stream) QueueBound() (depth int, policy QueuePolicy) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.maxDepth, s.policy
 }
 
 // EnqueueCompute enqueues a kernel invocation
@@ -333,11 +306,9 @@ func (s *Stream) EnqueueEventWait(evs ...*Action) (*Action, error) {
 // Destroy drains the stream and rejects further enqueues
 // (hStreams_StreamDestroy). The integer handle and the stream's past
 // events remain valid; only new work is refused. Once drained, the
-// stream's five per-stream series (hstreams_queue_depth,
-// hstreams_queue_depth_peak, hstreams_stream_retired_total,
-// hstreams_queue_shed_total and hstreams_enqueue_blocked_total)
-// leave the registry, so stream churn
-// does not grow it. Series are keyed by stream name, so a same-named
+// stream's three per-stream series (hstreams_queue_depth,
+// hstreams_queue_depth_peak and hstreams_stream_retired_total) leave
+// the registry, so stream churn does not grow it. Series are keyed by stream name, so a same-named
 // stream of another runtime on the same registry shares those rows
 // and loses them too. Destroy is idempotent.
 func (s *Stream) Destroy() error {

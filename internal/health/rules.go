@@ -302,7 +302,7 @@ func DefaultRules() []Rule {
 		{
 			Name: "tenant-shed", Kind: RuleRate,
 			Series: "hstreams_tenant_shed_total", Critical: math.Inf(1),
-			Help: "A serving tenant is being load-shed (admission pending-full or stream-queue-full). Ticket-level: expected under deliberate overload, but sustained shed on one tenant means its weight or queue depth no longer matches its offered load — see the 'queue-depth saturation' playbook in OPERATIONS.md.",
+			Help: "A serving tenant is being load-shed (admission pending-full). Ticket-level: expected under deliberate overload, but sustained shed on one tenant means its weight or max_pending no longer matches its offered load — see the 'tenant shed' playbook in OPERATIONS.md.",
 		},
 		{
 			Name: "tenant-admission-wait-p99", Kind: RuleQuantile,

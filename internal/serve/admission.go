@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -113,9 +112,6 @@ func (s *Server) Submit(ctx context.Context, tenant string, req SubmitRequest) (
 	// (and so Close) waits for through t.inflight.
 	a, err := sub.st.EnqueueCompute(req.Kernel, req.Args, req.Ops, platform.Cost{})
 	if err != nil {
-		if errors.Is(err, core.ErrQueueFull) {
-			s.mets.shed.With(tenant, "stream-queue-full").Inc()
-		}
 		s.release(t)
 		return nil, err
 	}

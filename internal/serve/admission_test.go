@@ -362,7 +362,7 @@ func TestSubmitSpawnsNoGoroutine(t *testing.T) {
 	const n = 48
 	s, rt := testServer(t, Options{MaxInflight: n})
 	_, open := gateKernel(t, rt)
-	if _, err := s.Register("g", Quotas{QueueDepth: n}); err != nil {
+	if _, err := s.Register("g", Quotas{}); err != nil {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()

@@ -56,7 +56,7 @@ type errorPayload struct {
 	// Error is the failure rendered as text.
 	Error string `json:"error"`
 	// Reason is a machine-readable cause for shed responses
-	// (pending-full, stream-queue-full).
+	// (pending-full).
 	Reason string `json:"reason,omitempty"`
 }
 
@@ -71,8 +71,6 @@ func writeErr(w http.ResponseWriter, err error) {
 		status = http.StatusConflict
 	case errors.Is(err, ErrPendingFull):
 		status, p.Reason = http.StatusTooManyRequests, "pending-full"
-	case errors.Is(err, core.ErrQueueFull):
-		status, p.Reason = http.StatusTooManyRequests, "stream-queue-full"
 	case errors.Is(err, ErrQuota), errors.As(err, new(*http.MaxBytesError)):
 		status = http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrTenantClosing), errors.Is(err, ErrClosed):
@@ -122,8 +120,6 @@ type capabilityDoc struct {
 	MaxInflight int `json:"max_inflight"`
 	// StreamsPerTenant is the default stream-group size.
 	StreamsPerTenant int `json:"streams_per_tenant"`
-	// DefaultQueueDepth is the default per-stream queue bound.
-	DefaultQueueDepth int `json:"default_queue_depth"`
 	// Kernels lists the registered kernel names (empty in shadow).
 	Kernels []string `json:"kernels"`
 	// Domains lists the runtime's domains (empty in shadow).
@@ -141,12 +137,11 @@ type domainDoc struct {
 // capabilities builds the server's capability document.
 func (s *Server) capabilities() capabilityDoc {
 	doc := capabilityDoc{
-		Version:           protocolVersion,
-		Mode:              "real",
-		MaxInflight:       s.opt.MaxInflight,
-		StreamsPerTenant:  s.opt.StreamsPerTenant,
-		DefaultQueueDepth: s.opt.DefaultQueueDepth,
-		Kernels:           []string{},
+		Version:          protocolVersion,
+		Mode:             "real",
+		MaxInflight:      s.opt.MaxInflight,
+		StreamsPerTenant: s.opt.StreamsPerTenant,
+		Kernels:          []string{},
 	}
 	if s.opt.Shadow {
 		doc.Mode = "shadow"

@@ -18,7 +18,7 @@ type tenantMetrics struct {
 func newTenantMetrics(reg *metrics.Registry) *tenantMetrics {
 	return &tenantMetrics{
 		actions:  reg.CounterVec("hstreams_tenant_actions_total", "Actions completed per tenant; the fairness share basis.", "tenant"),
-		shed:     reg.CounterVec("hstreams_tenant_shed_total", "Submissions refused by tenant and reason (pending-full, stream-queue-full, tenant-closing).", "tenant", "reason"),
+		shed:     reg.CounterVec("hstreams_tenant_shed_total", "Submissions refused by tenant and reason (pending-full, tenant-closing).", "tenant", "reason"),
 		inflight: reg.GaugeVec("hstreams_tenant_inflight", "Dispatched-but-unretired submissions per tenant.", "tenant"),
 		pending:  reg.GaugeVec("hstreams_tenant_pending", "Admitted-but-undispatched submissions per tenant.", "tenant"),
 		bufBytes: reg.GaugeVec("hstreams_tenant_buffer_bytes", "Live buffer bytes per tenant, counted against Quotas.MaxBufferBytes.", "tenant"),
@@ -32,7 +32,7 @@ func newTenantMetrics(reg *metrics.Registry) *tenantMetrics {
 // under the server lock once the tenant is gone from the table, after
 // which no path resolves a row for that name until it registers again.
 func (m *tenantMetrics) deleteTenant(name string) {
-	for _, reason := range [...]string{"pending-full", "stream-queue-full", "tenant-closing"} {
+	for _, reason := range [...]string{"pending-full", "tenant-closing"} {
 		m.shed.Delete(name, reason)
 	}
 	m.actions.Delete(name)

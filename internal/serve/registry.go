@@ -23,14 +23,11 @@ type Quotas struct {
 	// MaxBufferBytes caps the tenant's total live buffer bytes.
 	// 0 means unlimited.
 	MaxBufferBytes int64 `json:"max_buffer_bytes,omitempty"`
-	// QueueDepth bounds each tenant stream's incomplete-action
-	// window. 0 takes Options.DefaultQueueDepth.
-	QueueDepth int `json:"queue_depth,omitempty"`
 	// OnFull picks the behavior when the tenant's pending queue is at
 	// MaxPending: "block" (backpressure the submitter; the default)
-	// or "shed" (fail fast with 429 / ErrPendingFull). Tenant streams
-	// always shed at QueueDepth — a submitter never parks on a full
-	// stream while it holds an in-service slot.
+	// or "shed" (fail fast with 429 / ErrPendingFull). A granted
+	// submission is never shed: its stream's window is bounded by
+	// the in-service slots it holds.
 	OnFull string `json:"on_full,omitempty"`
 	// MaxPending bounds submissions admitted but not yet dispatched.
 	// 0 takes Options.DefaultMaxPending.
@@ -118,9 +115,6 @@ func (s *Server) Register(name string, q Quotas) (*Tenant, error) {
 	if q.MaxStreams < 1 {
 		q.MaxStreams = s.opt.StreamsPerTenant
 	}
-	if q.QueueDepth < 1 {
-		q.QueueDepth = s.opt.DefaultQueueDepth
-	}
 	if q.MaxPending < 1 {
 		q.MaxPending = s.opt.DefaultMaxPending
 	}
@@ -169,10 +163,6 @@ func (s *Server) Register(name string, q Quotas) (*Tenant, error) {
 			err = fmt.Errorf("serve: creating stream %d for %q: %w", i, name, cerr)
 			break
 		}
-		// Tenant streams always shed at the bound: a submitter parked
-		// on a full stream would sit on its in-service slot doing no
-		// work, and every other tenant's grant waits for that slot.
-		st.SetQueueBound(q.QueueDepth, core.QueueShed)
 		st.SetRetireHook(retire)
 		t.streams = append(t.streams, st)
 	}

@@ -29,10 +29,11 @@
 // The slot comes back from the tenant streams' retire hook
 // (core.Stream.SetRetireHook) as the action retires, so no goroutine
 // waits on an in-service action either.
-// Within a tenant, work spreads round-robin over its stream group,
-// and every stream carries a bounded queue (core.Config.MaxQueueDepth
-// machinery) so a stalled sink back-pressures or sheds instead of
-// absorbing the process.
+// Within a tenant, work spreads round-robin over its stream group.
+// The grant is the only bound on in-service work: an action holds its
+// slot until it retires, so no tenant stream's window ever outgrows
+// MaxInflight, and a stalled sink backs up into the tenant's pending
+// queue (MaxPending, then block or shed) instead of into the process.
 //
 // The runtime must be in Real mode: Sim mode's virtual clock assumes
 // a single host goroutine, which concurrent HTTP handlers violate.
@@ -96,10 +97,6 @@ type Options struct {
 	// Groups overlap on the domain's cores (the paper permits mapping
 	// multiple streams onto common resources). Values < 1 default to 1.
 	StreamWidth int
-	// DefaultQueueDepth bounds each tenant stream's incomplete-action
-	// window when Quotas.QueueDepth is unset. Values < 1 default
-	// to 16.
-	DefaultQueueDepth int
 	// DefaultMaxPending bounds each tenant's admission queue when
 	// Quotas.MaxPending is unset. Values < 1 default to 64.
 	DefaultMaxPending int
@@ -123,9 +120,6 @@ func (o *Options) fill() {
 	}
 	if o.StreamWidth < 1 {
 		o.StreamWidth = 1
-	}
-	if o.DefaultQueueDepth < 1 {
-		o.DefaultQueueDepth = 16
 	}
 	if o.DefaultMaxPending < 1 {
 		o.DefaultMaxPending = 64

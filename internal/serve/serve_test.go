@@ -454,7 +454,7 @@ func TestHTTPShed(t *testing.T) {
 				Kernel: "spin", Args: []int64{int64(50 * time.Millisecond)}, Wait: true,
 			}, &p)
 			if st == http.StatusTooManyRequests {
-				if p.Reason != "pending-full" && p.Reason != "stream-queue-full" {
+				if p.Reason != "pending-full" {
 					t.Errorf("429 reason = %q", p.Reason)
 				}
 				saw429.Store(true)
@@ -499,13 +499,16 @@ func TestHTTPOversizedBody(t *testing.T) {
 
 // TestHTTPTrailingData pins the one-value body: data after the first
 // JSON value is refused with 400 in the error envelope, before any
-// tenant is registered, while trailing whitespace is accepted.
+// tenant is registered, while trailing whitespace is accepted. A body
+// naming a field the request does not have, such as queue_depth, is
+// refused the same way.
 func TestHTTPTrailingData(t *testing.T) {
 	s, _ := testServer(t, Options{})
 	h := s.Handler()
 	for _, body := range []string{
 		`{"name":"a"} trailing garbage`,
 		`{"name":"b"}{"name":"c"}`,
+		`{"name":"e","queue_depth":16}`,
 	} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tenants", strings.NewReader(body)))

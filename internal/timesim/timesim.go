@@ -25,7 +25,6 @@ type Engine struct {
 	now    time.Duration
 	seq    uint64
 	events []event // binary min-heap in (at, seq) order
-	fired  uint64
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -33,9 +32,6 @@ func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
-
-// Fired reports how many events have been processed so far.
-func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are scheduled but not yet fired.
 func (e *Engine) Pending() int { return len(e.events) }
@@ -74,7 +70,6 @@ func (e *Engine) Step() bool {
 	}
 	ev := e.pop()
 	e.now = ev.at
-	e.fired++
 	ev.fn()
 	return true
 }

@@ -4,9 +4,10 @@
 # The companion of loc.sh: simplicity PRs promise "no new knobs", and
 # this prints the count that promise is checked against. A knob is
 #
-#   - an exported field of an exported Config, Options, Quotas,
-#     *Policy or *Plan struct in non-test Go (bench/ excluded: the
-#     benchmark harness is not the product); `A, B int` counts two,
+#   - an exported field of an exported struct whose name ends in
+#     Config, Options, Quotas, Policy or Plan (Config, SamplerOptions,
+#     ForestConfig, RetryPolicy, ...) in non-test Go (bench/ excluded:
+#     the benchmark harness is not the product); `A, B int` counts two,
 #   - a flag.* definition (flag.Int, flag.StringVar, flag.Func, ...)
 #     under cmd/ or examples/,
 #   - an os.Getenv / os.LookupEnv read anywhere outside bench/, tests
@@ -20,7 +21,7 @@ set -eu
     find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | sort |
         while read -r f; do
             awk -v file="${f#./}" '
-                /^type (Config|Options|Quotas|([A-Z][A-Za-z0-9]*)?(Policy|Plan)) struct \{/ {
+                /^type ([A-Z][A-Za-z0-9]*)?(Config|Options|Quotas|Policy|Plan) struct \{/ {
                     name = $2; n = 0; in_struct = 1; next
                 }
                 in_struct && /^}/ {
