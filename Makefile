@@ -4,10 +4,12 @@ GO ?= go
 	bench clean loc knobs
 
 # DOC_PKGS are the packages held to the godoc floor by doclint: the
-# paper-critical stack plus the serving layer and the facade.
+# paper-critical stack, the platform model and its simulator, the
+# serving layer, the debug server, the app layer and the facade.
 DOC_PKGS = internal/fault internal/fabric internal/coi internal/core \
 	internal/trace internal/metrics internal/telemetry internal/health \
-	internal/serve .
+	internal/serve internal/app internal/timesim internal/debugserver \
+	internal/platform .
 
 all: build
 

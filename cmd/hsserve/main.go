@@ -48,7 +48,6 @@ type tenantSpec struct {
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "serve the tenant API (/v1/..., /metrics, /healthz) on this address (port 0 picks a free port)")
 	debugAddr := flag.String("debug-addr", "", "serve live debug endpoints (/metrics, /debug/pprof, /debug/tenants, /debug/timeline, /debug/health, ...) on this address")
-	cards := flag.Int("cards", 0, "number of KNC card domains in the machine (0 = host only)")
 	maxInflight := flag.Int("max-inflight", 8, "server-wide bound on actions in service across all tenants")
 	streamsPerTenant := flag.Int("streams-per-tenant", 2, "default stream-group size per tenant")
 	streamWidth := flag.Int("stream-width", 1, "cores granted to each tenant stream (groups overlap)")
@@ -89,7 +88,7 @@ func main() {
 	if !*shadow {
 		var err error
 		rt, err = core.Init(core.Config{
-			Machine: platform.HSWPlusKNC(*cards),
+			Machine: platform.HSWPlusKNC(0),
 			Mode:    core.ModeReal,
 		})
 		check(err)

@@ -133,7 +133,7 @@ func IsTransientError(err error) bool { return fault.IsTransient(err) }
 // Telemetry types (internal/metrics). Every Runtime reports live
 // counters, gauges and latency histograms into a MetricsRegistry
 // (Runtime.Metrics()). Snapshots export as Prometheus text
-// (WriteProm) or JSON (WriteJSON). Per-action records are trace spans
+// (WriteProm). Per-action records are trace spans
 // (below); a caller that must act as each action retires installs a
 // Stream.SetRetireHook.
 type (

@@ -200,8 +200,6 @@ type Process struct {
 	// Telemetry, labeled by sink node (see Options.Metrics).
 	poolHits   *metrics.Counter
 	poolMisses *metrics.Counter
-	runFns     *metrics.Counter
-	pipeCount  *metrics.Counter
 
 	mu        sync.Mutex
 	funcs     map[string]RunFunc
@@ -222,8 +220,8 @@ type Options struct {
 	// PoolBuffers enables the 2 MB sink buffer pool. Disabling it
 	// reproduces the allocation overheads the paper saw with OmpSs.
 	PoolBuffers bool
-	// Metrics receives COI telemetry (buffer-pool hits/misses,
-	// run-function and pipeline counts), labeled by sink node. Nil
+	// Metrics receives COI telemetry (buffer-pool hits and misses),
+	// labeled by sink node. Nil
 	// keeps counting into detached series that are never exported.
 	Metrics *metrics.Registry
 	// Injector, when non-nil, is consulted before every run-function
@@ -258,8 +256,6 @@ func CreateProcess(f *fabric.Fabric, source, sink *fabric.Node, opt Options) (*P
 	}
 	p.poolHits = opt.Metrics.CounterVec("hstreams_coi_pool_hits_total", "Sink buffer allocations satisfied from the 2 MB pool.", "sink").With(sink.Name())
 	p.poolMisses = opt.Metrics.CounterVec("hstreams_coi_pool_misses_total", "Sink buffer allocations that paid a cold (pinning) allocation.", "sink").With(sink.Name())
-	p.runFns = opt.Metrics.CounterVec("hstreams_coi_runfunctions_total", "Run-function invocations enqueued to sink pipelines.", "sink").With(sink.Name())
-	p.pipeCount = opt.Metrics.CounterVec("hstreams_coi_pipelines_total", "Sink pipelines created.", "sink").With(sink.Name())
 	p.sinkWG.Add(1)
 	go p.sinkLoop()
 	go p.sourceLoop()
@@ -394,7 +390,6 @@ func (p *Process) CreatePipeline() (*Pipeline, error) {
 	p.pipelines[pl.id] = pl
 	p.sinkWG.Add(1)
 	p.mu.Unlock()
-	p.pipeCount.Inc()
 	go pl.run()
 	return pl, nil
 }
@@ -473,7 +468,6 @@ func (pl *Pipeline) RunFunction(name string, args []int64, bufs ...*Buffer) (*Ev
 		pl.p.mu.Unlock()
 		return nil, err
 	}
-	pl.p.runFns.Inc()
 	return ev, nil
 }
 

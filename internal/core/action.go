@@ -297,13 +297,12 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 		a.rec.Ident = s.ident[a.kind]
 	}
 
-	// Sim-mode source thread accounting: each enqueue call costs
-	// SourceOverhead on the host thread. (The host clock advances on
-	// waits, not with the engine, which may be pumped ahead.)
+	// Sim mode stamps the enqueue with the source thread's clock, which
+	// advances on waits and ChargeSource, not with the engine, which
+	// may be pumped ahead.
 	if rt.cfg.Mode == ModeSim {
 		se := rt.exec.(*simExec)
 		se.mu.Lock()
-		se.hostTime += rt.cfg.SourceOverhead
 		a.ready = se.hostTime
 		a.rec.Enqueue = se.hostTime
 		se.mu.Unlock()

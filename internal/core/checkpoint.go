@@ -18,7 +18,7 @@ import (
 // DecodeCheckpoint rejects files written by a different version, so a
 // format change can never be silently misread as an empty or mangled
 // DAG.
-const CheckpointVersion = 1
+const CheckpointVersion = 2
 
 // Checkpoint/replay errors.
 var (
@@ -96,8 +96,6 @@ type Checkpoint struct {
 	Run uint64 `json:"run"`
 	// Machine is the platform the run executed on.
 	Machine *platform.Machine `json:"machine"`
-	// SourceOverhead is the original Config.SourceOverhead.
-	SourceOverhead time.Duration `json:"source_overhead_nanos"`
 	// Streams is the stream topology in creation order.
 	Streams []CkptStream `json:"streams"`
 	// Actions is the executed DAG in enqueue (id) order; action i had
@@ -115,16 +113,15 @@ const (
 )
 
 // runGeometry is the per-runtime configuration the flight recorder
-// does not carry: spans name streams and domains but not core ranges,
-// machines or enqueue overheads. Recorded at Init/StreamCreateOn into
+// does not carry: spans name streams and domains but not core ranges
+// or machines. Recorded at Init/StreamCreateOn into
 // a process-wide registry so a checkpoint can be cut from the flight
 // recorder after the runtime is gone (hsbench checkpoints after its
 // figures have Fini'd their runtimes).
 type runGeometry struct {
-	machine        *platform.Machine
-	mode           Mode
-	sourceOverhead time.Duration
-	streams        []CkptStream
+	machine *platform.Machine
+	mode    Mode
+	streams []CkptStream
 }
 
 var (
@@ -139,7 +136,12 @@ var (
 const geomCap = 256
 
 // recordRunGeom registers a new runtime's geometry. Called by Init.
+// With causal tracing disabled no checkpoint can be cut, so nothing is
+// registered.
 func recordRunGeom(rt *Runtime) {
+	if rt.flight == nil {
+		return
+	}
 	geomMu.Lock()
 	defer geomMu.Unlock()
 	if len(geomByRun) >= geomCap {
@@ -152,22 +154,25 @@ func recordRunGeom(rt *Runtime) {
 		}
 		delete(geomByRun, lowest)
 	}
-	geomByRun[rt.runID] = &runGeometry{
-		machine:        rt.machine,
-		mode:           rt.cfg.Mode,
-		sourceOverhead: rt.cfg.SourceOverhead,
-	}
+	geomByRun[rt.runID] = &runGeometry{machine: rt.machine, mode: rt.cfg.Mode}
 }
 
 // recordStreamGeom appends one stream's binding to its runtime's
 // geometry. Called by StreamCreateOn in creation order, which matches
-// the stream id.
+// the stream id. Once the run has enqueued more actions than its
+// recorder holds, no checkpoint of it can be whole, so the geometry is
+// dropped instead: a long-lived runtime that creates and destroys
+// streams (serve's tenants) must not grow it without bound.
 func recordStreamGeom(rt *Runtime, s *Stream) {
 	geomMu.Lock()
 	defer geomMu.Unlock()
 	g, ok := geomByRun[rt.runID]
 	if !ok {
-		return // evicted; CheckpointRun will report it
+		return // evicted or untraced; CheckpointRun will report it
+	}
+	if rt.nextID.Load() > uint64(rt.flight.Cap()) {
+		delete(geomByRun, rt.runID)
+		return
 	}
 	g.streams = append(g.streams, CkptStream{
 		Name:      s.name,
@@ -224,13 +229,12 @@ func CheckpointRun(flight *trace.FlightRecorder, run uint64) (*Checkpoint, error
 		streamIdx[cs.Name] = i
 	}
 	c := &Checkpoint{
-		Version:        CheckpointVersion,
-		Mode:           g.mode.String(),
-		Run:            run,
-		Machine:        g.machine,
-		SourceOverhead: g.sourceOverhead,
-		Streams:        g.streams,
-		Actions:        make([]CkptAction, 0, len(spans)),
+		Version: CheckpointVersion,
+		Mode:    g.mode.String(),
+		Run:     run,
+		Machine: g.machine,
+		Streams: g.streams,
+		Actions: make([]CkptAction, 0, len(spans)),
 	}
 	for i := range spans {
 		sp := &spans[i]
@@ -368,11 +372,10 @@ type ReplayResult struct {
 // Sim timing.
 func (c *Checkpoint) Replay() (*ReplayResult, error) {
 	rt, err := Init(Config{
-		Machine:        c.Machine,
-		Mode:           ModeSim,
-		SourceOverhead: c.SourceOverhead,
-		Metrics:        metrics.New(),
-		Flight:         trace.NewFlight(len(c.Actions) + 1),
+		Machine: c.Machine,
+		Mode:    ModeSim,
+		Metrics: metrics.New(),
+		Flight:  trace.NewFlight(len(c.Actions) + 1),
 	})
 	if err != nil {
 		return nil, err

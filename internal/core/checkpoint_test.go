@@ -244,15 +244,85 @@ func TestCheckpointEvictedRun(t *testing.T) {
 	}
 }
 
+// TestStreamChurnDropsGeometry: a long-lived Real runtime that creates
+// and destroys streams, as serve does per tenant, keeps no checkpoint
+// geometry once its run is longer than its recorder (no checkpoint of
+// it can be whole), and an untraced runtime registers none at all.
+func TestStreamChurnDropsGeometry(t *testing.T) {
+	geomOf := func(rt *Runtime) (streams int, ok bool) {
+		geomMu.Lock()
+		defer geomMu.Unlock()
+		g, ok := geomByRun[rt.runID]
+		if ok {
+			streams = len(g.streams)
+		}
+		return streams, ok
+	}
+	rt, err := Init(Config{
+		Machine: platform.HSWPlusKNC(0),
+		Mode:    ModeReal,
+		Metrics: metrics.New(),
+		Flight:  trace.NewFlight(16),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Fini)
+	s, err := rt.StreamCreate(rt.Host(), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 17 {
+		if _, err := s.EnqueueMarker(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Synchronize(); err != nil {
+		t.Fatal(err)
+	}
+	for range 300 {
+		st, err := rt.StreamCreate(rt.Host(), 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Destroy(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, ok := geomOf(rt); ok {
+		t.Fatalf("17 actions on a 16-span recorder, then 300 stream create/destroy pairs: geometry still holds %d streams", n)
+	}
+	if _, err := rt.Checkpoint(); !errors.Is(err, ErrCheckpointEvicted) {
+		t.Fatalf("checkpoint of an evicted run: err = %v, want ErrCheckpointEvicted", err)
+	}
+
+	untraced, err := Init(Config{
+		Machine:            platform.HSWPlusKNC(0),
+		Mode:               ModeReal,
+		Metrics:            metrics.New(),
+		DisableCausalTrace: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(untraced.Fini)
+	if _, err := untraced.StreamCreate(untraced.Host(), 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if n, ok := geomOf(untraced); ok {
+		t.Fatalf("untraced runtime registered a geometry of %d streams", n)
+	}
+}
+
 // nilCardCheckpoint is a checkpoint whose machine lists a card with no
 // spec; Replay used to dereference it.
-const nilCardCheckpoint = `{"version":1,"machine":{"Host":{"Name":"HSW","Sockets":1,"CoresPerSocket":4},"Cards":[null]},"streams":[{"name":"HSW.s0","domain":0,"first_core":0,"n_cores":1}],"actions":[{"kind":"sync","stream":0}]}`
+const nilCardCheckpoint = `{"version":2,"machine":{"Host":{"Name":"HSW","Sockets":1,"CoresPerSocket":4},"Cards":[null]},"streams":[{"name":"HSW.s0","domain":0,"first_core":0,"n_cores":1}],"actions":[{"kind":"sync","stream":0}]}`
 
 func TestCheckpointDecodeRejectsMissingSpecs(t *testing.T) {
 	for name, raw := range map[string]string{
 		"nil card":      nilCardCheckpoint,
-		"card, no link": `{"version":1,"machine":{"Host":{"Name":"HSW"},"Cards":[{"Name":"KNC0"}]}}`,
-		"nil host":      `{"version":1,"machine":{"Cards":[{"Name":"KNC0"}]}}`,
+		"card, no link": `{"version":2,"machine":{"Host":{"Name":"HSW"},"Cards":[{"Name":"KNC0"}]}}`,
+		"nil host":      `{"version":2,"machine":{"Cards":[{"Name":"KNC0"}]}}`,
 	} {
 		if _, err := DecodeCheckpoint(strings.NewReader(raw)); !errors.Is(err, ErrCheckpointInvalid) {
 			t.Errorf("%s: err = %v, want ErrCheckpointInvalid", name, err)
@@ -273,8 +343,8 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	}
 	f.Add(good.Bytes())
 	f.Add([]byte(nilCardCheckpoint))
-	f.Add([]byte(`{"version":1,"machine":{"Host":{"Name":"HSW","Sockets":1,"CoresPerSocket":2,"ClockGHz":1,"DPFlopsPerCycle":1}},"streams":[{"name":"HSW.s0","domain":0,"first_core":0,"n_cores":2}],"actions":[{"kind":"compute","stream":0,"cost":{"Flops":-1e300,"Extra":-5}},{"kind":"sync","stream":0,"deps":[{"pred":0,"why":"fifo"}]}]}`))
-	f.Add([]byte(`{"version":2}`))
+	f.Add([]byte(`{"version":2,"machine":{"Host":{"Name":"HSW","Sockets":1,"CoresPerSocket":2,"ClockGHz":1,"DPFlopsPerCycle":1}},"streams":[{"name":"HSW.s0","domain":0,"first_core":0,"n_cores":2}],"actions":[{"kind":"compute","stream":0,"cost":{"Flops":-1e300,"Extra":-5}},{"kind":"sync","stream":0,"deps":[{"pred":0,"why":"fifo"}]}]}`))
+	f.Add([]byte(`{"version":3}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		c, err := DecodeCheckpoint(bytes.NewReader(raw))
 		if err != nil {

@@ -130,12 +130,11 @@ func TestSimStreamSlotSerializesIndependentComputes(t *testing.T) {
 	}
 }
 
+// TestSimSourceOverheadAccumulates: source-thread charges
+// (ChargeSource, as cudasim, ompss and Sim Alloc1D use) accumulate on
+// the host clock that stamps each enqueue.
 func TestSimSourceOverheadAccumulates(t *testing.T) {
-	rt, err := Init(Config{
-		Machine:        platform.HSWPlusKNC(0),
-		Mode:           ModeSim,
-		SourceOverhead: 3 * time.Microsecond,
-	})
+	rt, err := Init(Config{Machine: platform.HSWPlusKNC(0), Mode: ModeSim})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,6 +142,7 @@ func TestSimSourceOverheadAccumulates(t *testing.T) {
 	s, _ := rt.StreamCreate(rt.Host(), 0, 4)
 	var last *Action
 	for i := 0; i < 100; i++ {
+		rt.ChargeSource(3 * time.Microsecond)
 		last, _ = s.EnqueueMarker()
 	}
 	last.Wait()

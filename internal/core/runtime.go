@@ -73,9 +73,6 @@ type Config struct {
 	Machine *platform.Machine
 	// Mode selects real or simulated execution.
 	Mode Mode
-	// SourceOverhead is the modeled per-enqueue cost on the source
-	// thread (Sim mode only). Zero means free enqueues.
-	SourceOverhead time.Duration
 	// DisableBufferPool turns off COI's 2 MB sink buffer pool,
 	// reproducing the allocation overheads the paper observed in the
 	// OmpSs configuration (Real mode only).

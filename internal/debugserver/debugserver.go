@@ -179,7 +179,7 @@ func indexHandler(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprint(w, `hstreams debug server
 
-  /metrics              Prometheus exposition (?format=json for JSON)
+  /metrics              Prometheus exposition
   /debug/pprof/         Go runtime profiles
   /debug/trace          flight recorder as Chrome trace JSON (load in Perfetto;
                         ?run=N for one run, default all retained spans)

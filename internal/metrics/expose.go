@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -88,51 +87,4 @@ func (r *Registry) WriteProm(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// jsonMetric is one series in the JSON exposition.
-type jsonMetric struct {
-	Name    string            `json:"name"`
-	Type    string            `json:"type"`
-	Help    string            `json:"help,omitempty"`
-	Labels  map[string]string `json:"labels,omitempty"`
-	Value   *int64            `json:"value,omitempty"`
-	Count   *int64            `json:"count,omitempty"`
-	Sum     *float64          `json:"sum_seconds,omitempty"`
-	Buckets map[string]int64  `json:"buckets,omitempty"`
-}
-
-// WriteJSON writes the registry as a JSON document: an object with a
-// "metrics" array of series, histogram buckets keyed by upper bound.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	var out []jsonMetric
-	for _, f := range r.sortedFamilies() {
-		for _, s := range f.sortedSeries() {
-			jm := jsonMetric{Name: f.name, Type: f.typ.String(), Help: f.help, Labels: f.labelsOf(s)}
-			switch m := s.metric.(type) {
-			case *Counter:
-				v := m.Value()
-				jm.Value = &v
-			case *Gauge:
-				v := m.Value()
-				jm.Value = &v
-			case *Histogram:
-				cnt := m.Count()
-				sum := m.Sum().Seconds()
-				jm.Count, jm.Sum = &cnt, &sum
-				bounds, cum := m.Buckets()
-				jm.Buckets = make(map[string]int64, len(cum))
-				for i, b := range bounds {
-					jm.Buckets[formatFloat(b)] = cum[i]
-				}
-				jm.Buckets["+Inf"] = cum[len(cum)-1]
-			}
-			out = append(out, jm)
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Metrics []jsonMetric `json:"metrics"`
-	}{Metrics: out})
 }

@@ -3,14 +3,8 @@ package metrics
 import "net/http"
 
 // ServeHTTP makes a Registry an http.Handler serving the Prometheus
-// text exposition (or JSON with ?format=json), so the debug server
-// mounts it directly at /metrics.
-func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	if req.URL.Query().Get("format") == "json" {
-		w.Header().Set("Content-Type", "application/json")
-		_ = r.WriteJSON(w)
-		return
-	}
+// text exposition, so the debug server mounts it directly at /metrics.
+func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = r.WriteProm(w)
 }

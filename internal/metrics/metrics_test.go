@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"bytes"
-	"encoding/json"
 	"strconv"
 	"strings"
 	"sync"
@@ -188,50 +187,6 @@ func TestWritePromFormat(t *testing.T) {
 	// Cumulative buckets: 0.01 → 1, 1 → 1, +Inf → 2.
 	if !strings.Contains(out, `le="0.01"} 1`) || !strings.Contains(out, `le="1"} 1`) {
 		t.Fatalf("buckets not cumulative:\n%s", out)
-	}
-}
-
-func TestWriteJSON(t *testing.T) {
-	r := New()
-	r.CounterVec("hs_actions_total", "Actions.", "kind").With("compute").Add(3)
-	r.Histogram("hs_dur_seconds", "Durations.", []float64{0.5}).Observe(time.Second)
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Metrics []struct {
-			Name    string            `json:"name"`
-			Type    string            `json:"type"`
-			Labels  map[string]string `json:"labels"`
-			Value   *int64            `json:"value"`
-			Count   *int64            `json:"count"`
-			Sum     *float64          `json:"sum_seconds"`
-			Buckets map[string]int64  `json:"buckets"`
-		} `json:"metrics"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(doc.Metrics) != 2 {
-		t.Fatalf("got %d metrics, want 2", len(doc.Metrics))
-	}
-	for _, m := range doc.Metrics {
-		switch m.Name {
-		case "hs_actions_total":
-			if m.Type != "counter" || m.Value == nil || *m.Value != 3 || m.Labels["kind"] != "compute" {
-				t.Fatalf("bad counter entry: %+v", m)
-			}
-		case "hs_dur_seconds":
-			if m.Type != "histogram" || m.Count == nil || *m.Count != 1 || m.Sum == nil || *m.Sum != 1 {
-				t.Fatalf("bad histogram entry: %+v", m)
-			}
-			if m.Buckets["+Inf"] != 1 {
-				t.Fatalf("bad +Inf bucket: %+v", m.Buckets)
-			}
-		default:
-			t.Fatalf("unexpected metric %q", m.Name)
-		}
 	}
 }
 

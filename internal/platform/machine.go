@@ -64,6 +64,8 @@ func (m *Machine) PeakGFlops() float64 {
 	return p
 }
 
+// String summarizes the machine: its name, host, card count and
+// aggregate peak.
 func (m *Machine) String() string {
 	return fmt.Sprintf("%s (host %s + %d cards, %.0f GF/s peak)", m.Name, m.Host.Name, len(m.Cards), m.PeakGFlops())
 }

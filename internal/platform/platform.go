@@ -30,6 +30,7 @@ const (
 	GPU
 )
 
+// String labels the kind: "host", "mic" or "gpu".
 func (k DomainKind) String() string {
 	switch k {
 	case HostCPU:
@@ -133,6 +134,8 @@ const (
 
 var kernelNames = [...]string{"DGEMM", "DSYRK", "DTRSM", "DPOTRF", "DPOTF2", "LDLT", "DGETRF", "STENCIL", "MEMSET"}
 
+// String returns the kernel class's BLAS/LAPACK-style name, such as
+// "DGEMM".
 func (k Kernel) String() string {
 	if k < 0 || int(k) >= len(kernelNames) {
 		return fmt.Sprintf("Kernel(%d)", int(k))

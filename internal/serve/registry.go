@@ -97,7 +97,7 @@ type TenantStatus struct {
 }
 
 // Register creates a tenant with the given quotas and builds its
-// stream group. Stream groups overlap on the serving domain's cores;
+// stream group. Stream groups overlap on the host's cores;
 // isolation is by admission, not by core partitioning. The name is
 // reserved from the start, but the tenant becomes visible — to Submit,
 // AllocBuffer, Unregister and status — only once its group is
@@ -158,7 +158,7 @@ func (s *Server) Register(name string, q Quotas) (*Tenant, error) {
 		s.release(t)
 	}
 	for i := 0; s.rt != nil && i < q.MaxStreams; i++ {
-		st, cerr := s.rt.StreamCreate(s.domain, 0, s.opt.StreamWidth)
+		st, cerr := s.rt.StreamCreate(s.rt.Host(), 0, s.opt.StreamWidth)
 		if cerr != nil {
 			err = fmt.Errorf("serve: creating stream %d for %q: %w", i, name, cerr)
 			break

@@ -80,9 +80,6 @@ type Options struct {
 	// Runtime is the hStreams runtime tenants share. Required unless
 	// Shadow is set; must be in Real mode.
 	Runtime *core.Runtime
-	// Domain is the domain tenant stream groups bind to. Nil uses the
-	// runtime's host domain.
-	Domain *core.Domain
 	// Registry receives the hstreams_tenant_* metric families. Nil
 	// uses metrics.Default().
 	Registry *metrics.Registry
@@ -94,7 +91,7 @@ type Options struct {
 	// that do not set Quotas.MaxStreams. Values < 1 default to 2.
 	StreamsPerTenant int
 	// StreamWidth is the core count granted to each tenant stream.
-	// Groups overlap on the domain's cores (the paper permits mapping
+	// Groups overlap on the host's cores (the paper permits mapping
 	// multiple streams onto common resources). Values < 1 default to 1.
 	StreamWidth int
 	// DefaultMaxPending bounds each tenant's admission queue when
@@ -130,10 +127,9 @@ func (o *Options) fill() {
 // Handler on an HTTP listener (or call Start), and Close on the way
 // out.
 type Server struct {
-	opt    Options
-	rt     *core.Runtime
-	domain *core.Domain
-	mets   *tenantMetrics
+	opt  Options
+	rt   *core.Runtime
+	mets *tenantMetrics
 
 	// mu guards the tenant table, every tenant's mutable state, the
 	// free-slot count and the stride-scheduler pass values. cond
@@ -172,12 +168,6 @@ func New(opt Options) (*Server, error) {
 		free:        opt.MaxInflight,
 	}
 	s.cond = sync.NewCond(&s.mu)
-	if s.rt != nil {
-		s.domain = opt.Domain
-		if s.domain == nil {
-			s.domain = s.rt.Host()
-		}
-	}
 	return s, nil
 }
 

@@ -33,9 +33,6 @@ func (r *Resource) Reserve(ready, dur time.Duration) (start, end time.Duration) 
 	return start, end
 }
 
-// AvailableAt reports when the resource next becomes free.
-func (r *Resource) AvailableAt() time.Duration { return r.availableAt }
-
 // Busy reports the total time the resource has been reserved.
 func (r *Resource) Busy() time.Duration { return r.busy }
 
@@ -49,70 +46,4 @@ func (r *Resource) Utilization(horizon time.Duration) float64 {
 		return 0
 	}
 	return float64(r.busy) / float64(horizon)
-}
-
-// Pool models k interchangeable slots (for example a card-wide worker
-// pool used by a dynamic scheduler, or dual DMA engines). A reservation
-// takes the earliest-available slot.
-type Pool struct {
-	Name  string
-	slots []*Resource
-}
-
-// NewPool returns a pool of k idle slots. k must be positive.
-func NewPool(name string, k int) *Pool {
-	if k <= 0 {
-		panic("timesim: pool must have at least one slot")
-	}
-	p := &Pool{Name: name, slots: make([]*Resource, k)}
-	for i := range p.slots {
-		p.slots[i] = NewResource(name)
-	}
-	return p
-}
-
-// Slots reports the number of slots in the pool.
-func (p *Pool) Slots() int { return len(p.slots) }
-
-// Reserve books dur on the slot that can start the work earliest
-// (breaking ties by lowest slot index) and returns the slot index and
-// the actual [start, end).
-func (p *Pool) Reserve(ready, dur time.Duration) (slot int, start, end time.Duration) {
-	best := 0
-	bestStart := maxDuration(ready, p.slots[0].availableAt)
-	for i := 1; i < len(p.slots); i++ {
-		s := maxDuration(ready, p.slots[i].availableAt)
-		if s < bestStart {
-			best, bestStart = i, s
-		}
-	}
-	start, end = p.slots[best].Reserve(ready, dur)
-	return best, start, end
-}
-
-// Busy reports total reserved time across all slots.
-func (p *Pool) Busy() time.Duration {
-	var total time.Duration
-	for _, s := range p.slots {
-		total += s.busy
-	}
-	return total
-}
-
-// AvailableAt reports when the earliest slot becomes free.
-func (p *Pool) AvailableAt() time.Duration {
-	min := p.slots[0].availableAt
-	for _, s := range p.slots[1:] {
-		if s.availableAt < min {
-			min = s.availableAt
-		}
-	}
-	return min
-}
-
-func maxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

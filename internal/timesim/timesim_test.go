@@ -156,47 +156,6 @@ func TestResourceUtilization(t *testing.T) {
 	}
 }
 
-func TestPoolPicksEarliestSlot(t *testing.T) {
-	p := NewPool("workers", 2)
-	slot0, _, _ := p.Reserve(0, 10*time.Millisecond)
-	slot1, _, _ := p.Reserve(0, 2*time.Millisecond)
-	if slot0 == slot1 {
-		t.Fatalf("both reservations on slot %d, want distinct slots", slot0)
-	}
-	// Slot that ran the 2 ms job frees first and must win the next one.
-	slot2, start, _ := p.Reserve(0, time.Millisecond)
-	if slot2 != slot1 {
-		t.Fatalf("third reservation on slot %d, want %d", slot2, slot1)
-	}
-	if start != 2*time.Millisecond {
-		t.Fatalf("third start = %v, want 2ms", start)
-	}
-}
-
-func TestPoolSingleSlotMatchesResource(t *testing.T) {
-	p := NewPool("one", 1)
-	r := NewResource("one")
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 100; i++ {
-		ready := time.Duration(rng.Intn(50)) * time.Millisecond
-		dur := time.Duration(1+rng.Intn(20)) * time.Millisecond
-		_, ps, pe := p.Reserve(ready, dur)
-		rs, re := r.Reserve(ready, dur)
-		if ps != rs || pe != re {
-			t.Fatalf("pool [%v,%v) != resource [%v,%v)", ps, pe, rs, re)
-		}
-	}
-}
-
-func TestNewPoolRejectsZeroSlots(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewPool(0) did not panic")
-		}
-	}()
-	NewPool("bad", 0)
-}
-
 // Property: reservations on a resource never overlap and never start
 // before their ready time.
 func TestResourceReservationsNeverOverlap(t *testing.T) {
@@ -213,29 +172,6 @@ func TestResourceReservationsNeverOverlap(t *testing.T) {
 			prevEnd = end
 		}
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: pool makespan for identical jobs matches the analytic
-// bound ceil(n/k)*dur when all jobs are ready at time zero.
-func TestPoolMakespanBound(t *testing.T) {
-	f := func(nJobs, kSlots uint8) bool {
-		n := int(nJobs%32) + 1
-		k := int(kSlots%8) + 1
-		p := NewPool("w", k)
-		dur := 3 * time.Millisecond
-		var makespan time.Duration
-		for i := 0; i < n; i++ {
-			_, _, end := p.Reserve(0, dur)
-			if end > makespan {
-				makespan = end
-			}
-		}
-		want := time.Duration((n+k-1)/k) * dur
-		return makespan == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -156,7 +156,6 @@ type Rec struct {
 	ndeps                      uint8
 	Kind                       Kind
 	Err, DeadlineHit, Rerouted bool
-	recycle                    bool // Record's own: reused once evicted
 }
 
 // overflow holds what a record has no room for. It is allocated only
@@ -274,18 +273,11 @@ func (s *RecSlab) New() *Rec {
 // point at. When the ring wraps the oldest spans are overwritten. A
 // nil recorder discards everything, so callers never need nil checks.
 type FlightRecorder struct {
-	mask    uint64
-	pos     atomic.Uint64 // total spans ever recorded
-	floor   atomic.Uint64 // first position Snapshot returns (Reset)
-	readers atomic.Int32  // Snapshot calls in progress
-	ring    []atomic.Pointer[Rec]
-	// recs backs the records Record copies spans into, and spare holds
-	// a few of them that the ring has let go of, for Record to reuse.
-	recs  RecSlab
-	spare [4]atomic.Pointer[Rec]
-	// ident is the identity Record built last: recording many spans
-	// of one stream allocates it once.
-	ident atomic.Pointer[Ident]
+	mask  uint64
+	pos   atomic.Uint64 // total spans ever recorded
+	floor atomic.Uint64 // first position Snapshot returns (Reset)
+	ring  []atomic.Pointer[Rec]
+	recs  RecSlab // backs the records Record copies spans into
 }
 
 // NewFlight returns a recorder holding the most recent capacity spans
@@ -313,15 +305,9 @@ func DefaultFlight() *FlightRecorder { return defaultFlight }
 // A writer lapped before it stores (a later lap's record is already in
 // its entry) drops r, so the newer record stays.
 func (f *FlightRecorder) Publish(r *Rec) {
-	if f != nil {
-		f.publish(r)
+	if f == nil {
+		return
 	}
-}
-
-// publish is Publish for a non-nil recorder. It returns the record
-// that left the ring because of it: the one r replaced (nil if none),
-// or r itself if it was dropped.
-func (f *FlightRecorder) publish(r *Rec) *Rec {
 	i := f.pos.Add(1) - 1
 	r.at = i
 	e := &f.ring[i&f.mask]
@@ -330,79 +316,31 @@ func (f *FlightRecorder) publish(r *Rec) *Rec {
 	// is a whole lap past i, so the common case never reads the old
 	// record. If one did, put it back, unless a still later one has
 	// replaced r meanwhile.
-	if old == nil || f.pos.Load()-i <= f.mask+1 || old.at < i {
-		return old
+	if old != nil && f.pos.Load()-i > f.mask+1 && old.at > i {
+		e.CompareAndSwap(r, old)
 	}
-	if e.CompareAndSwap(r, old) {
-		return r
-	}
-	return old
 }
 
-// Record appends a copy of one span through the same publish. Once the
-// ring has lapped it rewrites the records it published earlier and
-// the ring has since let go of, so it allocates only for a span with
-// more than three deps or with retries, or whose identity differs from
-// the previous call's — or while a Snapshot runs, which may still be
-// reading an evicted record.
+// Record appends a copy of one span: it copies sp into a record from
+// the recorder's own slab and publishes that.
 func (f *FlightRecorder) Record(sp *Span) {
 	if f == nil {
 		return
 	}
-	r := f.takeSpare()
-	if r == nil {
-		r = f.recs.New()
-	}
+	r := f.recs.New()
 	*r = Rec{
-		ID: sp.ID, Kind: sp.Kind, Label: sp.Label, Ident: f.identOf(sp),
+		ID: sp.ID, Kind: sp.Kind, Label: sp.Label,
+		Ident: &Ident{Run: sp.Run, Stream: sp.Stream, Domain: sp.Domain, Src: sp.Src, Dst: sp.Dst},
 		Bytes: sp.Bytes, Flops: sp.Flops, Err: sp.Err,
 		Enqueue: sp.Enqueue, Ready: sp.Ready, Launch: sp.Launch, Finish: sp.Finish,
 		DeadlineHit: sp.DeadlineHit, Rerouted: sp.Rerouted,
 		CostKernel: int32(sp.CostKernel), CostN: sp.CostN, CostBytes: sp.CostBytes, CostExtra: sp.CostExtra,
-		recycle: true,
 	}
 	for _, d := range sp.Deps {
 		r.AddDep(d)
 	}
 	r.SetRetries(sp.Retries, sp.RetryWait)
-	// The evicted record is in no entry now. A Snapshot that counts
-	// itself in readers after this load finds the entry's new record,
-	// never the old one; so with no Snapshot running, none can still
-	// be copying it.
-	if old := f.publish(r); old != nil && old.recycle && f.readers.Load() == 0 {
-		f.putSpare(old)
-	}
-}
-
-func (f *FlightRecorder) takeSpare() *Rec {
-	for i := range f.spare {
-		if f.spare[i].Load() != nil {
-			if r := f.spare[i].Swap(nil); r != nil {
-				return r
-			}
-		}
-	}
-	return nil
-}
-
-func (f *FlightRecorder) putSpare(r *Rec) {
-	for i := range f.spare {
-		if f.spare[i].Load() == nil && f.spare[i].CompareAndSwap(nil, r) {
-			return
-		}
-	}
-}
-
-// identOf returns an Ident equal to sp's identity, reusing the one
-// built by the previous call when they match.
-func (f *FlightRecorder) identOf(sp *Span) *Ident {
-	id := f.ident.Load()
-	if id == nil || id.Run != sp.Run || id.Stream != sp.Stream || id.Domain != sp.Domain ||
-		id.Src != sp.Src || id.Dst != sp.Dst {
-		id = &Ident{Run: sp.Run, Stream: sp.Stream, Domain: sp.Domain, Src: sp.Src, Dst: sp.Dst}
-		f.ident.Store(id)
-	}
-	return id
+	f.Publish(r)
 }
 
 // Cap returns the ring capacity in spans.
@@ -436,8 +374,6 @@ func (f *FlightRecorder) Snapshot() []Span {
 	if f == nil {
 		return nil
 	}
-	f.readers.Add(1)
-	defer f.readers.Add(-1)
 	// floor before pos: Reset stores a position it read, so the floor
 	// loaded first is never past the position counter loaded after it.
 	start := f.floor.Load()

@@ -173,20 +173,6 @@ func TestFlightLapping(t *testing.T) {
 	}
 }
 
-// TestRecordReusesEvicted: once the ring has lapped, Record rewrites
-// the records the ring has let go of instead of allocating new ones.
-func TestRecordReusesEvicted(t *testing.T) {
-	f := NewFlight(64)
-	sp := derivedSpan(3) // three deps, no retries: nothing overflows
-	for range 2 * f.Cap() {
-		f.Record(&sp)
-	}
-	if n := testing.AllocsPerRun(1000, func() { f.Record(&sp) }); n != 0 {
-		t.Fatalf("Record allocates %v times per call once the ring has lapped", n)
-	}
-	checkWhole(t, f, f.Snapshot())
-}
-
 // checkWhole fails t unless spans fit the ring and each is whole: every
 // field the one derivedSpan gives its ID.
 func checkWhole(t *testing.T, f *FlightRecorder, spans []Span) {
