@@ -27,7 +27,7 @@ func TestChaosGate(t *testing.T) {
 			quarantines: 1, reroutes: true},
 	} {
 		t.Run(p.name, func(t *testing.T) {
-			r := runChaos(p.opts)
+			r := runChaos(p.opts, nil)
 			t.Logf("%+v", r)
 			if r.verify != nil {
 				t.Errorf("result did not verify: %v", r.verify)

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"hstreams/internal/core"
 	"hstreams/internal/telemetry"
 )
 
@@ -24,7 +23,6 @@ func TestDebugGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer obs.debug.Close()
-	defer core.SetDefaultEventHook(nil)
 	fig3()
 	obs.sampler.Stop()
 

@@ -81,6 +81,10 @@ func main() {
 		defer obs.debug.Close()
 		fmt.Printf("debug server listening on http://%s\n", obs.debug.Addr())
 	}
+	var onEvent func(core.RuntimeEvent) // the chaos run's lifecycle events
+	if obs.engine != nil {
+		onEvent = obs.engine.Journal().CoreEvent
+	}
 
 	runs := map[string]func(){
 		"3":        fig3,
@@ -93,7 +97,7 @@ func main() {
 		"rtm":      rtm,
 		"tuning":   tuning,
 		"lu":       luClaims,
-		"chaos":    chaos,
+		"chaos":    func() { chaos(onEvent) },
 	}
 	if *fig == "all" {
 		for _, k := range []string{"3", "6", "7", "8", "9", "overhead", "ompss", "rtm", "tuning", "lu"} {
@@ -153,7 +157,6 @@ func observe(healthOn, timeline bool, debugAddr string) (*observers, error) {
 	var o observers
 	if healthOn || debugAddr != "" {
 		o.engine = health.New(health.Options{})
-		core.SetDefaultEventHook(o.engine.Journal().CoreEvent)
 	}
 	if debugAddr != "" {
 		srv, err := debugserver.Start(debugAddr, debugserver.Options{Health: o.engine})
@@ -636,8 +639,9 @@ type chaosResult struct {
 // reference product — proving the resilience layer delivers correct
 // answers under transfer/kernel faults, not just that it retries. A
 // private metrics registry isolates this run's counters, so the result
-// is exactly the chaos run's accounting.
-func runChaos(o chaosOptions) chaosResult {
+// is exactly the chaos run's accounting. onEvent, when non-nil,
+// receives the run's lifecycle events.
+func runChaos(o chaosOptions, onEvent func(core.RuntimeEvent)) chaosResult {
 	o = o.withDefaults()
 	plan := fault.Plan{
 		Seed:          o.seed,
@@ -661,6 +665,7 @@ func runChaos(o chaosOptions) chaosResult {
 		},
 		Deadline: o.deadline,
 		Breaker:  core.BreakerPolicy{Threshold: o.breaker},
+		OnEvent:  onEvent,
 	})
 	if err != nil {
 		return chaosResult{verify: err}
@@ -680,13 +685,13 @@ func runChaos(o chaosOptions) chaosResult {
 }
 
 // chaos is the -fig chaos figure: runChaos under the flag values,
-// printed as one summary line. Exits nonzero when the result does not
-// verify.
-func chaos() {
+// printed as one summary line, journaling lifecycle events to onEvent.
+// Exits nonzero when the result does not verify.
+func chaos(onEvent func(core.RuntimeEvent)) {
 	o := chaosOpts.withDefaults()
 	fmt.Printf("== chaos: Real-mode hetero matmul under faults (p=%.3f seed=%d retry=%d deadline=%v breaker=%d) ==\n",
 		o.prob, o.seed, o.retry, o.deadline, o.breaker)
-	r := runChaos(o)
+	r := runChaos(o, onEvent)
 	verify := "ok"
 	if r.verify != nil {
 		verify = fmt.Sprintf("FAILED (%v)", r.verify)

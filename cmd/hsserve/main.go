@@ -76,7 +76,6 @@ func main() {
 	// /debug/health and /debug/timeline work out of the box and the
 	// tenant SLO rules (tenant-shed, admission-wait) evaluate live.
 	engine := health.New(health.Options{})
-	core.SetDefaultEventHook(engine.Journal().CoreEvent)
 	sampler := telemetry.NewSampler(telemetry.SamplerOptions{
 		Interval: 100 * time.Millisecond,
 		OnSample: engine.Tick,

@@ -255,7 +255,8 @@ type (
 	// HealthEventJournal is the lock-free ring of lifecycle events.
 	HealthEventJournal = health.Journal
 	// RuntimeEvent is a lifecycle event emitted by a runtime's
-	// resilience paths (Config.OnEvent / SetDefaultRuntimeEventHook).
+	// resilience paths to its Config.OnEvent hook (AppOptions.OnEvent
+	// through the app layer), typically a journal's CoreEvent method.
 	RuntimeEvent = core.RuntimeEvent
 )
 
@@ -289,11 +290,6 @@ func NewEventJournal(capacity int, reg *MetricsRegistry) *HealthEventJournal {
 // DefaultEventJournal returns the process-wide journal the debug
 // server's /debug/events endpoint serves.
 func DefaultEventJournal() *HealthEventJournal { return health.DefaultJournal() }
-
-// SetDefaultRuntimeEventHook installs the process-wide lifecycle-event
-// hook used by runtimes whose Config.OnEvent is nil — typically a
-// journal's CoreEvent method. Pass nil to clear.
-func SetDefaultRuntimeEventHook(fn func(RuntimeEvent)) { core.SetDefaultEventHook(fn) }
 
 // Checkpoint/replay types (internal/core). A Checkpoint serializes a
 // completed run's action DAG — streams, actions, dependence edges,

@@ -60,7 +60,7 @@ type Options struct {
 	// core.Config.Breaker).
 	Breaker core.BreakerPolicy
 	// OnEvent receives runtime lifecycle events (see
-	// core.Config.OnEvent); nil falls back to the process-wide hook.
+	// core.Config.OnEvent); nil drops them.
 	OnEvent func(core.RuntimeEvent)
 }
 

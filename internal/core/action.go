@@ -374,8 +374,7 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 	s.inflight = append(s.inflight, a)
 	a.fslot = len(s.frontier)
 	s.frontier = append(s.frontier, a)
-	depth := int64(len(s.inflight))
-	s.enqueued.Add(1)
+	depth := len(s.inflight)
 	s.mu.Unlock()
 
 	for i, d := range extraDeps {
@@ -389,11 +388,10 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 		ds.mu.Unlock()
 	}
 
-	rt.outstanding.Add(1)
 	k := metricKind(a.kind)
 	s.met.enq[k].Inc()
 	s.met.depth.Add(1)
-	s.met.depthPeak.SetMax(depth)
+	s.met.depthPeak.SetMax(int64(depth))
 
 	// Release the linking token; the decrement that lands on zero —
 	// here or in a predecessor's finish — launches, exactly once.
@@ -414,7 +412,7 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 	// edge (addDep skips completed predecessors), breaking the
 	// edge-for-edge identity the replay asserts.
 	if se, ok := rt.exec.(*simExec); ok && !a.replay {
-		se.maybeDrain(s)
+		se.maybeDrain(s, depth)
 	}
 	return a, nil
 }
@@ -478,7 +476,6 @@ func (rt *Runtime) finish(a *Action, err error) {
 	retire := s.retire
 	s.mu.Unlock()
 
-	rt.outstanding.Add(-1)
 	s.retired.Add(1)
 	s.met.depth.Add(-1)
 	s.met.retired.Inc()

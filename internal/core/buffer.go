@@ -177,7 +177,7 @@ func (b *Buf) tryReclaim() {
 			break
 		}
 	}
-	streams := append([]*Stream(nil), rt.streams...)
+	streams := rt.streams
 	rt.mu.Unlock()
 	// Zero references means every interval in the per-stream indexes
 	// belongs to an action that has finished executing, so the whole

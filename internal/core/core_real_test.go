@@ -383,20 +383,32 @@ func TestRealRemoteDomainRoundTrip(t *testing.T) {
 }
 
 func TestStreamDestroy(t *testing.T) {
-	rt := realRuntime(t, 1)
+	rt := isoRuntime(t, ModeReal, 1)
 	registerTestKernels(rt)
+	// held reports what the runtime holds for its streams: the streams
+	// Status lists and the hstreams_domain_streams gauge.
+	held := func() (int, float64) {
+		return len(rt.Status().Streams), rt.Metrics().Total("hstreams_domain_streams")
+	}
 	b, f, _ := rt.AllocFloat64("v", 8)
 	f[0] = 2
 	s, _ := rt.StreamCreate(rt.Card(0), 0, 4)
 	must(t)(s.EnqueueXferAll(b, ToSink))
 	mustEnqueueC(t, s, "scale", []int64{3}, []Operand{b.All(InOut)})
 	must(t)(s.EnqueueXferAll(b, ToSource))
-	// Destroy drains in-flight work, then refuses new enqueues.
+	if n, g := held(); n != 1 || g != 1 {
+		t.Fatalf("before destroy: %d streams listed, gauge %v; want 1, 1", n, g)
+	}
+	// Destroy drains in-flight work, then refuses new enqueues and
+	// takes the stream out of the runtime.
 	if err := s.Destroy(); err != nil {
 		t.Fatal(err)
 	}
 	if f[0] != 6 {
 		t.Fatalf("destroy did not drain: f[0] = %v", f[0])
+	}
+	if n, g := held(); n != 0 || g != 0 {
+		t.Fatalf("after destroy: %d streams listed, gauge %v; want 0, 0", n, g)
 	}
 	if _, err := s.EnqueueMarker(); err != ErrBadStream {
 		t.Fatalf("enqueue after destroy err = %v, want ErrBadStream", err)
@@ -404,13 +416,32 @@ func TestStreamDestroy(t *testing.T) {
 	if err := s.Destroy(); err != nil {
 		t.Fatalf("second destroy err = %v", err)
 	}
-	// Other streams keep working.
+	if n, g := held(); n != 0 || g != 0 {
+		t.Fatalf("after second destroy: %d streams listed, gauge %v; want 0, 0", n, g)
+	}
+	// Other streams keep working, under a name of their own.
 	s2, err := rt.StreamCreate(rt.Card(0), 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if s2.Name() == s.Name() {
+		t.Fatalf("new stream reuses the destroyed stream's name %q", s.Name())
+	}
 	if _, err := s2.EnqueueMarker(); err != nil {
 		t.Fatal(err)
+	}
+	// Churn leaves the table and the gauge where they were.
+	for i := 0; i < 2000; i++ {
+		s, err := rt.StreamCreate(rt.Host(), 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Destroy(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, g := held(); n != 1 || g != 1 {
+		t.Fatalf("after 2000 create/destroy pairs: %d streams listed, gauge %v; want 1, 1", n, g)
 	}
 }
 

@@ -85,8 +85,9 @@ type StreamStatus struct {
 }
 
 // RuntimeStatus is a point-in-time view of one runtime: its clock, its
-// outstanding-action count, every stream's incomplete window and its
-// link traffic. The debug server serves it as /debug/streams.
+// outstanding-action count (the sum of the streams' depths), every
+// live stream's incomplete window and its link traffic. The debug
+// server serves it as /debug/streams.
 type RuntimeStatus struct {
 	Run         uint64            `json:"run"`
 	Mode        string            `json:"mode"`
@@ -162,12 +163,11 @@ func (rt *Runtime) Status() RuntimeStatus {
 	}
 	re, _ := rt.exec.(*realExec)
 	st := RuntimeStatus{
-		Run:         rt.runID,
-		Mode:        rt.cfg.Mode.String(),
-		Now:         now,
-		Outstanding: int(rt.outstanding.Load()),
-		Finalized:   rt.finalized.Load(),
-		Links:       rt.LinkStats(),
+		Run:       rt.runID,
+		Mode:      rt.cfg.Mode.String(),
+		Now:       now,
+		Finalized: rt.finalized.Load(),
+		Links:     rt.LinkStats(),
 	}
 	rt.mu.Lock()
 	streams := rt.streams
@@ -188,6 +188,7 @@ func (rt *Runtime) Status() RuntimeStatus {
 		s.mu.Lock()
 		ss.Destroyed = s.destroyed
 		ss.Depth = len(s.inflight)
+		st.Outstanding += ss.Depth
 		ss.Retired = s.retired.Load()
 		win := s.inflight
 		if len(win) > maxStatusScan {

@@ -8,10 +8,7 @@ package core
 // single resNote nil check at finish (and nothing at all when no hook
 // is installed).
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // RuntimeEventKind classifies a runtime lifecycle event.
 type RuntimeEventKind int
@@ -66,35 +63,11 @@ type RuntimeEvent struct {
 	Err    string
 }
 
-// defaultEventHook is the process-wide fallback hook, mirroring
-// metrics.Default()/trace.DefaultFlight(): runtimes whose Config left
-// OnEvent nil deliver here. Stored behind a pointer so installation is
-// one atomic store and the no-hook probe one atomic load.
-var defaultEventHook atomic.Pointer[func(RuntimeEvent)]
-
-// SetDefaultEventHook installs (or, with nil, removes) the
-// process-wide lifecycle-event hook used by runtimes whose
-// Config.OnEvent is nil. The CLIs point it at the health journal
-// (health.Journal.CoreEvent). The hook must be safe for concurrent
-// calls — events fire from executor worker goroutines.
-func SetDefaultEventHook(fn func(RuntimeEvent)) {
-	if fn == nil {
-		defaultEventHook.Store(nil)
-		return
-	}
-	defaultEventHook.Store(&fn)
-}
-
-// emitEvent delivers one lifecycle event to the runtime's hook, or the
-// process default when the runtime has none. Called only on failure
-// paths.
+// emitEvent delivers one lifecycle event to the runtime's hook, if it
+// has one. Called only on failure paths.
 func (rt *Runtime) emitEvent(ev RuntimeEvent) {
 	if fn := rt.cfg.OnEvent; fn != nil {
 		fn(ev)
-		return
-	}
-	if p := defaultEventHook.Load(); p != nil {
-		(*p)(ev)
 	}
 }
 

@@ -107,17 +107,16 @@ const (
 )
 
 // maybeDrain pumps the engine while stream s has a large incomplete
-// window. Safe because start times come from propagated ready times,
-// not the engine clock. The window size is the stream's enqueued
-// minus retired count, read without taking its lock.
-func (se *simExec) maybeDrain(s *Stream) {
-	if s.enqueued.Load()-s.retired.Load() < simInflightHigh {
+// window; depth is the window size its enqueue saw. Safe because
+// start times come from propagated ready times, not the engine clock.
+func (se *simExec) maybeDrain(s *Stream, depth int) {
+	if depth < simInflightHigh {
 		return
 	}
-	for s.enqueued.Load()-s.retired.Load() > simInflightLow {
-		if !se.eng.Step() {
-			return
-		}
+	for depth > simInflightLow && se.eng.Step() {
+		s.mu.Lock()
+		depth = len(s.inflight)
+		s.mu.Unlock()
 	}
 }
 

@@ -329,6 +329,58 @@ func TestConcurrentFreeEnqueue(t *testing.T) {
 	}
 }
 
+// TestStreamChurnUnderStatus destroys streams while another goroutine
+// snapshots, synchronizes and frees against the runtime. Status,
+// ThreadSynchronize and a buffer's reclamation iterate the stream table
+// after unlocking, so Destroy must publish a new table, never edit the
+// one they may hold: an edit in place shows here as a race report or a
+// nil stream.
+func TestStreamChurnUnderStatus(t *testing.T) {
+	rt := isoRuntime(t, ModeReal, 0)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			var group [4]*Stream
+			for j := range group {
+				s, err := rt.StreamCreate(rt.Host(), 0, 1)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := s.EnqueueMarker(); err != nil {
+					t.Error(err)
+					return
+				}
+				group[j] = s
+			}
+			for _, s := range group {
+				if err := s.Destroy(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	for churning := true; churning; {
+		select {
+		case <-done:
+			churning = false
+		default:
+		}
+		rt.Status()
+		rt.ThreadSynchronize()
+		b, err := rt.Alloc1D("b", 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Free()
+	}
+	if n := len(rt.Status().Streams); n != 0 {
+		t.Fatalf("Status lists %d streams after every stream was destroyed", n)
+	}
+}
+
 // TestFiniFreesRemaining pins the leak-check contract: Fini reclaims
 // every never-freed buffer, returning hstreams_buffers_live to its
 // pre-Init baseline.

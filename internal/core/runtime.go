@@ -124,10 +124,8 @@ type Config struct {
 	// (breaker trips, quarantine flushes, retries-exhausted, deadline
 	// hits — see RuntimeEvent) synchronously on the goroutine where
 	// the transition happened; it must be safe for concurrent calls.
-	// Nil falls back to the process-wide hook installed with
-	// SetDefaultEventHook (the CLIs point that at the health journal);
-	// with neither set, events are dropped. Only failure paths emit,
-	// so the fault-free hot path never pays for the hook.
+	// Nil drops events. Only failure paths emit, so the fault-free hot
+	// path never pays for the hook.
 	OnEvent func(RuntimeEvent)
 }
 
@@ -163,8 +161,13 @@ type Runtime struct {
 	// never takes it — scheduling state lives behind per-stream locks
 	// (Stream.mu) and the atomics below. Proxy-range allocation has
 	// its own lock inside the AddrSpace.
-	mu       sync.Mutex
+	mu sync.Mutex
+	// streams holds the live streams. A published slice is never
+	// edited — readers iterate it after unlocking — so Destroy
+	// publishes a new one. nStreams counts every stream ever created
+	// and numbers the next.
 	streams  []*Stream
+	nStreams int
 	bufs     []*Buf
 	firstErr error
 
@@ -173,9 +176,8 @@ type Runtime struct {
 	// server leaked address space on every Alloc1D/Free cycle.
 	proxy *fabric.AddrSpace
 
-	nextID      atomic.Uint64
-	outstanding atomic.Int64
-	finalized   atomic.Bool
+	nextID    atomic.Uint64
+	finalized atomic.Bool
 
 	// ktab is the copy-on-write kernel table: registration (rare)
 	// clones under mu, lookup (every Real-mode compute enqueue) is a

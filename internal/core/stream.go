@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -56,11 +57,11 @@ type Stream struct {
 	// action.
 	retire func(*Action)
 
-	// enqueued and retired count actions into and out of inflight.
-	// They are this stream's own, unlike hstreams_stream_retired_total
-	// (shared by same-named streams of every runtime on a registry);
-	// their difference is the depth the Sim drain loop reads without mu.
-	enqueued, retired atomic.Uint64
+	// retired counts actions out of inflight. It is this stream's own,
+	// unlike hstreams_stream_retired_total (shared by same-named
+	// streams of every runtime on a registry), so the watchdog reads
+	// it as the stream's progress.
+	retired atomic.Uint64
 
 	// met caches this stream's resolved metric series.
 	met *streamMetrics
@@ -115,7 +116,7 @@ func (rt *Runtime) StreamCreateOn(d *Domain, firstCore, nCores int, share *Strea
 	}
 	s := &Stream{
 		rt:        rt,
-		id:        len(rt.streams),
+		id:        rt.nStreams,
 		domain:    d,
 		firstCore: firstCore,
 		nCores:    nCores,
@@ -129,11 +130,11 @@ func (rt *Runtime) StreamCreateOn(d *Domain, firstCore, nCores int, share *Strea
 	// rt.streams: Status() snapshots that slice under rt.mu and
 	// reads s.met without further coordination.
 	s.met = rt.mets.forStream(s.name, d.spec.Name)
+	rt.nStreams++
 	rt.streams = append(rt.streams, s)
 	rt.mu.Unlock()
 	// The per-domain stream count is the telemetry layer's capacity
-	// basis (utilization = busy-seconds / (span × streams)); streams
-	// are never destroyed below the runtime, so the gauge only rises.
+	// basis (utilization = busy-seconds / (span × streams)).
 	rt.mets.domainStreams.With(d.spec.Name).Add(1)
 	recordStreamGeom(rt, s)
 
@@ -305,18 +306,38 @@ func (s *Stream) EnqueueEventWait(evs ...*Action) (*Action, error) {
 
 // Destroy drains the stream and rejects further enqueues
 // (hStreams_StreamDestroy). The integer handle and the stream's past
-// events remain valid; only new work is refused. Once drained, the
-// stream's three per-stream series (hstreams_queue_depth,
+// events remain valid; only new work is refused, and no later stream
+// of the runtime reuses the id. Once drained, the stream leaves the
+// runtime: Status and ThreadSynchronize no longer see it, its
+// dependence index is dropped, hstreams_domain_streams falls by one,
+// and its three per-stream series (hstreams_queue_depth,
 // hstreams_queue_depth_peak and hstreams_stream_retired_total) leave
-// the registry, so stream churn does not grow it. Series are keyed by stream name, so a same-named
-// stream of another runtime on the same registry shares those rows
-// and loses them too. Destroy is idempotent.
+// the registry, so stream churn grows neither the runtime nor the
+// registry. Series are keyed by stream name, so a same-named stream of
+// another runtime on the same registry shares those rows and loses
+// them too. Destroy is idempotent: a second call only waits for the
+// drain and changes nothing.
 func (s *Stream) Destroy() error {
 	s.mu.Lock()
 	s.destroyed = true
 	s.mu.Unlock()
 	err := s.Synchronize()
-	s.rt.mets.deleteStream(s.name)
+	rt := s.rt
+	rt.mu.Lock()
+	i := slices.Index(rt.streams, s)
+	if i >= 0 {
+		// Never edit a published slice; see Runtime.streams.
+		rt.streams = slices.Delete(slices.Clone(rt.streams), i, i+1)
+	}
+	rt.mu.Unlock()
+	if i < 0 {
+		return err
+	}
+	s.mu.Lock()
+	s.index = nil
+	s.mu.Unlock()
+	rt.mets.deleteStream(s.name)
+	rt.mets.domainStreams.With(s.domain.spec.Name).Add(-1)
 	return err
 }
 

@@ -155,9 +155,8 @@ func (j *Journal) Record(ev Event) uint64 {
 }
 
 // CoreEvent adapts a core.RuntimeEvent into a journal entry — the
-// function to install as core.Config.OnEvent or via
-// core.SetDefaultEventHook. Severity follows the default rule pack:
-// a trip is critical (the domain is gone for the run), terminal
+// function to install as core.Config.OnEvent. Severity follows the
+// default rule pack: a trip is critical (the domain is gone for the run), terminal
 // per-action failures are warnings, a clean flush/clear is ok.
 func (j *Journal) CoreEvent(ev core.RuntimeEvent) {
 	e := Event{

@@ -57,8 +57,8 @@ func TestUnknownTenantCreatesNoSeries(t *testing.T) {
 // times, and checks that one window after the churn the registry and
 // the telemetry store are back at the standing tenants' baseline. It
 // runs on a Shadow server and on a Real runtime, where each tenant
-// also creates a stream group whose per-stream core series must leave
-// with the tenant.
+// also creates a stream group whose streams and per-stream core series
+// must leave with the tenant.
 func TestTenantChurnLeavesNoSeries(t *testing.T) {
 	t.Run("shadow", func(t *testing.T) {
 		reg := metrics.New()
@@ -73,6 +73,22 @@ func TestTenantChurnLeavesNoSeries(t *testing.T) {
 		s, rt := testServer(t, Options{})
 		rt.RegisterKernel("k", func(*core.KernelCtx) {})
 		checkChurnLeavesNoSeries(t, s, rt.Metrics())
+		// The churned tenants' streams left the runtime with them:
+		// only alpha's and beta's four remain.
+		var names []string
+		for _, ss := range rt.Status().Streams {
+			names = append(names, ss.Name)
+		}
+		if len(names) != 4 {
+			t.Fatalf("runtime lists %d streams after churn, want the standing tenants' 4", len(names))
+		}
+		host := rt.Host().Spec().Name
+		if want := fmt.Sprintf("[%[1]s.s0 %[1]s.s1 %[1]s.s2 %[1]s.s3]", host); fmt.Sprint(names) != want {
+			t.Fatalf("runtime lists streams %v after churn, want %s", names, want)
+		}
+		if got := rt.Metrics().Total("hstreams_domain_streams"); got != 4 {
+			t.Fatalf("hstreams_domain_streams = %v after churn, want 4", got)
+		}
 	})
 }
 
