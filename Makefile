@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt golden doclint fuzz-smoke overhead check \
+.PHONY: all build test race vet fmt golden update-golden doclint fuzz-smoke overhead check \
 	bench clean loc knobs
 
 # DOC_PKGS are the packages held to the godoc floor by doclint: the
@@ -32,12 +32,15 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# golden pins the -metrics exposition format; it runs first in check
-# because it is fast and a telemetry-schema drift should fail loudly
-# before the full race run. Regenerate with:
-#   $(GO) test ./cmd/hsbench -run TestExpositionGolden -update
+# golden pins the -metrics exposition format and every figure's
+# numbers (hsbench -fig all -critpath); it runs first in check because
+# it is fast and a telemetry-schema or schedule drift should fail
+# loudly before the full race run. update-golden rewrites both.
 golden:
-	$(GO) test ./cmd/hsbench -run TestExpositionGolden
+	$(GO) test ./cmd/hsbench -run 'TestExpositionGolden|TestFiguresGolden'
+
+update-golden:
+	$(GO) test ./cmd/hsbench -run 'TestExpositionGolden|TestFiguresGolden' -update
 
 # doclint fails on any undocumented exported declaration (or missing
 # package comment) in the paper-critical packages.

@@ -5,7 +5,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -17,6 +19,81 @@ import (
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
+
+// mainArg is the argument under which the test binary re-executes
+// itself as hsbench, with the rest of its arguments as hsbench's flags.
+const mainArg = "-as-hsbench"
+
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == mainArg {
+		os.Args = append(os.Args[:1], os.Args[2:]...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs hsbench with args in a fresh process, so process-wide
+// state (the default registry and flight recorder, runtime ids) starts
+// as it does from the command line, and returns its standard output.
+func runMain(t *testing.T, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{mainArg}, args...)...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("hsbench %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+	}
+	return string(out)
+}
+
+// figuresUnderRace are the figures TestFiguresGolden runs one by one
+// under the race detector: all of -fig all except tuning, which takes
+// about 3 of its 4 seconds, and over a minute under -race.
+var figuresUnderRace = []string{"3", "6", "7", "8", "9", "overhead", "ompss", "rtm", "lu"}
+
+// TestFiguresGolden pins every figure's numbers: the output of
+// `hsbench -fig all -critpath` must match testdata/figures.golden byte
+// for byte. Sim mode runs on a virtual clock, so the output depends on
+// the event order and the floating-point cost model alone; a diff
+// means a schedule or a cost changed. The golden's first line names the
+// GOARCH it was cut on, and the test skips on any other, where
+// floating-point contraction may differ. Under -race it runs the
+// figures of figuresUnderRace one by one and finds each one's text
+// in the golden. Regenerate with `make update-golden`.
+func TestFiguresGolden(t *testing.T) {
+	golden := filepath.Join("testdata", "figures.golden")
+	if *update {
+		out := runMain(t, "-fig", "all", "-critpath")
+		if err := os.WriteFile(golden, []byte("goarch "+runtime.GOARCH+"\n"+out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	header, want, _ := strings.Cut(string(raw), "\n")
+	if arch := strings.TrimPrefix(header, "goarch "); arch != runtime.GOARCH {
+		t.Skipf("%s was cut on %s; this is %s, where floating-point results may differ", golden, arch, runtime.GOARCH)
+	}
+	if raceEnabled {
+		for _, fig := range figuresUnderRace {
+			out := runMain(t, "-fig", fig)
+			// The last line is the telemetry summary of this run alone.
+			sec := out[:strings.LastIndex(strings.TrimSuffix(out, "\n"), "\n")+1]
+			if !strings.Contains(want, sec) {
+				t.Errorf("-fig %s output is not in %s (regenerate with -update):\n%s", fig, golden, sec)
+			}
+		}
+		return
+	}
+	if got := runMain(t, "-fig", "all", "-critpath"); got != want {
+		t.Fatalf("-fig all -critpath differs from %s (regenerate with -update):\n%s",
+			golden, firstDiff(want, got))
+	}
+}
 
 // expositionDump runs a fixed Sim workload under a fresh registry and
 // returns the Prometheus exposition. Sim mode is fully deterministic

@@ -40,16 +40,19 @@ var (
 	ErrUnknownFunction = errors.New("coi: run-function not registered")
 	ErrUnknownBuffer   = errors.New("coi: unknown buffer id")
 	ErrProcessDown     = errors.New("coi: process destroyed")
+	ErrPipelineDown    = errors.New("coi: pipeline destroyed")
 	ErrBadRange        = errors.New("coi: access outside buffer")
 )
 
 // RunFunc is a sink-side entry point. Buffers arrive as slices of the
-// sink instances, in the order they were passed to RunFunction.
+// sink instances, in the order they were passed to RunFunction. The
+// args and bufs slices are the pipeline's and valid only for the
+// call; a RunFunc must not keep them.
 type RunFunc func(args []int64, bufs [][]byte)
 
 // msg is one control message; see the package doc for its wire form.
 type msg struct {
-	Op       byte // 'r' run, 'c' completion, 'q' quit
+	Op       byte // 'r' run, 'c' completion, 'd' destroy pipeline, 'q' quit
 	Fn       string
 	Args     []int64
 	BufIDs   []uint64
@@ -93,7 +96,7 @@ func decode(b []byte) (msg, error) {
 		return msg{}, errBadMsg
 	}
 	m := msg{Op: b[0]}
-	if m.Op != 'r' && m.Op != 'c' && m.Op != 'q' {
+	if m.Op != 'r' && m.Op != 'c' && m.Op != 'd' && m.Op != 'q' {
 		return msg{}, errBadMsg
 	}
 	r := wireReader{b: b[1:]}
@@ -209,7 +212,7 @@ type Process struct {
 	nextID    uint64
 	down      bool // set first by Destroy; no Event or pipeline is made after it
 
-	sending sync.WaitGroup // RunFunction calls that registered an Event and have not sent yet
+	ending  sync.WaitGroup // Pipeline.Destroy calls that have not sent their 'd' yet
 	sinkWG  sync.WaitGroup // sinkLoop and the pipeline executors
 	srcDone chan struct{}  // closed when sourceLoop returns
 	destroy sync.Once
@@ -281,9 +284,12 @@ func (p *Process) RegisterFunction(name string, fn RunFunc) {
 func (p *Process) Sink() *fabric.Node { return p.sink }
 
 // sinkLoop is the card-side dispatcher: it decodes run-function
-// descriptors and feeds per-pipeline executors. On 'q', the last
-// message Destroy sends, it closes every pipeline queue so the
-// executors drain what they hold and exit.
+// descriptors and feeds per-pipeline executors. It is the only sender
+// on a pipeline queue, so it is also the one that closes it: on 'd',
+// which Pipeline.Destroy sends behind the pipeline's last descriptor,
+// it closes that pipeline's queue and forgets the pipeline; on 'q',
+// the last message Process.Destroy sends, it closes every queue left.
+// Either way the executors drain what they hold and exit.
 func (p *Process) sinkLoop() {
 	defer p.sinkWG.Done()
 	for {
@@ -303,6 +309,14 @@ func (p *Process) sinkLoop() {
 			}
 			p.mu.Unlock()
 			return
+		case 'd':
+			p.mu.Lock()
+			pl := p.pipelines[m.Pipeline]
+			delete(p.pipelines, m.Pipeline)
+			p.mu.Unlock()
+			if pl != nil {
+				close(pl.queue)
+			}
 		case 'r':
 			p.mu.Lock()
 			pl := p.pipelines[m.Pipeline]
@@ -348,10 +362,19 @@ func (p *Process) Destroy() {
 	p.destroy.Do(func() {
 		p.mu.Lock()
 		p.down = true
+		pls := make([]*Pipeline, 0, len(p.pipelines))
+		for _, pl := range p.pipelines {
+			pls = append(pls, pl)
+		}
 		p.mu.Unlock()
-		// Every registered descriptor is now in the sink's inbox, so
-		// 'q' lands behind all of them.
-		p.sending.Wait()
+		// Once every pipeline's registered descriptors and every
+		// pipeline teardown are in the sink's inbox, 'q' lands behind
+		// all of them. A pipeline already gone from the table was
+		// destroyed, and its 'd' came after its last descriptor.
+		for _, pl := range pls {
+			pl.sending.Wait()
+		}
+		p.ending.Wait()
 		_, _ = p.srcEP.Send(encode(nil, msg{Op: 'q'}))
 		// The executors ran and answered everything queued before 'q';
 		// nothing sends on either endpoint any more.
@@ -375,6 +398,17 @@ type Pipeline struct {
 	p     *Process
 	id    uint64
 	queue chan msg
+	// down (guarded by p.mu) is set first by Destroy; no Event is
+	// registered on the pipeline after it. sending counts the
+	// RunFunction calls that registered an Event and have not sent
+	// yet.
+	down    bool
+	sending sync.WaitGroup
+	exited  chan struct{} // closed when run returns
+	destroy sync.Once
+	// bufs is run's per-descriptor buffer list, reused: the executor
+	// runs one descriptor at a time.
+	bufs [][]byte
 }
 
 const pipelineDepth = 256
@@ -386,7 +420,7 @@ func (p *Process) CreatePipeline() (*Pipeline, error) {
 		p.mu.Unlock()
 		return nil, ErrProcessDown
 	}
-	pl := &Pipeline{p: p, id: p.id(), queue: make(chan msg, pipelineDepth)}
+	pl := &Pipeline{p: p, id: p.id(), queue: make(chan msg, pipelineDepth), exited: make(chan struct{})}
 	p.pipelines[pl.id] = pl
 	p.sinkWG.Add(1)
 	p.mu.Unlock()
@@ -394,23 +428,51 @@ func (p *Process) CreatePipeline() (*Pipeline, error) {
 	return pl, nil
 }
 
+// Destroy tears the pipeline down (COIPipelineDestroy): it stops
+// accepting run-functions, lets the sink run the ones already
+// submitted, and returns once the pipeline's executor has exited and
+// the pipeline has left its process. Their events complete as usual.
+// Destroy is idempotent, and safe after or during Process.Destroy,
+// whose own teardown then stops the executor.
+func (pl *Pipeline) Destroy() {
+	pl.destroy.Do(func() {
+		p := pl.p
+		p.mu.Lock()
+		pl.down = true
+		live := !p.down // else the process's 'q' closes the queue
+		if live {
+			p.ending.Add(1)
+		}
+		p.mu.Unlock()
+		if live {
+			// Every registered descriptor is now in the sink's inbox,
+			// so 'd' lands behind all of them.
+			pl.sending.Wait()
+			_, _ = p.srcEP.Send(encode(nil, msg{Op: 'd', Pipeline: pl.id}))
+			p.ending.Done()
+		}
+		<-pl.exited
+	})
+}
+
 // run executes descriptors in FIFO order on the sink.
 func (pl *Pipeline) run() {
 	defer pl.p.sinkWG.Done()
+	defer close(pl.exited)
 	var wire [64]byte
 	for m := range pl.queue {
 		reply := msg{Op: 'c', Event: m.Event}
 		pl.p.mu.Lock()
 		fn := pl.p.funcs[m.Fn]
-		bufs := make([][]byte, len(m.BufIDs))
-		for i, id := range m.BufIDs {
+		bufs := pl.bufs[:0]
+		for _, id := range m.BufIDs {
 			b := pl.p.buffers[id]
 			if b == nil {
 				fn = nil
 				reply.Err = ErrUnknownBuffer.Error()
 				break
 			}
-			bufs[i] = b.sinkWin.Bytes()
+			bufs = append(bufs, b.sinkWin.Bytes())
 		}
 		p := pl.p
 		p.mu.Unlock()
@@ -428,6 +490,8 @@ func (pl *Pipeline) run() {
 				fn(m.Args, bufs)
 			}()
 		}
+		clear(bufs)
+		pl.bufs = bufs[:0]
 		_, _ = p.sinkEP.Send(encode(wire[:0], reply))
 	}
 }
@@ -455,13 +519,17 @@ func (pl *Pipeline) RunFunction(name string, args []int64, bufs ...*Buffer) (*Ev
 		pl.p.mu.Unlock()
 		return nil, ErrProcessDown
 	}
+	if pl.down {
+		pl.p.mu.Unlock()
+		return nil, ErrPipelineDown
+	}
 	m.Event = pl.p.id()
 	pl.p.events[m.Event] = ev
-	pl.p.sending.Add(1)
+	pl.sending.Add(1)
 	pl.p.mu.Unlock()
 	var wire [128]byte
 	_, err := pl.p.srcEP.Send(encode(wire[:0], m))
-	pl.p.sending.Done()
+	pl.sending.Done()
 	if err != nil {
 		pl.p.mu.Lock()
 		delete(pl.p.events, m.Event)

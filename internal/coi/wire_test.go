@@ -16,6 +16,7 @@ func wireShapes() []msg {
 		{Op: 'r', Fn: "noargs", Pipeline: 1, Event: 2},
 		{Op: 'c', Event: 9},
 		{Op: 'c', Event: 10, Err: "coi: run-function panic: kaboom"},
+		{Op: 'd', Pipeline: 3},
 		{Op: 'q'},
 	}
 }

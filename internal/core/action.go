@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -11,7 +10,7 @@ import (
 )
 
 // ActKind classifies an action.
-type ActKind int
+type ActKind uint8
 
 const (
 	// ActCompute is a kernel invocation at the stream's sink.
@@ -65,68 +64,74 @@ type Action struct {
 	//
 	// Enqueue is when the action entered its stream, Ready when its last
 	// dependence resolved (== Enqueue if none were pending); Launch and
-	// Finish are the executed interval (see Times). The edges (why the
+	// Finish are the executed interval (see Times). In Sim mode Ready is
+	// also the earliest virtual start while the action waits: the
+	// source thread's enqueue time, raised by each completing
+	// dependence (see release). The edges (why the
 	// action waited) are recorded only when causal tracing is on,
 	// written at enqueue by the enqueuing goroutine and read at finish,
 	// ordered by the launch handoff.
 	rec    *trace.Rec
-	kind   ActKind
 	stream *Stream
 	// Operands (compute: user-declared; transfers: the moved range).
 	ops []Operand
 
-	// Scheduling state. succs, lastSucc, slot and fslot are guarded by
-	// the owning stream's lock (for succs/lastSucc that is the lock of
-	// *this* action's stream — successors are registered while holding
-	// the predecessor's stream lock). npend and state are atomic: a
-	// predecessor in another stream decrements npend without taking
-	// this stream's lock, and exactly one decrement-to-zero launches.
-	npend    atomic.Int64
-	state    atomic.Int32
-	succs    []*Action
-	lastSucc uint64 // id of the newest successor; O(1) dedup stamp
-	slot     int    // index in stream.inflight; O(1) swap retirement
-	fslot    int    // index in stream.frontier, -1 once it left
+	// Scheduling state. npend and state are atomic: a predecessor in
+	// another stream decrements npend without taking this stream's
+	// lock, and exactly one decrement-to-zero launches. slot and fslot
+	// are guarded by the owning stream's lock, and so are succ and
+	// succs — by the lock of *this* action's stream, since successors
+	// are registered while holding the predecessor's stream lock.
+	npend atomic.Int32
+	state atomic.Int32
+	// fin flips after err and the timestamps are in place.
+	fin  atomic.Bool
+	kind ActKind
+	// started guards rec.Launch so retries and re-routes never
+	// restamp it; written and read only by the executor goroutine
+	// running the action (exec_real.go).
+	started bool
+	slot    int32 // index in stream.inflight; O(1) swap retirement
+	fslot   int32 // index in stream.frontier, -1 once it left
+	// succ holds the first two successors and succs the rest, in the
+	// order they linked, so an action that gates at most two others
+	// carries no successor slice. The newest successor is the O(1)
+	// duplicate-edge check (see newestSucc).
+	succ  [2]*Action
+	succs []*Action
 
-	// Results. fin flips after err and the timestamps are in place;
 	// doneCh is allocated lazily by the first waiter, so the hot path
 	// (most actions are never waited on individually) allocates no
 	// channel at all — see Done for the fin/doneCh ordering dance.
-	fin    atomic.Bool
 	doneCh atomic.Pointer[chan struct{}]
 	err    error
 
-	// Resilience bookkeeping (exec_real.go / resilience.go), written
-	// only by the executor goroutine running the action and read at
-	// finish on that same goroutine — no atomics needed. started
-	// guards rec.Launch so retries and re-routes never restamp it. The
-	// reporting counters live behind the res pointer, allocated on the
-	// first resilience event: fault-free finishes (the overwhelmingly
-	// common case, and the only case Sim mode ever sees) then pay one
-	// nil check instead of copying four always-zero fields — measured
-	// at ~1.5pp of the <5% tracing budget on the tier-1 matmul.
-	started bool
-	res     *resNote
+	// res holds the resilience reporting counters (exec_real.go /
+	// resilience.go), allocated on the first resilience event and
+	// touched only by the executor goroutine running the action:
+	// fault-free finishes (the overwhelmingly common case, and the
+	// only case Sim mode ever sees) then pay one nil check instead of
+	// copying four always-zero fields — measured at ~1.5pp of the <5%
+	// tracing budget on the tier-1 matmul.
+	res *resNote
 
-	// ready is the earliest virtual start (Sim mode): the source
-	// thread's enqueue completion time.
-	ready time.Duration
-
-	// doneOnce closes doneCh exactly once (see Done).
-	doneOnce sync.Once
-
-	// Compute payload.
-	kernel   string
+	// Compute payload. The kernel's name is the record's label; Real
+	// mode resolves it to kernelID at enqueue, and the executors look
+	// the kernel up by id (kernelByID).
 	kernelID int64
-	kernelFn Kernel
 	args     []int64
 
-	// Replay mode (checkpoint.go): the dependence set is prescribed by
-	// a checkpoint instead of discovered from operands, so enqueue
-	// skips the operand scan and barrier bookkeeping, and replayWhy
-	// supplies the recorded edge kind for each extraDeps entry.
-	replay    bool
-	replayWhy []trace.DepKind
+	// replay is set in replay mode (checkpoint.go), where the
+	// dependence set is prescribed by a checkpoint instead of
+	// discovered from operands.
+	replay *replayNote
+}
+
+// replayNote is what a replayed action carries beyond an ordinary
+// one: enqueue skips the operand scan and barrier bookkeeping, and
+// why supplies the recorded edge kind for each extraDeps entry.
+type replayNote struct {
+	why []trace.DepKind
 }
 
 // newAction returns an action of kind for stream s, labelled label,
@@ -210,9 +215,9 @@ var closedDone = func() chan struct{} {
 // Done returns a channel closed when the action completes. The channel
 // is allocated on first call — enqueueing an action no longer pays for
 // a channel nobody waits on. Publication races with finish: both sides
-// run the close under doneOnce, and the fin/doneCh access order (finish
-// stores fin then loads doneCh; Done publishes doneCh then loads fin)
-// guarantees at least one side closes a channel registered either way.
+// call closeDone, and the fin/doneCh access order (finish stores fin
+// then loads doneCh; Done publishes doneCh then loads fin) guarantees
+// at least one side closes a channel registered either way.
 func (a *Action) Done() <-chan struct{} {
 	if p := a.doneCh.Load(); p != nil {
 		return *p
@@ -225,9 +230,18 @@ func (a *Action) Done() <-chan struct{} {
 		return *a.doneCh.Load()
 	}
 	if a.fin.Load() {
-		a.doneOnce.Do(func() { close(ch) })
+		a.closeDone()
 	}
 	return ch
+}
+
+// closeDone closes the registered done channel, if there is one, exactly
+// once: the caller whose CAS swaps it for the shared closed channel
+// closes it, and every later Done returns the shared one.
+func (a *Action) closeDone() {
+	if p := a.doneCh.Load(); p != nil && p != &closedDone && a.doneCh.CompareAndSwap(p, &closedDone) {
+		close(*p)
+	}
 }
 
 // Completed reports whether the action has finished.
@@ -303,28 +317,28 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 	if rt.cfg.Mode == ModeSim {
 		se := rt.exec.(*simExec)
 		se.mu.Lock()
-		a.ready = se.hostTime
 		a.rec.Enqueue = se.hostTime
+		a.rec.Ready = se.hostTime
 		se.mu.Unlock()
 	} else {
 		a.rec.Enqueue = rt.exec.now()
 	}
 
 	// addDep links a behind predecessor b. Must run while holding b's
-	// stream lock; tolerates duplicates (the lastSucc stamp replaces
-	// the seed's linear succs scan) and completed predecessors. A
-	// same-stream link takes b off the stream's frontier; an event
-	// edge from another stream leaves it on its own stream's.
+	// stream lock; tolerates duplicates (a's edges to b are added one
+	// after another under that lock, so a repeat finds a as b's newest
+	// successor) and completed predecessors. A same-stream link takes
+	// b off the stream's frontier; an event edge from another stream
+	// leaves it on its own stream's.
 	nDeps := 0
 	addDep := func(b *Action, why trace.DepKind) {
-		if b == a || b.completed() || b.lastSucc == a.rec.ID {
+		if b == a || b.completed() || b.newestSucc() == a {
 			return
 		}
 		if b.stream == s {
 			s.leaveFrontier(b)
 		}
-		b.lastSucc = a.rec.ID
-		b.succs = append(b.succs, a)
+		b.addSucc(a)
 		a.npend.Add(1)
 		nDeps++
 		if capture {
@@ -343,7 +357,7 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 	// hazardous operand overlap; sync actions order against
 	// everything (paper §II: actions are free to execute and complete
 	// out of order as long as the FIFO semantic is not violated).
-	if a.replay {
+	if a.replay != nil {
 		// Replay: the checkpoint prescribes the full edge set via
 		// extraDeps; discovery and barrier bookkeeping would invent
 		// edges the original run never had.
@@ -370,17 +384,17 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 			s.depScan(a, o, fifoDep)
 		}
 	}
-	a.slot = len(s.inflight)
+	a.slot = int32(len(s.inflight))
 	s.inflight = append(s.inflight, a)
-	a.fslot = len(s.frontier)
+	a.fslot = int32(len(s.frontier))
 	s.frontier = append(s.frontier, a)
 	depth := len(s.inflight)
 	s.mu.Unlock()
 
 	for i, d := range extraDeps {
 		why := trace.DepEvent
-		if a.replayWhy != nil && i < len(a.replayWhy) {
-			why = a.replayWhy[i]
+		if a.replay != nil && i < len(a.replay.why) {
+			why = a.replay.why[i]
 		}
 		ds := d.stream
 		ds.mu.Lock()
@@ -400,9 +414,7 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 		switch {
 		case nDeps == 0:
 			a.rec.Ready = a.rec.Enqueue
-		case rt.cfg.Mode == ModeSim:
-			a.rec.Ready = a.ready
-		default:
+		case rt.cfg.Mode == ModeReal:
 			a.rec.Ready = rt.exec.now()
 		}
 		rt.exec.launch(a)
@@ -411,7 +423,7 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 	// finishing before its successor enqueues would drop the recorded
 	// edge (addDep skips completed predecessors), breaking the
 	// edge-for-edge identity the replay asserts.
-	if se, ok := rt.exec.(*simExec); ok && !a.replay {
+	if se, ok := rt.exec.(*simExec); ok && a.replay == nil {
 		se.maybeDrain(s, depth)
 	}
 	return a, nil
@@ -471,8 +483,8 @@ func (rt *Runtime) finish(a *Action, err error) {
 	// Such an entry, or a caller's event handle, may keep a retired
 	// action reachable for a while; dropping its successor list keeps
 	// that from pinning every later action it gated.
-	succs := a.succs
-	a.succs = nil
+	first, rest := a.succ, a.succs
+	a.succ, a.succs = [2]*Action{}, nil
 	retire := s.retire
 	s.mu.Unlock()
 
@@ -480,38 +492,74 @@ func (rt *Runtime) finish(a *Action, err error) {
 	s.met.depth.Add(-1)
 	s.met.retired.Inc()
 
-	sim := rt.cfg.Mode == ModeSim
-	var ready []*Action
-	for _, succ := range succs {
-		// Successors may start no earlier than this completion; the
-		// Sim executor reads the propagated ready time rather than
-		// the engine clock, so the clock can be pumped ahead safely.
-		// (ready is only touched in Sim mode, where everything runs
-		// on the single host goroutine.)
-		if sim && succ.ready < a.rec.Finish {
-			succ.ready = a.rec.Finish
+	// The successors this completion readies launch after the retire
+	// hook; a short list stays in this frame.
+	var buf [4]*Action
+	ready := buf[:0]
+	for _, succ := range first {
+		if succ != nil && rt.release(a, succ) {
+			ready = append(ready, succ)
 		}
-		if succ.npend.Add(-1) == 0 {
-			succ.state.Store(stateLaunched)
-			if sim {
-				succ.rec.Ready = succ.ready
-			} else {
-				succ.rec.Ready = rt.exec.now()
-			}
+	}
+	for _, succ := range rest {
+		if rt.release(a, succ) {
 			ready = append(ready, succ)
 		}
 	}
 
 	rt.observeFinish(a, err)
 	a.fin.Store(true)
-	if p := a.doneCh.Load(); p != nil {
-		ch := *p
-		a.doneOnce.Do(func() { close(ch) })
-	}
+	a.closeDone()
 	if retire != nil {
 		retire(a)
 	}
 	for _, r := range ready {
 		rt.exec.launch(r)
 	}
+}
+
+// release resolves succ's dependence on the finished action a, and
+// reports whether it was succ's last one, in which case succ is marked
+// launched and the caller launches it.
+func (rt *Runtime) release(a, succ *Action) bool {
+	// Successors may start no earlier than this completion; the Sim
+	// executor reads the propagated ready time rather than the engine
+	// clock, so the clock can be pumped ahead safely. (Sim mode runs
+	// everything on the single host goroutine, so the raise needs no
+	// lock.)
+	sim := rt.cfg.Mode == ModeSim
+	if sim && succ.rec.Ready < a.rec.Finish {
+		succ.rec.Ready = a.rec.Finish
+	}
+	if succ.npend.Add(-1) != 0 {
+		return false
+	}
+	succ.state.Store(stateLaunched)
+	if !sim {
+		succ.rec.Ready = rt.exec.now()
+	}
+	return true
+}
+
+// newestSucc returns the successor that linked behind a last, or nil.
+// Caller holds a's stream lock.
+func (a *Action) newestSucc() *Action {
+	if n := len(a.succs); n > 0 {
+		return a.succs[n-1]
+	}
+	if a.succ[1] != nil {
+		return a.succ[1]
+	}
+	return a.succ[0]
+}
+
+// addSucc links succ behind a. Caller holds a's stream lock.
+func (a *Action) addSucc(succ *Action) {
+	for i := range a.succ {
+		if a.succ[i] == nil {
+			a.succ[i] = succ
+			return
+		}
+	}
+	a.succs = append(a.succs, succ)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -442,6 +443,68 @@ func TestStreamDestroy(t *testing.T) {
 	}
 	if n, g := held(); n != 1 || g != 1 {
 		t.Fatalf("after 2000 create/destroy pairs: %d streams listed, gauge %v; want 1, 1", n, g)
+	}
+}
+
+// TestCardStreamDestroyReleasesPipeline checks that destroying a card
+// stream tears down its COI pipeline: churning card streams on one
+// runtime leaves no sink executor goroutine behind.
+func TestCardStreamDestroyReleasesPipeline(t *testing.T) {
+	rt := isoRuntime(t, ModeReal, 1)
+	registerTestKernels(rt)
+	b, _, _ := rt.AllocFloat64("v", 8)
+	base := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		s, err := rt.StreamCreate(rt.Card(0), 0, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%10 == 0 { // some pipelines have run work when destroyed
+			mustEnqueueC(t, s, "scale", []int64{1}, []Operand{b.All(InOut)})
+		}
+		if err := s.Destroy(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100 && n > base+2; i++ {
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > base+2 {
+		t.Fatalf("%d goroutines after 100 card-stream create/destroy pairs, %d before", n, base)
+	}
+}
+
+// TestFiniClearsDomainStreams checks that hstreams_domain_streams
+// returns to zero at Fini, counting each stream off exactly once
+// whether Destroy came before Fini, after it, or never.
+func TestFiniClearsDomainStreams(t *testing.T) {
+	rt := isoRuntime(t, ModeReal, 1)
+	var streams []*Stream
+	for _, d := range []*Domain{rt.Host(), rt.Card(0), rt.Card(0)} {
+		s, err := rt.StreamCreate(d, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams = append(streams, s)
+	}
+	gauge := func() float64 { return rt.Metrics().Total("hstreams_domain_streams") }
+	if err := streams[0].Destroy(); err != nil {
+		t.Fatal(err)
+	}
+	if g := gauge(); g != 2 {
+		t.Fatalf("gauge = %v before Fini, want 2", g)
+	}
+	rt.Fini()
+	if g := gauge(); g != 0 {
+		t.Fatalf("gauge = %v after Fini, want 0", g)
+	}
+	if err := streams[1].Destroy(); err != nil {
+		t.Fatal(err)
+	}
+	if g := gauge(); g != 0 {
+		t.Fatalf("gauge = %v after a Destroy that followed Fini, want 0", g)
 	}
 }
 

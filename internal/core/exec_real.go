@@ -342,7 +342,7 @@ func (re *realExec) computeHost(a *Action) error {
 		ops = append(ops, o.Buf.host[o.Off:o.Off+o.Len])
 	}
 	sc.ctx = KernelCtx{Args: a.args, Ops: ops, Threads: a.stream.nCores}
-	err := safeCall(a.kernelFn, &sc.ctx)
+	err := safeCall(re.rt.kernelByID(a.kernelID), &sc.ctx)
 	for i := range ops {
 		ops[i] = nil
 	}
@@ -414,20 +414,30 @@ func (re *realExec) fini() {
 }
 
 // trampoline is the sink-side entry point registered with every COI
-// process; it decodes the wire arguments built in compute.
+// process; it decodes the wire arguments built in computeCard. The
+// operand views and the KernelCtx come from the scratch pool, like
+// computeHost's: kernels must not retain their KernelCtx.
 func (rt *Runtime) trampoline(args []int64, bufs [][]byte) {
 	kid, threads, nArgs := args[0], args[1], args[2]
 	user := args[3 : 3+nArgs]
 	rest := args[3+nArgs:]
 	nOps := rest[0]
-	ops := make([][]byte, nOps)
-	for i := int64(0); i < nOps; i++ {
-		off, ln := rest[1+2*i], rest[2+2*i]
-		ops[i] = bufs[i][off : off+ln]
-	}
 	fn := rt.kernelByID(kid)
 	if fn == nil {
 		panic(fmt.Sprintf("core: sink kernel id %d not registered", kid))
 	}
-	fn(&KernelCtx{Args: user, Ops: ops, Threads: int(threads)})
+	re := rt.exec.(*realExec)
+	sc := re.scratch.Get().(*execScratch)
+	ops := sc.ops[:0]
+	for i := int64(0); i < nOps; i++ {
+		off, ln := rest[1+2*i], rest[2+2*i]
+		ops = append(ops, bufs[i][off:off+ln])
+	}
+	sc.ctx = KernelCtx{Args: user, Ops: ops, Threads: int(threads)}
+	// A kernel that panics (the pipeline recovers) leaves its scratch
+	// to the collector.
+	fn(&sc.ctx)
+	clear(ops)
+	sc.ops, sc.ctx = ops[:0], KernelCtx{}
+	re.scratch.Put(sc)
 }

@@ -17,8 +17,10 @@ import (
 // wall time. Sim mode assumes a single host goroutine (all the
 // harness drivers are sequential), which makes runs deterministic.
 type simExec struct {
-	rt  *Runtime
-	eng *timesim.Engine
+	rt *Runtime
+	// eng fires each action's completion at its finish time; an
+	// event's payload is the retiring action itself.
+	eng *timesim.Queue[*Action]
 	// mu guards hostTime, which is also read by the debug server's
 	// Status snapshot from arbitrary goroutines; the engine clock
 	// stays single-goroutine and unlocked.
@@ -38,7 +40,7 @@ type simExec struct {
 }
 
 func newSimExec(rt *Runtime) *simExec {
-	se := &simExec{rt: rt, eng: timesim.NewEngine()}
+	se := &simExec{rt: rt, eng: timesim.NewQueue(func(a *Action) { rt.finish(a, nil) })}
 	se.links = make([][2]*timesim.Resource, len(rt.domains))
 	se.linkMet = make([][2]struct {
 		bytes, xfers *metrics.Counter
@@ -62,11 +64,11 @@ func newSimExec(rt *Runtime) *simExec {
 }
 
 func (se *simExec) launch(a *Action) {
-	// a.ready carries the exact earliest start: the source thread's
-	// enqueue time, raised by each completing dependence (see
-	// Runtime.finish). It is deliberately independent of the engine
+	// a.rec.Ready carries the exact earliest start: the source
+	// thread's enqueue time, raised by each completing dependence (see
+	// Runtime.release). It is deliberately independent of the engine
 	// clock, which may have been pumped ahead.
-	ready := a.ready
+	ready := a.rec.Ready
 	s := a.stream
 	var start, end time.Duration
 	switch a.kind {
@@ -92,7 +94,7 @@ func (se *simExec) launch(a *Action) {
 		start, end = ready, ready
 	}
 	a.rec.Launch, a.rec.Finish = start, end
-	se.eng.Post(end, func() { se.rt.finish(a, nil) })
+	se.eng.Post(end, a)
 }
 
 // Inflight thresholds: when a stream's incomplete-action window grows

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"hstreams/internal/metrics"
 	"hstreams/internal/platform"
@@ -413,9 +414,12 @@ func TestDisableCausalTrace(t *testing.T) {
 // overhead budget: a traced Sim enqueue→retire on one card stream must
 // allocate exactly as much as the same action with causal tracing off
 // (span values live in per-stream record slabs, the ring stores
-// pointers, and neither allocates per action).
+// pointers, and neither allocates per action). Either way an action is
+// one heap object: its completion event carries the action itself, and
+// its first two successors live inline, so the second run, where each
+// writer gates two readers, must stay at one allocation per action too.
 func TestTracingAddsNoAllocs(t *testing.T) {
-	perAction := func(disable bool) float64 {
+	perAction := func(disable, fanOut bool) float64 {
 		rt, err := Init(Config{
 			Machine: platform.HSWPlusKNC(1), Mode: ModeSim, Metrics: metrics.New(),
 			Flight: trace.NewFlight(1 << 12), DisableCausalTrace: disable,
@@ -428,21 +432,53 @@ func TestTracingAddsNoAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		b, err := rt.Alloc1D("x", 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cost := platform.Cost{Flops: 1e6}
+		if !fanOut {
+			return testing.AllocsPerRun(1000, func() {
+				a, err := s.EnqueueCompute("k", nil, nil, cost)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := a.Wait(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		write, read := []Operand{b.All(Out)}, []Operand{b.All(In)}
 		return testing.AllocsPerRun(1000, func() {
-			a, err := s.EnqueueCompute("k", nil, nil, platform.Cost{Flops: 1e6})
-			if err != nil {
+			var last *Action
+			for _, ops := range [][]Operand{write, read, read} {
+				if last, err = s.EnqueueCompute("k", nil, ops, cost); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := last.Wait(); err != nil {
 				t.Fatal(err)
 			}
-			if err := a.Wait(); err != nil {
-				t.Fatal(err)
-			}
-		})
+		}) / 3
 	}
-	traced, untraced := perAction(false), perAction(true)
-	if traced != untraced {
-		t.Fatalf("allocations per action: traced %.2f, untraced %.2f; tracing must add none", traced, untraced)
+	for _, fanOut := range []bool{false, true} {
+		traced, untraced := perAction(false, fanOut), perAction(true, fanOut)
+		if traced != untraced {
+			t.Fatalf("fan-out %v: allocations per action: traced %.2f, untraced %.2f; tracing must add none", fanOut, traced, untraced)
+		}
+		if traced > 1 {
+			t.Fatalf("fan-out %v: %.2f allocations per action, want ≤ 1 (the action itself)", fanOut, traced)
+		}
+		t.Logf("fan-out %v: allocations per action: %.2f traced and untraced", fanOut, traced)
 	}
-	t.Logf("allocations per action: %.2f traced and untraced", traced)
+}
+
+// TestActionSize pins an action to the 192-B size class or below: it
+// is the one heap object each enqueue makes.
+func TestActionSize(t *testing.T) {
+	if n := unsafe.Sizeof(Action{}); n > 192 {
+		t.Fatalf("Action is %d B, want ≤ 192", n)
+	}
 }
 
 // TestLiveRuntimesRegistry checks Init/Fini registration.

@@ -280,17 +280,26 @@ func (rt *Runtime) initPlumbing() error {
 
 // Fini synchronizes all outstanding work, reclaims every still-live
 // buffer (so hstreams_buffers_live returns to its pre-Init baseline —
-// the leak check serving smoke tests assert on), and shuts the
-// library down.
+// the leak check serving smoke tests assert on), takes the streams
+// not yet destroyed off hstreams_domain_streams (so it, too, returns
+// to its baseline), and shuts the library down.
 func (rt *Runtime) Fini() {
 	rt.ThreadSynchronize()
+	// Finalizing under rt.mu settles, for each stream, whether Fini or
+	// its Destroy takes it off hstreams_domain_streams: a stream still
+	// in the table now is Fini's.
+	rt.mu.Lock()
 	if rt.finalized.Swap(true) {
+		rt.mu.Unlock()
 		return
 	}
-	rt.mu.Lock()
 	procs := rt.procs
 	bufs := append([]*Buf(nil), rt.bufs...)
+	streams := rt.streams
 	rt.mu.Unlock()
+	for _, s := range streams {
+		rt.mets.domainStreams.With(s.domain.spec.Name).Add(-1)
+	}
 	// All work is drained, so every remaining buffer has zero live
 	// references and reclaims immediately; card instances must go
 	// before their COI processes do.
@@ -390,7 +399,9 @@ type kernelTable struct {
 
 // RegisterKernel makes fn invocable by name from compute actions in
 // any domain (the name plays the role of the sink-side symbol that
-// hStreams looks up). Registering an existing name replaces it.
+// hStreams looks up). Registering an existing name replaces it, also
+// for enqueued actions that have not run yet: an action looks its
+// kernel up when it runs, on the host as on a card.
 func (rt *Runtime) RegisterKernel(name string, fn Kernel) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -424,13 +435,9 @@ func (rt *Runtime) Kernels() []string {
 	return names
 }
 
-func (rt *Runtime) kernelByName(name string) (Kernel, int64, bool) {
-	t := rt.ktab.Load()
-	id, ok := t.ids[name]
-	if !ok {
-		return nil, 0, false
-	}
-	return t.list[id], id, true
+func (rt *Runtime) kernelID(name string) (int64, bool) {
+	id, ok := rt.ktab.Load().ids[name]
+	return id, ok
 }
 
 func (rt *Runtime) kernelByID(id int64) Kernel {

@@ -28,8 +28,8 @@ type Stream struct {
 	// mu is the stream's scheduling lock — the sharded replacement
 	// for the seed's global runtime lock. It guards inflight and
 	// frontier (and the slot and fslot fields of their members),
-	// destroyed, the operand-interval index, and the succs/lastSucc
-	// lists of this stream's actions. The scheduler never holds two
+	// destroyed, the operand-interval index, and the successor lists
+	// of this stream's actions. The scheduler never holds two
 	// stream locks at once.
 	mu sync.Mutex
 	// inflight holds enqueued-but-incomplete actions; order is
@@ -240,13 +240,13 @@ func (s *Stream) EnqueueCompute(kernel string, args []int64, ops []Operand, cost
 // data-flow approach").
 func (s *Stream) EnqueueComputeDeps(kernel string, args []int64, ops []Operand, cost platform.Cost, deps []*Action) (*Action, error) {
 	a := newAction(ActCompute, s, kernel, 0, cost)
-	a.kernel, a.args, a.ops = kernel, args, ops
+	a.args, a.ops = args, ops
 	if s.rt.cfg.Mode == ModeReal {
-		fn, id, ok := s.rt.kernelByName(kernel)
+		id, ok := s.rt.kernelID(kernel)
 		if !ok {
 			return nil, fmt.Errorf("%w: %q", ErrNoKernel, kernel)
 		}
-		a.kernelFn, a.kernelID = fn, id
+		a.kernelID = id
 	}
 	return s.rt.enqueue(a, deps)
 }
@@ -309,14 +309,15 @@ func (s *Stream) EnqueueEventWait(evs ...*Action) (*Action, error) {
 // events remain valid; only new work is refused, and no later stream
 // of the runtime reuses the id. Once drained, the stream leaves the
 // runtime: Status and ThreadSynchronize no longer see it, its
-// dependence index is dropped, hstreams_domain_streams falls by one,
-// and its three per-stream series (hstreams_queue_depth,
-// hstreams_queue_depth_peak and hstreams_stream_retired_total) leave
-// the registry, so stream churn grows neither the runtime nor the
-// registry. Series are keyed by stream name, so a same-named stream of
-// another runtime on the same registry shares those rows and loses
-// them too. Destroy is idempotent: a second call only waits for the
-// drain and changes nothing.
+// dependence index is dropped, hstreams_domain_streams falls by one
+// (unless Fini already took it off), its three per-stream series
+// (hstreams_queue_depth, hstreams_queue_depth_peak and
+// hstreams_stream_retired_total) leave the registry, and a card
+// stream's COI pipeline is destroyed, so stream churn grows neither
+// the runtime, the registry nor the card. Series are keyed by stream
+// name, so a same-named stream of another runtime on the same registry
+// shares those rows and loses them too. Destroy is idempotent: a
+// second call only waits for the drain and changes nothing.
 func (s *Stream) Destroy() error {
 	s.mu.Lock()
 	s.destroyed = true
@@ -329,6 +330,7 @@ func (s *Stream) Destroy() error {
 		// Never edit a published slice; see Runtime.streams.
 		rt.streams = slices.Delete(slices.Clone(rt.streams), i, i+1)
 	}
+	counted := !rt.finalized.Load() // else Fini took it off the gauge
 	rt.mu.Unlock()
 	if i < 0 {
 		return err
@@ -336,18 +338,23 @@ func (s *Stream) Destroy() error {
 	s.mu.Lock()
 	s.index = nil
 	s.mu.Unlock()
+	if s.pipeline != nil {
+		s.pipeline.Destroy()
+	}
 	rt.mets.deleteStream(s.name)
-	rt.mets.domainStreams.With(s.domain.spec.Name).Add(-1)
+	if counted {
+		rt.mets.domainStreams.With(s.domain.spec.Name).Add(-1)
+	}
 	return err
 }
 
 // enqueueReplay re-enqueues one checkpointed action with its recorded
 // dependence edges (deps/whys parallel slices of predecessor actions
-// and edge kinds). The replay flag makes enqueue take the edges as
+// and edge kinds). The replay note makes enqueue take the edges as
 // prescribed instead of rediscovering them; see checkpoint.go.
 func (s *Stream) enqueueReplay(kind ActKind, label string, bytes int64, cost platform.Cost, deps []*Action, whys []trace.DepKind) (*Action, error) {
 	a := newAction(kind, s, label, bytes, cost)
-	a.replay, a.replayWhy = true, whys
+	a.replay = &replayNote{why: whys}
 	return s.rt.enqueue(a, deps)
 }
 

@@ -322,3 +322,36 @@ func postHolding(e *Engine, at time.Duration) weak.Pointer[[64]byte] {
 	e.Post(at, func() { obj[0]++ })
 	return weak.Make(obj)
 }
+
+// A typed queue hands each event's payload to its fire function in
+// (at, seq) order, and posting a pointer payload allocates nothing:
+// the pointer is the whole event, with no closure around it.
+func TestQueueTypedPayload(t *testing.T) {
+	type item struct{ id int }
+	var got []int
+	q := NewQueue(func(it *item) { got = append(got, it.id) })
+	items := make([]*item, 6)
+	for i := range items {
+		items[i] = &item{id: i}
+	}
+	for i, at := range []time.Duration{3, 1, 3, 2, 1, 0} {
+		q.Post(at, items[i])
+	}
+	q.Drain()
+	want := []int{5, 1, 4, 3, 0, 2}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		got = got[:0]
+		for i, it := range items {
+			q.Post(q.Now()+time.Duration(i%3), it)
+		}
+		q.Drain()
+	})
+	if allocs != 0 {
+		t.Fatalf("Post+Drain of %d pointer payloads allocates %v times, want 0", len(items), allocs)
+	}
+}
