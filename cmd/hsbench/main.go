@@ -138,11 +138,12 @@ func main() {
 	}
 }
 
-// observers is hsbench's observation wiring: the health engine, fed
-// every runtime's lifecycle events through the process-wide hook; the
-// sampler, which feeds the process-wide telemetry store and ticks the
-// engine on its cadence; and the live debug server over both. Each is
-// nil unless something will read it.
+// observers is hsbench's observation wiring: the health engine over
+// the process-wide registry and live runtimes (only the chaos figure
+// feeds its journal, through Config.OnEvent); the sampler, which
+// writes the engine's store and ticks the engine on its cadence; and
+// the live debug server over both. Each is nil unless something will
+// read it.
 type observers struct {
 	engine  *health.Engine
 	sampler *telemetry.Sampler
@@ -155,21 +156,19 @@ type observers struct {
 // the sampler (its final end-of-run sample) and closes the server.
 func observe(healthOn, timeline bool, debugAddr string) (*observers, error) {
 	var o observers
+	opts := telemetry.SamplerOptions{Interval: 100 * time.Millisecond}
 	if healthOn || debugAddr != "" {
 		o.engine = health.New(health.Options{})
+		opts.Store, opts.OnSample = o.engine.Store(), o.engine.Tick
 	}
 	if debugAddr != "" {
-		srv, err := debugserver.Start(debugAddr, debugserver.Options{Health: o.engine})
+		srv, err := debugserver.Start(debugAddr, debugserver.Options{Health: o.engine, Flight: trace.DefaultFlight()})
 		if err != nil {
 			return nil, err
 		}
 		o.debug = srv
 	}
 	if timeline || o.engine != nil {
-		opts := telemetry.SamplerOptions{Interval: 100 * time.Millisecond}
-		if o.engine != nil {
-			opts.OnSample = o.engine.Tick
-		}
 		o.sampler = telemetry.NewSampler(opts)
 		o.sampler.Start()
 	}

@@ -37,6 +37,7 @@ import (
 	"hstreams/internal/platform"
 	"hstreams/internal/serve"
 	"hstreams/internal/telemetry"
+	"hstreams/internal/trace"
 )
 
 // tenantSpec is one -tenant NAME:WEIGHT pre-registration.
@@ -72,30 +73,46 @@ func main() {
 	})
 	flag.Parse()
 
-	// Health engine + sampler: same wiring as hsbench, so
-	// /debug/health and /debug/timeline work out of the box and the
-	// tenant SLO rules (tenant-shed, admission-wait) evaluate live.
-	engine := health.New(health.Options{})
+	// One runtime (none in -shadow mode), so one registry and one
+	// recorder: the runtime, the serving layer, the health engine, the
+	// sampler and the debug server all share them, and the leak check
+	// reads the gauge the runtime wrote.
+	reg := metrics.New()
+	flight := trace.NewFlight(0)
+	var rt *core.Runtime
+	var runtimes []*core.Runtime
+	if !*shadow {
+		var err error
+		rt, err = core.Init(core.Config{
+			Machine: platform.HSWPlusKNC(0),
+			Mode:    core.ModeReal,
+			Metrics: reg,
+			Flight:  flight,
+		})
+		check(err)
+		registerKernels(rt)
+		runtimes = []*core.Runtime{rt}
+	}
+
+	// Health engine + sampler, so /debug/health and /debug/timeline
+	// work out of the box and the tenant SLO rules (tenant-shed,
+	// admission-wait) evaluate live.
+	engine := health.New(health.Options{
+		Registry: reg,
+		Runtimes: func() []*core.Runtime { return runtimes },
+	})
 	sampler := telemetry.NewSampler(telemetry.SamplerOptions{
+		Registry: reg,
+		Store:    engine.Store(),
 		Interval: 100 * time.Millisecond,
 		OnSample: engine.Tick,
 	})
 	sampler.Start()
 	defer sampler.Stop()
 
-	var rt *core.Runtime
-	if !*shadow {
-		var err error
-		rt, err = core.Init(core.Config{
-			Machine: platform.HSWPlusKNC(0),
-			Mode:    core.ModeReal,
-		})
-		check(err)
-		registerKernels(rt)
-	}
-
 	l, err := serve.Start(*addr, serve.Options{
 		Runtime:           rt,
+		Registry:          reg,
 		MaxInflight:       *maxInflight,
 		StreamsPerTenant:  *streamsPerTenant,
 		StreamWidth:       *streamWidth,
@@ -113,6 +130,7 @@ func main() {
 	if *debugAddr != "" {
 		dbg, err := debugserver.Start(*debugAddr, debugserver.Options{
 			Health:  engine,
+			Flight:  flight,
 			Tenants: srv.Tenants,
 		})
 		check(err)
@@ -130,7 +148,7 @@ func main() {
 	if rt != nil {
 		rt.Fini()
 	}
-	leaked := int64(metrics.Default().Total("hstreams_buffers_live"))
+	leaked := int64(reg.Total("hstreams_buffers_live"))
 	fmt.Printf("hsserve: shutdown clean; leaked buffers: %d\n", leaked)
 	if leaked != 0 {
 		os.Exit(1)

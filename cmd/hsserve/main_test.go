@@ -42,7 +42,8 @@ func TestMain(m *testing.M) {
 //     workers each stay under the default max_pending of 64;
 //  2. no stream's queue-depth peak exceeds -max-inflight, the only
 //     bound on a tenant's in-service work;
-//  3. /metrics carries the tenant families, and gold's weight as 2;
+//  3. /metrics carries the tenant families, and gold's weight as 2,
+//     on the API and on the debug server alike;
 //  4. /debug/tenants lists gold (weight 2) and bronze (weight 1), as
 //     JSON and as the ?format=text table;
 //  5. SIGTERM shuts the server down with exit 0 and zero leaked
@@ -151,6 +152,12 @@ func TestServeSmoke(t *testing.T) {
 	}
 	if !strings.Contains(exposition, "\n"+`hstreams_tenant_weight{tenant="gold"} 2`+"\n") {
 		t.Error("/metrics does not export gold's weight as 2")
+	}
+	// The debug server serves the same registry, the one the runtime
+	// writes and the shutdown leak check reads.
+	if dbg := get(t, debug+"/metrics"); !strings.Contains(dbg, "\n"+`hstreams_tenant_weight{tenant="gold"} 2`+"\n") ||
+		!strings.Contains(dbg, "\nhstreams_buffers_live") {
+		t.Error("the debug server's /metrics is not hsserve's registry: no gold weight or hstreams_buffers_live")
 	}
 
 	// 4. /debug/tenants lists both tenants with their weights, as

@@ -82,8 +82,9 @@ func TestHealthSmoke(t *testing.T) {
 	reg := metrics.New()
 	st := telemetry.NewStore(time.Second, 200)
 	journal := health.NewJournal(256, reg)
-	// rts is published after the sampler is already ticking, so both
-	// closures must read it under the same lock as the append below.
+	// rts is published after the sampler is already ticking, so the
+	// engine (and the debug server, through it) must read it under the
+	// same lock as the append below.
 	var (
 		rtsMu sync.Mutex
 		rts   []*core.Runtime
@@ -105,12 +106,7 @@ func TestHealthSmoke(t *testing.T) {
 		Interval: 2 * time.Millisecond,
 		OnSample: engine.Tick,
 	})
-	srv := httptest.NewServer(debugserver.Handler(debugserver.Options{
-		Registry:  reg,
-		Telemetry: st,
-		Health:    engine,
-		Runtimes:  getRTs,
-	}))
+	srv := httptest.NewServer(debugserver.Handler(debugserver.Options{Health: engine}))
 	defer srv.Close()
 	sampler.Start()
 	defer sampler.Stop()

@@ -209,14 +209,10 @@ func NewTelemetryStore(window time.Duration, slots int) *TelemetryStore {
 	return telemetry.NewStore(window, slots)
 }
 
-// DefaultTelemetry returns the process-wide store that samplers feed
-// when SamplerOptions.Store is nil — the store the debug server's
-// /debug/timeline endpoint reads.
-func DefaultTelemetry() *TelemetryStore { return telemetry.Default() }
-
-// NewTelemetrySampler builds a sampler over opt's registry and store
-// (nil: process defaults). Call Start to begin sampling and Stop to
-// halt; Stop takes a final sample so short runs are still visible.
+// NewTelemetrySampler builds a sampler over opt's registry (nil: the
+// process-wide one) and store (nil: a store of its own). Call Start to
+// begin sampling and Stop to halt; Stop takes a final sample so short
+// runs are still visible.
 func NewTelemetrySampler(opt TelemetrySamplerOptions) *TelemetrySampler {
 	return telemetry.NewSampler(opt)
 }
@@ -270,8 +266,9 @@ const (
 	HealthCritical = health.SevCritical
 )
 
-// NewHealthEngine builds a health engine (zero Options wires the
-// process-wide defaults). Hang engine.Tick off a telemetry sampler
+// NewHealthEngine builds a health engine (zero Options builds its own
+// store and journal over the process-wide registry and live runtimes;
+// HealthEngine.Store is the store to hand its sampler). Hang engine.Tick off a telemetry sampler
 // (TelemetrySamplerOptions.OnSample) to evaluate on the sampling
 // cadence.
 func NewHealthEngine(opt HealthOptions) *HealthEngine { return health.New(opt) }
@@ -286,10 +283,6 @@ func DefaultHealthRules() []HealthRule { return health.DefaultRules() }
 func NewEventJournal(capacity int, reg *MetricsRegistry) *HealthEventJournal {
 	return health.NewJournal(capacity, reg)
 }
-
-// DefaultEventJournal returns the process-wide journal the debug
-// server's /debug/events endpoint serves.
-func DefaultEventJournal() *HealthEventJournal { return health.DefaultJournal() }
 
 // Checkpoint/replay types (internal/core). A Checkpoint serializes a
 // completed run's action DAG — streams, actions, dependence edges,
@@ -317,10 +310,11 @@ const CheckpointVersion = core.CheckpointVersion
 var (
 	// ErrCheckpointVersion reports a version-field mismatch.
 	ErrCheckpointVersion = core.ErrCheckpointVersion
-	// ErrCheckpointInvalid reports a structurally broken checkpoint.
+	// ErrCheckpointInvalid reports a structurally broken checkpoint,
+	// or spans no runtime recorded.
 	ErrCheckpointInvalid = core.ErrCheckpointInvalid
-	// ErrCheckpointEvicted reports that the run's stream geometry has
-	// been evicted from the bounded in-process registry.
+	// ErrCheckpointEvicted reports a run the flight recorder no longer
+	// holds whole: the ring overwrote some of its spans.
 	ErrCheckpointEvicted = core.ErrCheckpointEvicted
 	// ErrReplayDiverged reports a replayed DAG that differs from the
 	// checkpoint's recorded edges.

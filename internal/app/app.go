@@ -39,10 +39,12 @@ type Options struct {
 	// (leaving the rest for the source thread). Zero means all.
 	HostCores int
 	// Metrics receives the runtime's telemetry; nil uses the
-	// process-wide metrics.Default() registry.
+	// process-wide metrics.Default() registry, hsbench's one view of
+	// every figure runtime (see core.Config.Metrics).
 	Metrics *metrics.Registry
 	// Flight receives completed-action causal spans; nil uses the
-	// process-wide trace.DefaultFlight() recorder.
+	// process-wide trace.DefaultFlight() recorder, from which hsbench
+	// cuts -critpath, -trace and -checkpoint (see core.Config.Flight).
 	Flight *trace.FlightRecorder
 	// DisableCausalTrace turns span capture off entirely (see
 	// core.Config.DisableCausalTrace).

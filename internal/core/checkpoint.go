@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -26,8 +27,7 @@ var (
 	// not match CheckpointVersion.
 	ErrCheckpointVersion = errors.New("core: checkpoint version mismatch")
 	// ErrCheckpointEvicted marks a run whose spans were partially
-	// overwritten in the flight-recorder ring (or whose runtime
-	// geometry aged out of the process registry) — the DAG cannot be
+	// overwritten in the flight-recorder ring — the DAG cannot be
 	// reconstructed completely, and a partial checkpoint would replay
 	// as a different schedule. Runtime.Spans returns it too: statistics
 	// over part of a run would be silently wrong.
@@ -38,7 +38,8 @@ var (
 	ErrReplayDiverged = errors.New("core: replayed DAG diverged from checkpoint")
 	// ErrCheckpointInvalid marks a structurally broken checkpoint
 	// (a machine with a missing spec or link, stream or dependence
-	// indices out of range).
+	// indices out of range), or a run whose spans no runtime recorded
+	// (FlightRecorder.Record), so that no geometry came with them.
 	ErrCheckpointInvalid = errors.New("core: invalid checkpoint")
 )
 
@@ -112,66 +113,39 @@ const (
 	ckptKindSync       = "sync"
 )
 
-// runGeometry is the per-runtime configuration the flight recorder
-// does not carry: spans name streams and domains but not core ranges
-// or machines. Recorded at Init/StreamCreateOn into
-// a process-wide registry so a checkpoint can be cut from the flight
-// recorder after the runtime is gone (hsbench checkpoints after its
-// figures have Fini'd their runtimes).
+// runGeometry is the per-run configuration the flight recorder's spans
+// do not carry: spans name streams and domains but not core ranges or
+// machines. Init builds one for a traced run, and every span identity
+// of the run points at it (trace.Ident.Owner), so CheckpointRun reaches
+// it through any retained record of the run — after the runtime is
+// gone, too (hsbench checkpoints after its figures have Fini'd their
+// runtimes) — and, once the runtime is gone, it lives exactly as long
+// as the run's retained spans do.
+// Replay names each stream by its creation id, so the list holds every
+// stream, including those that enqueued nothing. It holds no pointer
+// to the runtime.
 type runGeometry struct {
 	machine *platform.Machine
 	mode    Mode
+
+	mu      sync.Mutex
 	streams []CkptStream
 }
 
-var (
-	geomMu    sync.Mutex
-	geomByRun = map[uint64]*runGeometry{}
-)
-
-// geomCap bounds the geometry registry; harnesses that create many
-// runtimes (benchmarks loop over hundreds) must not leak machines.
-// Eviction drops the lowest run id — checkpoints are cut from recent
-// runs.
-const geomCap = 256
-
-// recordRunGeom registers a new runtime's geometry. Called by Init.
-// With causal tracing disabled no checkpoint can be cut, so nothing is
-// registered.
-func recordRunGeom(rt *Runtime) {
-	if rt.flight == nil {
+// addStream appends one stream's binding; StreamCreateOn calls it under
+// rt.mu, so the list is in creation (id) order. Once the run has
+// enqueued more actions than its recorder holds, no checkpoint of it
+// can be whole, so the list is dropped instead: a long-lived runtime
+// that creates and destroys streams (serve's tenants) must not grow it
+// without bound. A nil geometry (untraced runtime) records nothing.
+func (g *runGeometry) addStream(rt *Runtime, s *Stream) {
+	if g == nil {
 		return
 	}
-	geomMu.Lock()
-	defer geomMu.Unlock()
-	if len(geomByRun) >= geomCap {
-		lowest := uint64(0)
-		first := true
-		for id := range geomByRun {
-			if first || id < lowest {
-				lowest, first = id, false
-			}
-		}
-		delete(geomByRun, lowest)
-	}
-	geomByRun[rt.runID] = &runGeometry{machine: rt.machine, mode: rt.cfg.Mode}
-}
-
-// recordStreamGeom appends one stream's binding to its runtime's
-// geometry. Called by StreamCreateOn in creation order, which matches
-// the stream id. Once the run has enqueued more actions than its
-// recorder holds, no checkpoint of it can be whole, so the geometry is
-// dropped instead: a long-lived runtime that creates and destroys
-// streams (serve's tenants) must not grow it without bound.
-func recordStreamGeom(rt *Runtime, s *Stream) {
-	geomMu.Lock()
-	defer geomMu.Unlock()
-	g, ok := geomByRun[rt.runID]
-	if !ok {
-		return // evicted or untraced; CheckpointRun will report it
-	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	if rt.nextID.Load() > uint64(rt.flight.Cap()) {
-		delete(geomByRun, rt.runID)
+		g.streams = nil
 		return
 	}
 	g.streams = append(g.streams, CkptStream{
@@ -210,22 +184,23 @@ func runSpans(flight *trace.FlightRecorder, run uint64) ([]trace.Span, error) {
 
 // CheckpointRun cuts a checkpoint for one completed run from a flight
 // recorder. The run must be fully retained: if the ring overwrote any
-// of its spans, or the runtime's geometry aged out of the process
-// registry, it returns ErrCheckpointEvicted — a partial DAG would
-// replay as a different schedule.
+// of its spans it returns ErrCheckpointEvicted — a partial DAG would
+// replay as a different schedule. The run's geometry comes from its
+// retained records, so only spans a runtime recorded can be cut.
 func CheckpointRun(flight *trace.FlightRecorder, run uint64) (*Checkpoint, error) {
 	spans, err := runSpans(flight, run)
 	if err != nil {
 		return nil, err
 	}
-	geomMu.Lock()
-	g, ok := geomByRun[run]
-	geomMu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: run %d geometry unknown", ErrCheckpointEvicted, run)
+	g, _ := flight.RunOwner(run).(*runGeometry)
+	if g == nil {
+		return nil, fmt.Errorf("%w: run %d was not recorded by a runtime", ErrCheckpointInvalid, run)
 	}
-	streamIdx := make(map[string]int, len(g.streams))
-	for i, cs := range g.streams {
+	g.mu.Lock()
+	streams := slices.Clone(g.streams)
+	g.mu.Unlock()
+	streamIdx := make(map[string]int, len(streams))
+	for i, cs := range streams {
 		streamIdx[cs.Name] = i
 	}
 	c := &Checkpoint{
@@ -233,7 +208,7 @@ func CheckpointRun(flight *trace.FlightRecorder, run uint64) (*Checkpoint, error
 		Mode:    g.mode.String(),
 		Run:     run,
 		Machine: g.machine,
-		Streams: g.streams,
+		Streams: streams,
 		Actions: make([]CkptAction, 0, len(spans)),
 	}
 	for i := range spans {

@@ -220,11 +220,18 @@ func TestCheckpointDecodeRejectsInvalid(t *testing.T) {
 	}
 }
 
-// TestCheckpointEvictedRun covers both eviction shapes: a run id the
-// recorder never saw, and a ring too small to retain the whole run.
+// TestCheckpointEvictedRun covers both eviction shapes — a run id the
+// recorder never saw, and a ring too small to retain the whole run —
+// and a run whose spans no runtime recorded.
 func TestCheckpointEvictedRun(t *testing.T) {
 	if _, err := CheckpointRun(trace.NewFlight(16), 12345); !errors.Is(err, ErrCheckpointEvicted) {
 		t.Fatalf("unknown run: err = %v, want ErrCheckpointEvicted", err)
+	}
+	// Spans recorded by hand carry no geometry.
+	recorded := trace.NewFlight(16)
+	recorded.Record(&trace.Span{ID: 1, Run: 12345, Kind: trace.Sync, Stream: "HSW.s0", Domain: "HSW"})
+	if _, err := CheckpointRun(recorded, 12345); !errors.Is(err, ErrCheckpointInvalid) {
+		t.Fatalf("run with no runtime: err = %v, want ErrCheckpointInvalid", err)
 	}
 
 	fl := trace.NewFlight(4) // far smaller than the DAG below
@@ -245,18 +252,15 @@ func TestCheckpointEvictedRun(t *testing.T) {
 }
 
 // TestStreamChurnDropsGeometry: a long-lived Real runtime that creates
-// and destroys streams, as serve does per tenant, keeps no checkpoint
-// geometry once its run is longer than its recorder (no checkpoint of
-// it can be whole), and an untraced runtime registers none at all.
+// and destroys streams, as serve does per tenant, keeps no stream list
+// in its checkpoint geometry once its run is longer than its recorder
+// (no checkpoint of it can be whole), and an untraced runtime keeps no
+// geometry at all.
 func TestStreamChurnDropsGeometry(t *testing.T) {
-	geomOf := func(rt *Runtime) (streams int, ok bool) {
-		geomMu.Lock()
-		defer geomMu.Unlock()
-		g, ok := geomByRun[rt.runID]
-		if ok {
-			streams = len(g.streams)
-		}
-		return streams, ok
+	geomStreams := func(rt *Runtime) int {
+		rt.geom.mu.Lock()
+		defer rt.geom.mu.Unlock()
+		return len(rt.geom.streams)
 	}
 	rt, err := Init(Config{
 		Machine: platform.HSWPlusKNC(0),
@@ -271,6 +275,9 @@ func TestStreamChurnDropsGeometry(t *testing.T) {
 	s, err := rt.StreamCreate(rt.Host(), 0, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := geomStreams(rt); n != 1 {
+		t.Fatalf("geometry holds %d streams after one StreamCreate, want 1", n)
 	}
 	for range 17 {
 		if _, err := s.EnqueueMarker(); err != nil {
@@ -289,7 +296,7 @@ func TestStreamChurnDropsGeometry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n, ok := geomOf(rt); ok {
+	if n := geomStreams(rt); n != 0 {
 		t.Fatalf("17 actions on a 16-span recorder, then 300 stream create/destroy pairs: geometry still holds %d streams", n)
 	}
 	if _, err := rt.Checkpoint(); !errors.Is(err, ErrCheckpointEvicted) {
@@ -309,8 +316,58 @@ func TestStreamChurnDropsGeometry(t *testing.T) {
 	if _, err := untraced.StreamCreate(untraced.Host(), 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if n, ok := geomOf(untraced); ok {
-		t.Fatalf("untraced runtime registered a geometry of %d streams", n)
+	if untraced.geom != nil {
+		t.Fatal("untraced runtime keeps a checkpoint geometry")
+	}
+}
+
+// TestCheckpointOutlivesManyRuns: a run's geometry lives as long as its
+// spans, however many runtimes come after it. 300 small traced Sim
+// runtimes share one recorder that holds all of their spans; the first
+// run, long finalized, still checkpoints whole — including its idle
+// first stream, which enqueued nothing but names the streams after it
+// — and replays.
+func TestCheckpointOutlivesManyRuns(t *testing.T) {
+	fl := trace.NewFlight(1024)
+	var first uint64
+	for i := range 300 {
+		rt, err := Init(Config{
+			Machine: platform.HSWPlusKNC(1),
+			Mode:    ModeSim,
+			Metrics: metrics.New(),
+			Flight:  fl,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = rt.RunID()
+		}
+		if _, err := rt.StreamCreate(rt.Card(0), 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		s, err := rt.StreamCreate(rt.Card(0), 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.EnqueueMarker(); err != nil {
+			t.Fatal(err)
+		}
+		rt.Fini()
+	}
+	if total := fl.Total(); total > uint64(fl.Cap()) {
+		t.Fatalf("recorder overflowed (%d spans, cap %d); the test needs all runs retained", total, fl.Cap())
+	}
+	c, err := CheckpointRun(fl, first)
+	if err != nil {
+		t.Fatalf("checkpoint of the first of 300 runs: %v", err)
+	}
+	if len(c.Streams) != 2 || len(c.Actions) != 1 || c.Actions[0].Stream != 1 {
+		t.Fatalf("checkpoint has %d streams and %d actions (first on stream %d), want 2, 1 on stream 1",
+			len(c.Streams), len(c.Actions), c.Actions[0].Stream)
+	}
+	if _, err := c.Replay(); err != nil {
+		t.Fatalf("replaying the first run: %v", err)
 	}
 }
 

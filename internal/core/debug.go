@@ -8,9 +8,12 @@ import (
 	"hstreams/internal/fabric"
 )
 
-// Live-runtime registry: Init registers, Fini unregisters. The debug
-// server enumerates it to serve stream/queue snapshots without being
-// handed runtimes explicitly.
+// Live-runtime registry: Init registers, Fini unregisters. It serves
+// hsbench, whose figure runtimes are built inside the workload
+// packages: a health engine with no Options.Runtimes polls
+// LiveRuntimes, so hsbench's watchdog and /debug/streams see every
+// figure runtime while it runs. A process that owns its runtimes
+// (hsserve) hands them to the engine instead.
 var (
 	liveMu   sync.Mutex
 	liveRuns = make(map[*Runtime]struct{})

@@ -87,15 +87,20 @@ type Config struct {
 	// source thread.
 	AsyncAlloc bool
 	// Metrics receives the runtime's live telemetry. Nil uses the
-	// process-wide metrics.Default() registry, so harnesses driving
-	// many runtimes accumulate one view; tests that assert on counts
-	// should pass their own registry.
+	// process-wide metrics.Default() registry, which exists for
+	// hsbench: its figures build their runtimes deep inside the
+	// workload packages, and -metrics, -timeline and -health read one
+	// view of all of them. A process with its own runtimes (hsserve,
+	// bench, tests that assert on counts) passes its own registry.
 	Metrics *metrics.Registry
 	// Flight receives completed-action causal spans — the four phase
 	// timestamps (enqueue → ready → launch → finish) plus the causal
 	// in-edges that gated each action — into a lock-free ring buffer
 	// readable while the runtime works (trace.FlightRecorder). Nil
-	// uses the process-wide trace.DefaultFlight(), mirroring Metrics.
+	// uses the process-wide trace.DefaultFlight(), for the same
+	// reason as Metrics: hsbench's -critpath, -trace and -checkpoint
+	// read the latest figure run from it. The run's checkpoint
+	// geometry travels with its spans, in whichever recorder.
 	Flight *trace.FlightRecorder
 	// DisableCausalTrace turns span capture off entirely: no
 	// dependence recording, no ring writes. This is the ablation the
@@ -152,6 +157,7 @@ type Runtime struct {
 	machine *platform.Machine
 	domains []*Domain
 	flight  *trace.FlightRecorder // nil when causal tracing is off
+	geom    *runGeometry          // nil when causal tracing is off
 	runID   uint64
 	reg     *metrics.Registry
 	mets    *coreMetrics
@@ -227,6 +233,7 @@ func Init(cfg Config) (*Runtime, error) {
 		if rt.flight == nil {
 			rt.flight = trace.DefaultFlight()
 		}
+		rt.geom = &runGeometry{machine: cfg.Machine, mode: cfg.Mode}
 	}
 	rt.mets = newCoreMetrics(reg)
 	for i, spec := range cfg.Machine.Domains() {
@@ -243,7 +250,6 @@ func Init(cfg Config) (*Runtime, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown mode %d", cfg.Mode)
 	}
-	recordRunGeom(rt)
 	registerLive(rt)
 	return rt, nil
 }
@@ -344,7 +350,9 @@ func (rt *Runtime) Flight() *trace.FlightRecorder { return rt.flight }
 // when many runtimes share one flight recorder.
 func (rt *Runtime) RunID() uint64 { return rt.runID }
 
-// nextRunID numbers runtime instances process-wide.
+// nextRunID numbers runtime instances process-wide, so the runs that
+// share one recorder (hsbench's figures on trace.DefaultFlight) have
+// distinct span run ids.
 var nextRunID atomic.Uint64
 
 // Now returns the current time on the executor's clock — wall time

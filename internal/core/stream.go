@@ -132,11 +132,11 @@ func (rt *Runtime) StreamCreateOn(d *Domain, firstCore, nCores int, share *Strea
 	s.met = rt.mets.forStream(s.name, d.spec.Name)
 	rt.nStreams++
 	rt.streams = append(rt.streams, s)
+	rt.geom.addStream(rt, s)
 	rt.mu.Unlock()
 	// The per-domain stream count is the telemetry layer's capacity
 	// basis (utilization = busy-seconds / (span × streams)).
 	rt.mets.domainStreams.With(d.spec.Name).Add(1)
-	recordStreamGeom(rt, s)
 
 	switch rt.cfg.Mode {
 	case ModeSim:
@@ -167,12 +167,12 @@ func (rt *Runtime) StreamCreateOn(d *Domain, firstCore, nCores int, share *Strea
 // instances and move nothing, so only card-domain transfers name a
 // link direction.
 func spanIdents(rt *Runtime, name string, d *Domain) [4]*trace.Ident {
-	plain := &trace.Ident{Run: rt.runID, Stream: name, Domain: d.spec.Name}
+	plain := &trace.Ident{Run: rt.runID, Stream: name, Domain: d.spec.Name, Owner: rt.geom}
 	toSink, toSrc := plain, plain
 	if !d.IsHost() {
 		host := rt.domains[0].spec.Name
-		toSink = &trace.Ident{Run: rt.runID, Stream: name, Domain: d.spec.Name, Src: host, Dst: d.spec.Name}
-		toSrc = &trace.Ident{Run: rt.runID, Stream: name, Domain: d.spec.Name, Src: d.spec.Name, Dst: host}
+		toSink = &trace.Ident{Run: rt.runID, Stream: name, Domain: d.spec.Name, Src: host, Dst: d.spec.Name, Owner: rt.geom}
+		toSrc = &trace.Ident{Run: rt.runID, Stream: name, Domain: d.spec.Name, Src: d.spec.Name, Dst: host, Owner: rt.geom}
 	}
 	var id [4]*trace.Ident
 	id[ActCompute], id[ActXferToSink], id[ActXferToSrc], id[ActSync] = plain, toSink, toSrc, plain

@@ -30,53 +30,20 @@ import (
 	"hstreams/internal/trace"
 )
 
-// Options configures Start. Every field defaults to the process-wide
-// instance, which is what the CLIs use.
+// Options configures Start. The server serves what the health engine
+// watches: its registry on /metrics, its runtimes on /debug/streams
+// and its telemetry store on /debug/timeline.
 type Options struct {
-	// Registry serves /metrics. Nil uses metrics.Default().
-	Registry *metrics.Registry
-	// Flight serves /debug/trace and /debug/critpath. Nil uses
-	// trace.DefaultFlight().
-	Flight *trace.FlightRecorder
-	// Runtimes enumerates the runtimes /debug/streams reports on.
-	// Nil uses core.LiveRuntimes.
-	Runtimes func() []*core.Runtime
-	// Telemetry serves /debug/timeline. Nil uses telemetry.Default()
-	// (the store the CLIs' sampler feeds).
-	Telemetry *telemetry.Store
-	// Health serves /debug/health and /debug/events. Nil builds a
-	// default engine over the resolved Telemetry/Registry/Runtimes
-	// with the default rule pack and the process-wide journal.
+	// Health serves /debug/health and /debug/events, and supplies
+	// the registry, runtimes and store above. Required.
 	Health *health.Engine
+	// Flight serves /debug/trace and /debug/critpath. Nil serves an
+	// empty recorder.
+	Flight *trace.FlightRecorder
 	// Tenants, when set, serves /debug/tenants with the serving front
 	// end's per-tenant status (serve.Server.Tenants). Nil processes
 	// (the batch CLIs) answer 404 there.
 	Tenants func() []serve.TenantStatus
-}
-
-// fill resolves every nil Options field to its process-wide default.
-// Health is resolved last so a defaulted engine watches the same
-// store, registry and runtimes the other endpoints serve.
-func (opt *Options) fill() {
-	if opt.Registry == nil {
-		opt.Registry = metrics.Default()
-	}
-	if opt.Flight == nil {
-		opt.Flight = trace.DefaultFlight()
-	}
-	if opt.Runtimes == nil {
-		opt.Runtimes = core.LiveRuntimes
-	}
-	if opt.Telemetry == nil {
-		opt.Telemetry = telemetry.Default()
-	}
-	if opt.Health == nil {
-		opt.Health = health.New(health.Options{
-			Store:    opt.Telemetry,
-			Registry: opt.Registry,
-			Runtimes: opt.Runtimes,
-		})
-	}
 }
 
 // readHeaderTimeout bounds how long a connection may take to send its
@@ -94,7 +61,6 @@ type Server struct {
 // and serves the debug endpoints in a background goroutine until
 // Close.
 func Start(addr string, opt Options) (*Server, error) {
-	opt.fill()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -112,23 +78,22 @@ func (s *Server) Close() error { return s.srv.Close() }
 
 // Handler returns the debug mux without binding a listener (tests).
 func Handler(opt Options) http.Handler {
-	opt.fill()
 	return newMux(opt)
 }
 
 func newMux(opt Options) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", indexHandler)
-	mux.Handle("/metrics", opt.Registry)
+	mux.Handle("/metrics", opt.Health.Registry())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/debug/trace", traceHandler(opt.Flight))
-	mux.HandleFunc("/debug/streams", streamsHandler(opt.Runtimes, opt.Flight))
+	mux.HandleFunc("/debug/streams", streamsHandler(opt.Health.Runtimes, opt.Flight))
 	mux.HandleFunc("/debug/critpath", critpathHandler(opt.Flight))
-	mux.HandleFunc("/debug/timeline", timelineHandler(opt.Telemetry, opt.Registry))
+	mux.HandleFunc("/debug/timeline", timelineHandler(opt.Health.Store(), opt.Health.Registry()))
 	mux.HandleFunc("/debug/health", healthHandler(opt.Health))
 	mux.HandleFunc("/debug/events", eventsHandler(opt.Health.Journal()))
 	if opt.Tenants != nil {

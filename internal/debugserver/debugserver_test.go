@@ -53,6 +53,12 @@ func runProbe(t *testing.T, reg *metrics.Registry, flight *trace.FlightRecorder)
 	return rt
 }
 
+// engineOver builds the health engine a test server serves from: its
+// registry, its store (nil: the engine's own) and the given runtimes.
+func engineOver(reg *metrics.Registry, st *telemetry.Store, rts ...*core.Runtime) *health.Engine {
+	return health.New(health.Options{Registry: reg, Store: st, Runtimes: func() []*core.Runtime { return rts }})
+}
+
 func get(t *testing.T, srv *httptest.Server, path string) string {
 	t.Helper()
 	resp, err := http.Get(srv.URL + path)
@@ -76,11 +82,7 @@ func TestEndpoints(t *testing.T) {
 	rt := runProbe(t, reg, flight)
 	defer rt.Fini()
 
-	srv := httptest.NewServer(Handler(Options{
-		Registry: reg,
-		Flight:   flight,
-		Runtimes: func() []*core.Runtime { return []*core.Runtime{rt} },
-	}))
+	srv := httptest.NewServer(Handler(Options{Health: engineOver(reg, nil, rt), Flight: flight}))
 	defer srv.Close()
 
 	if body := get(t, srv, "/"); !strings.Contains(body, "/debug/critpath") {
@@ -174,7 +176,7 @@ func TestRunSelector(t *testing.T) {
 	flight := trace.NewFlight(1024)
 	rt := runProbe(t, metrics.New(), flight)
 	defer rt.Fini()
-	srv := httptest.NewServer(Handler(Options{Registry: metrics.New(), Flight: flight}))
+	srv := httptest.NewServer(Handler(Options{Health: engineOver(metrics.New(), nil, rt), Flight: flight}))
 	defer srv.Close()
 
 	run := strconv.FormatUint(rt.RunID(), 10)
@@ -238,11 +240,7 @@ func TestStatusWhileRunning(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := httptest.NewServer(Handler(Options{
-		Registry: reg,
-		Flight:   flight,
-		Runtimes: func() []*core.Runtime { return []*core.Runtime{rt} },
-	}))
+	srv := httptest.NewServer(Handler(Options{Health: engineOver(reg, nil, rt), Flight: flight}))
 	defer srv.Close()
 
 	done := make(chan struct{})
@@ -297,7 +295,7 @@ func TestTimelineParams(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		st.Put("c_total", nil, now.Add(time.Duration(i-30)*time.Second), float64(i))
 	}
-	srv := httptest.NewServer(Handler(Options{Registry: reg, Telemetry: st}))
+	srv := httptest.NewServer(Handler(Options{Health: engineOver(reg, st)}))
 	defer srv.Close()
 
 	for _, bad := range []string{
@@ -359,7 +357,7 @@ func TestHealthEndpoints(t *testing.T) {
 		Journal:  journal,
 		Runtimes: func() []*core.Runtime { return nil },
 	})
-	srv := httptest.NewServer(Handler(Options{Registry: reg, Telemetry: st, Health: engine}))
+	srv := httptest.NewServer(Handler(Options{Health: engine}))
 	defer srv.Close()
 
 	var rep struct {

@@ -58,19 +58,21 @@ const (
 	maxReportEvents = 32
 )
 
-// Options configures New. The zero value wires the engine to the
-// process-wide defaults: telemetry.Default(), metrics.Default(),
-// DefaultJournal(), core.LiveRuntimes and DefaultRules().
+// Options configures New. The zero value builds the engine its own
+// store and journal, over metrics.Default(), core.LiveRuntimes and
+// DefaultRules().
 type Options struct {
-	// Store is the telemetry store rules evaluate against. Nil means
-	// telemetry.Default().
+	// Store is the telemetry store rules evaluate against. Nil builds
+	// one with the default window; hand it (Engine.Store) to the
+	// sampler that feeds it.
 	Store *telemetry.Store
-	// Registry receives the hstreams_health_* families. Nil means
+	// Registry receives the hstreams_health_* families and is the one
+	// a debug server over this engine serves. Nil means
 	// metrics.Default().
 	Registry *metrics.Registry
 	// Journal receives rule transitions and watchdog events (and
 	// should also be fed core lifecycle events via Journal.CoreEvent).
-	// Nil means DefaultJournal().
+	// Nil builds one of DefJournalCap events counting into Registry.
 	Journal *Journal
 	// Runtimes enumerates the runtimes the watchdog polls. Nil means
 	// core.LiveRuntimes.
@@ -127,13 +129,13 @@ func New(opts Options) *Engine {
 		horizon:  DefHorizon,
 	}
 	if e.store == nil {
-		e.store = telemetry.Default()
+		e.store = telemetry.NewStore(telemetry.DefWindow, telemetry.DefSlots)
 	}
 	if e.reg == nil {
 		e.reg = metrics.Default()
 	}
 	if e.journal == nil {
-		e.journal = DefaultJournal()
+		e.journal = NewJournal(DefJournalCap, e.reg)
 	}
 	if e.runtimes == nil {
 		e.runtimes = core.LiveRuntimes
@@ -161,6 +163,15 @@ func New(opts Options) *Engine {
 
 // Journal returns the engine's event journal.
 func (e *Engine) Journal() *Journal { return e.journal }
+
+// Store returns the telemetry store the engine's rules read.
+func (e *Engine) Store() *telemetry.Store { return e.store }
+
+// Registry returns the registry the engine exports into.
+func (e *Engine) Registry() *metrics.Registry { return e.reg }
+
+// Runtimes returns the runtimes the watchdog polls.
+func (e *Engine) Runtimes() []*core.Runtime { return e.runtimes() }
 
 // Rules returns the engine's rule pack (the slice is shared; do not
 // mutate).

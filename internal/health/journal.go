@@ -130,14 +130,6 @@ func NewJournal(capacity int, reg *metrics.Registry) *Journal {
 	return j
 }
 
-// defaultJournal is the process-wide journal, mirroring
-// metrics.Default(): CLIs and the debug server share it so one
-// journal sees every runtime's events.
-var defaultJournal = NewJournal(DefJournalCap, metrics.Default())
-
-// DefaultJournal returns the process-wide journal.
-func DefaultJournal() *Journal { return defaultJournal }
-
 // Record stamps ev with the next sequence number, publishes it, and
 // returns the sequence (0 on a nil journal).
 func (j *Journal) Record(ev Event) uint64 {

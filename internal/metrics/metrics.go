@@ -305,6 +305,11 @@ type Registry struct {
 // New returns an empty registry.
 func New() *Registry { return &Registry{fams: make(map[string]*family)} }
 
+// defaultRegistry is one of the few pieces of process-wide state
+// left. It serves hsbench: the figure runtimes are built inside the
+// workload packages (12 of them, each with its own (machine, mode)
+// entry points) and pass no registry, and hsbench's -metrics, -timeline,
+// -health and end-of-run telemetry line read one view of all of them.
 var defaultRegistry = New()
 
 // Default returns the process-wide registry, used by runtimes whose

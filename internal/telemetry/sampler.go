@@ -9,13 +9,15 @@ import (
 )
 
 // SamplerOptions configures NewSampler. The zero value samples the
-// process-default registry into the process-default store every
-// DefInterval.
+// process-default registry into a store of its own every DefInterval.
 type SamplerOptions struct {
 	// Registry is the metrics registry to snapshot. Nil means
 	// metrics.Default().
 	Registry *metrics.Registry
-	// Store receives the sampled points. Nil means Default().
+	// Store receives the sampled points. Nil builds a store with the
+	// default window (Sampler.Store returns it); pass the health
+	// engine's store (health.Engine.Store) so its rules read what
+	// this sampler writes.
 	Store *Store
 	// Interval is the sampling period. Non-positive means DefInterval.
 	Interval time.Duration
@@ -73,7 +75,7 @@ func NewSampler(opts SamplerOptions) *Sampler {
 	}
 	st := opts.Store
 	if st == nil {
-		st = Default()
+		st = NewStore(DefWindow, DefSlots)
 	}
 	iv := opts.Interval
 	if iv <= 0 {

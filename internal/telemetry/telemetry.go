@@ -264,13 +264,6 @@ func NewStore(window time.Duration, slots int) *Store {
 	return &Store{window: window, slots: slots, rings: make(map[string]*ring), byName: make(map[string][]*ring)}
 }
 
-var defaultStore = NewStore(DefWindow, DefSlots)
-
-// Default returns the process-wide store, the telemetry counterpart of
-// metrics.Default(): the one the CLIs sample into and the debug
-// server's /debug/timeline reads when not handed a private store.
-func Default() *Store { return defaultStore }
-
 // Window returns the window the store is sized for.
 func (st *Store) Window() time.Duration { return st.window }
 

@@ -123,6 +123,12 @@ type Ident struct {
 	Domain string
 	Src    string
 	Dst    string
+	// Owner is the producer's per-run value, opaque to this package
+	// (the runtime hangs its checkpoint geometry here). The records
+	// that point at the Ident keep it reachable, so it outlives its
+	// producer while the ring retains a span of the run; RunOwner
+	// reads it.
+	Owner any
 }
 
 // Rec is one span's values as the flight recorder keeps them. Records
@@ -293,11 +299,14 @@ func NewFlight(capacity int) *FlightRecorder {
 	return &FlightRecorder{mask: uint64(n - 1), ring: make([]atomic.Pointer[Rec], n)}
 }
 
+// defaultFlight is the trace counterpart of metrics.Default(), kept
+// process-wide for the same reason: hsbench's figure runtimes are
+// built inside the workload packages and pass no recorder, and its
+// -critpath, -trace and -checkpoint read the latest figure run here.
 var defaultFlight = NewFlight(0)
 
 // DefaultFlight returns the process-wide flight recorder that
-// runtimes record into when Config.Flight is nil — the trace
-// counterpart of metrics.Default().
+// runtimes record into when Config.Flight is nil.
 func DefaultFlight() *FlightRecorder { return defaultFlight }
 
 // Publish appends r as the newest span. r must come from a RecSlab,
@@ -341,6 +350,20 @@ func (f *FlightRecorder) Record(sp *Span) {
 	}
 	r.SetRetries(sp.Retries, sp.RetryWait)
 	f.Publish(r)
+}
+
+// RunOwner returns the Ident.Owner of a retained record of run, or nil
+// when the ring retains none (or its producer attached none).
+func (f *FlightRecorder) RunOwner(run uint64) any {
+	if f == nil {
+		return nil
+	}
+	for i := range f.ring {
+		if r := f.ring[i].Load(); r != nil && r.Ident != nil && r.Ident.Run == run {
+			return r.Ident.Owner
+		}
+	}
+	return nil
 }
 
 // Cap returns the ring capacity in spans.
