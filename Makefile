@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: all build test race vet fmt golden update-golden doclint fuzz-smoke overhead check \
-	bench clean loc knobs
+	bench clean loc knobs chaos-rate
 
 # DOC_PKGS are the packages held to the godoc floor by doclint: the
 # paper-critical stack, the platform model and its simulator, the
@@ -109,6 +109,12 @@ loc:
 # command. Like loc, it reports and does not gate.
 knobs:
 	./scripts/knobs.sh
+
+# chaos-rate runs TestChaosGate N times (default 100; RACE=1 adds
+# -race) and prints the failure count per fault profile. Like loc, it
+# reports and does not gate.
+chaos-rate:
+	GO=$(GO) N=$(N) RACE=$(RACE) ./scripts/chaos-rate.sh
 
 clean:
 	$(GO) clean ./...

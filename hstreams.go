@@ -94,15 +94,16 @@ type (
 )
 
 // Resilience types (internal/fault + internal/core). A FaultPlan
-// drives a deterministic, seedable Injector installed via
-// Config.Faults; RetryPolicy / Config.Deadline / BreakerPolicy
-// configure how the scheduler survives the injected (or real)
-// failures. See OPERATIONS.md for the operator runbook.
+// drives a deterministic, seedable Injector passed as Config.Faults,
+// which every card attempt consults before its transfer or kernel
+// launch; RetryPolicy / Config.Deadline / BreakerPolicy configure how
+// the scheduler survives the injected (or real) failures. See
+// OPERATIONS.md for the operator runbook.
 type (
 	// FaultPlan describes what a fault injector injects and how often.
 	FaultPlan = fault.Plan
-	// Injector is the fault-injection hook consulted by the plumbing
-	// layers; nil disables injection at zero cost.
+	// Injector is the seeded fault injector the runtime's card
+	// attempts consult; a nil *Injector disables injection.
 	Injector = fault.Injector
 	// RetryPolicy bounds re-attempts of transiently failing card
 	// actions (exponential backoff + deterministic jitter).
@@ -122,12 +123,12 @@ var ErrBufferFreed = core.ErrBufferFreed
 // NewFaultInjector builds the deterministic seeded injector for a
 // plan, reporting injection telemetry into reg (nil: detached
 // counting) — pass it via Config.Faults / AppOptions.Faults.
-func NewFaultInjector(plan FaultPlan, reg *MetricsRegistry) Injector {
+func NewFaultInjector(plan FaultPlan, reg *MetricsRegistry) *Injector {
 	return fault.NewInjector(plan, reg)
 }
 
-// IsTransientError reports whether err is retryable under the error
-// taxonomy (an injected transient fault anywhere in its chain).
+// IsTransientError reports whether err is retryable: an injected
+// fault anywhere in its chain.
 func IsTransientError(err error) bool { return fault.IsTransient(err) }
 
 // Telemetry types (internal/metrics). Every Runtime reports live

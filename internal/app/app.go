@@ -49,9 +49,9 @@ type Options struct {
 	// DisableCausalTrace turns span capture off entirely (see
 	// core.Config.DisableCausalTrace).
 	DisableCausalTrace bool
-	// Faults installs a fault injector into the plumbing layers (see
-	// core.Config.Faults). Real mode only; nil disables injection.
-	Faults fault.Injector
+	// Faults is the fault injector the runtime's card attempts consult
+	// (see core.Config.Faults). Real mode only; nil disables injection.
+	Faults *fault.Injector
 	// Retry bounds re-attempts of transiently failing card actions
 	// (see core.Config.Retry).
 	Retry core.RetryPolicy

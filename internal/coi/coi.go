@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"hstreams/internal/fabric"
-	"hstreams/internal/fault"
 	"hstreams/internal/metrics"
 )
 
@@ -198,7 +197,6 @@ type Process struct {
 	srcEP  *fabric.Endpoint
 	sinkEP *fabric.Endpoint
 	pool   *BufferPool
-	inj    fault.Injector // nil unless Options.Injector was set
 
 	// Telemetry, labeled by sink node (see Options.Metrics).
 	poolHits   *metrics.Counter
@@ -227,11 +225,6 @@ type Options struct {
 	// labeled by sink node. Nil
 	// keeps counting into detached series that are never exported.
 	Metrics *metrics.Registry
-	// Injector, when non-nil, is consulted before every run-function
-	// launch (keyed by sink domain) and may fail the launch before the
-	// descriptor is sent — so a failed launch has no sink-side effects
-	// and is safe to retry. Nil disables injection at zero cost.
-	Injector fault.Injector
 }
 
 // CreateProcess starts a sink engine on the sink node and returns the
@@ -251,7 +244,6 @@ func CreateProcess(f *fabric.Fabric, source, sink *fabric.Node, opt Options) (*P
 		buffers:   make(map[uint64]*Buffer),
 		pipelines: make(map[uint64]*Pipeline),
 		events:    make(map[uint64]*Event),
-		inj:       opt.Injector,
 		srcDone:   make(chan struct{}),
 	}
 	if opt.PoolBuffers {
@@ -500,11 +492,6 @@ func (pl *Pipeline) run() {
 // the given scalar args and buffer operands, returning immediately
 // with a completion event.
 func (pl *Pipeline) RunFunction(name string, args []int64, bufs ...*Buffer) (*Event, error) {
-	if pl.p.inj != nil {
-		if err := pl.p.inj.Kernel(pl.p.sink.Name()); err != nil {
-			return nil, err
-		}
-	}
 	var ids [8]uint64
 	m := msg{Op: 'r', Fn: name, Args: args, BufIDs: ids[:0], Pipeline: pl.id}
 	for _, b := range bufs {

@@ -247,11 +247,12 @@ func (re *realExec) runCard(a *Action, dr *domainRes) error {
 	}
 }
 
-// attemptCard makes one attempt at a card action. Failed attempts
-// have no side effects — injection fires before any bytes move or any
-// descriptor is sent — so attempts may repeat freely. a.rec.Launch is
-// stamped once (first attempt) and a.rec.Finish after every attempt, so
-// the recorded duration spans retries and backoff.
+// attemptCard makes one attempt at a card action. It is where the
+// fault injector is consulted: under the compute or DMA lock, after
+// the stamp, before the descriptor is sent or any bytes move. So a
+// failed attempt has no side effects and attempts may repeat freely.
+// a.rec.Launch is stamped once (first attempt) and a.rec.Finish after
+// every attempt, so the recorded duration spans retries and backoff.
 func (re *realExec) attemptCard(a *Action) error {
 	s := a.stream
 	di := s.domain.index
@@ -267,7 +268,13 @@ func (re *realExec) attemptCard(a *Action) error {
 	if a.kind == ActCompute {
 		s.computeMu.Lock()
 		re.stamp(a)
-		err := re.computeCard(a)
+		var err error
+		if inj := re.rt.cfg.Faults; inj != nil {
+			err = inj.Kernel(s.domain.spec.Name)
+		}
+		if err == nil {
+			err = re.computeCard(a)
+		}
 		a.rec.Finish = re.now()
 		s.computeMu.Unlock()
 		return err
@@ -282,13 +289,35 @@ func (re *realExec) attemptCard(a *Action) error {
 	mu.Lock()
 	defer mu.Unlock()
 	re.stamp(a)
-	var err error
-	if a.kind == ActXferToSink {
-		_, err = cb.Write(int(o.Off), o.Buf.host[o.Off:o.Off+o.Len])
-	} else {
-		_, err = cb.Read(int(o.Off), o.Buf.host[o.Off:o.Off+o.Len])
+	err := re.injectTransfer(di, dir)
+	if err == nil {
+		if a.kind == ActXferToSink {
+			_, err = cb.Write(int(o.Off), o.Buf.host[o.Off:o.Off+o.Len])
+		} else {
+			_, err = cb.Read(int(o.Off), o.Buf.host[o.Off:o.Off+o.Len])
+		}
 	}
 	a.rec.Finish = re.now()
+	return err
+}
+
+// injectTransfer consults the fault injector, if any, before one DMA
+// between the host and card domain di: host→card for dir 0,
+// card→host for dir 1. It sleeps out an injected delay even when it
+// also returns an error — a degraded link is slow to fail, too.
+func (re *realExec) injectTransfer(di, dir int) error {
+	inj := re.rt.cfg.Faults
+	if inj == nil {
+		return nil
+	}
+	src, dst := re.rt.domains[0].spec.Name, re.rt.domains[di].spec.Name
+	if dir == 1 {
+		src, dst = dst, src
+	}
+	delay, err := inj.Transfer(src, dst)
+	if delay > 0 {
+		time.Sleep(delay)
+	}
 	return err
 }
 

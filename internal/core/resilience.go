@@ -1,16 +1,17 @@
 package core
 
 // resilience.go is the scheduler half of the fault-tolerance layer
-// (the injection half lives in internal/fault and its hooks in
-// internal/fabric / internal/coi). Three mechanisms compose, all
-// confined to Real-mode card actions — host actions have no fabric or
-// sink process to fail:
+// (the injector lives in internal/fault; the card attempt in
+// exec_real.go and the quarantine flush below are its only callers).
+// Three mechanisms compose, all confined to Real-mode card actions —
+// host actions have no fabric or sink process to fail:
 //
 //   - Retry: a transient failure (fault.IsTransient) is re-attempted
 //     with exponential backoff and deterministic jitter, up to
 //     RetryPolicy.Max times. A failed attempt has no side effects by
-//     construction (injection happens before any bytes move or any
-//     descriptor is sent), so re-attempting is always sound.
+//     construction (attemptCard consults the injector before any bytes
+//     move or any descriptor is sent), so re-attempting is always
+//     sound.
 //   - Deadline: Config.Deadline bounds one action's total time across
 //     attempts. It is checked at attempt boundaries — a DMA cannot be
 //     aborted midflight, exactly like real PCIe — so a slow attempt
@@ -296,7 +297,9 @@ func (dr *domainRes) flush(re *realExec) error {
 		for _, iv := range set.ivs {
 			var err error
 			for att := 0; ; att++ {
-				_, err = cb.Read(int(iv.lo), b.host[iv.lo:iv.hi])
+				if err = re.injectTransfer(dr.index, 1); err == nil {
+					_, err = cb.Read(int(iv.lo), b.host[iv.lo:iv.hi])
+				}
 				if err == nil || !fault.IsTransient(err) || att >= flushRetryMax {
 					break
 				}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,8 +18,8 @@ import (
 // deadline expiry (at attempt boundaries and mid-transfer on a slow
 // link), breaker quarantine with dirty-range flush + host re-route,
 // and the randomized FIFO-semantic differential under fault load.
-// All of them run Real mode on HSWPlusKNC(1) so the fabric and COI
-// injection hooks are actually on the code path.
+// All of them run Real mode on HSWPlusKNC(1) so the card attempt's
+// injection calls are actually on the code path.
 
 // incKernel adds one to every byte of every operand — trivially
 // verifiable through arbitrary ToSink/compute/ToSource round trips.
@@ -129,6 +130,111 @@ func TestRetryDeterministicCounts(t *testing.T) {
 			t.Fatalf("byte %d: got %d / %d, want %d — retries corrupted data", i, d1[i], d2[i], want)
 		}
 	}
+}
+
+// TestFailedAttemptMovesNothing pins where the card attempt consults
+// the injector: after the stamp, before any bytes move or any
+// run-function descriptor is sent. Each case runs twice on one card
+// with no retry budget — under its plan the action fails and leaves
+// no trace on the card, under the zero plan the same program does
+// move the bytes or send the descriptor, so the checks can fail.
+func TestFailedAttemptMovesNothing(t *testing.T) {
+	const size = 256
+	type outcome struct {
+		err         error
+		cardNonZero int     // non-zero bytes of the card instance
+		linkBytes   float64 // hstreams_link_bytes_total growth, HSW→KNC0
+		kernels     int64   // counting-kernel runs
+		descriptors int64   // run-function descriptors the sink received
+		span        time.Duration
+	}
+	run := func(t *testing.T, plan fault.Plan, compute bool) outcome {
+		t.Helper()
+		reg := metrics.New()
+		fl := trace.NewFlight(1 << 10)
+		rt := newChaosRT(t, Config{Metrics: reg, Flight: fl, Faults: fault.NewInjector(plan, reg)})
+		var o outcome
+		var kernels, descriptors atomic.Int64
+		rt.RegisterKernel("count", func(*KernelCtx) { kernels.Add(1) })
+		rt.procs[1].RegisterFunction(trampolineName, func(args []int64, bufs [][]byte) {
+			descriptors.Add(1)
+			rt.trampoline(args, bufs)
+		})
+		st, err := rt.StreamCreate(rt.Card(0), 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := rt.Alloc1D("buf", size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range b.host {
+			b.host[i] = byte(i) | 1
+		}
+		toCard := map[string]string{"src": "HSW", "dst": "KNC0"}
+		before := reg.Sum("hstreams_link_bytes_total", toCard)
+		if compute {
+			_, err = st.EnqueueCompute("count", nil, []Operand{{Buf: b, Off: 0, Len: size, Acc: InOut}}, platform.Cost{})
+		} else {
+			_, err = st.EnqueueXferAll(b, ToSink)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.ThreadSynchronize()
+		o.err = rt.Err()
+		for _, c := range b.instanceBytes(rt.Card(0)) {
+			if c != 0 {
+				o.cardNonZero++
+			}
+		}
+		o.linkBytes = reg.Sum("hstreams_link_bytes_total", toCard) - before
+		o.kernels, o.descriptors = kernels.Load(), descriptors.Load()
+		spans := trace.FilterRun(fl.Snapshot(), rt.RunID())
+		if len(spans) != 1 {
+			t.Fatalf("%d spans, want 1", len(spans))
+		}
+		o.span = spans[0].Finish - spans[0].Launch
+		return o
+	}
+	failed := func(t *testing.T, o outcome) {
+		t.Helper()
+		if !fault.IsTransient(o.err) {
+			t.Fatalf("err = %v, want an injected fault", o.err)
+		}
+	}
+
+	t.Run("TransferError", func(t *testing.T) {
+		o := run(t, fault.Plan{Seed: 1, TransferError: 1}, false)
+		failed(t, o)
+		if o.cardNonZero != 0 || o.linkBytes != 0 {
+			t.Errorf("failed ToSink changed the card: %d non-zero bytes, link bytes +%v", o.cardNonZero, o.linkBytes)
+		}
+		if o = run(t, fault.Plan{}, false); o.err != nil || o.cardNonZero != size || o.linkBytes != size {
+			t.Errorf("clean ToSink: err %v, %d non-zero card bytes, link bytes +%v; want nil, %d, +%d", o.err, o.cardNonZero, o.linkBytes, size, size)
+		}
+	})
+	t.Run("KernelError", func(t *testing.T) {
+		o := run(t, fault.Plan{Seed: 1, KernelError: 1}, true)
+		failed(t, o)
+		if o.kernels != 0 || o.descriptors != 0 {
+			t.Errorf("failed launch ran %d kernels and sent %d descriptors, want 0 and 0", o.kernels, o.descriptors)
+		}
+		if o = run(t, fault.Plan{}, true); o.err != nil || o.kernels != 1 || o.descriptors != 1 {
+			t.Errorf("clean launch: err %v, %d kernels, %d descriptors; want nil, 1, 1", o.err, o.kernels, o.descriptors)
+		}
+	})
+	t.Run("SlowLink", func(t *testing.T) {
+		const slow = 2 * time.Millisecond
+		o := run(t, fault.Plan{Seed: 1, SlowLink: 1, SlowLatency: slow, TransferError: 1}, false)
+		failed(t, o)
+		if o.span < slow {
+			t.Errorf("failed slow attempt's span lasted %v, want at least %v", o.span, slow)
+		}
+		if o.cardNonZero != 0 || o.linkBytes != 0 {
+			t.Errorf("failed ToSink changed the card: %d non-zero bytes, link bytes +%v", o.cardNonZero, o.linkBytes)
+		}
+	})
 }
 
 // TestDeadlineExpiry covers both ways an action can exhaust

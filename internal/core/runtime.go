@@ -107,12 +107,13 @@ type Config struct {
 	// trace-overhead benchmark guard measures; leave it off in
 	// production — the recorder is designed to stay on.
 	DisableCausalTrace bool
-	// Faults, when non-nil, is installed into the fabric and COI
-	// layers and consulted before every DMA and run-function launch
-	// (fault.NewInjector builds the deterministic, seedable one). Real
-	// mode only — Sim's virtual clock has no plumbing to fail. Nil
-	// (the default) disables injection at zero cost.
-	Faults fault.Injector
+	// Faults, when non-nil, is consulted by every card attempt
+	// before its DMA or run-function launch, and by the quarantine
+	// flush before each read back (exec_real.go, resilience.go);
+	// fault.NewInjector builds it from a seeded plan. Real mode only —
+	// Sim's virtual clock has no plumbing to fail. Nil (the default)
+	// disables injection at the cost of one nil check.
+	Faults *fault.Injector
 	// Retry bounds re-attempts of transiently failing card actions
 	// (resilience.go). The zero value disables retries.
 	Retry RetryPolicy
@@ -258,9 +259,6 @@ func Init(cfg Config) (*Runtime, error) {
 func (rt *Runtime) initPlumbing() error {
 	rt.fab = fabric.New()
 	rt.fab.SetMetrics(rt.reg)
-	if rt.cfg.Faults != nil {
-		rt.fab.SetInjector(rt.cfg.Faults)
-	}
 	rt.nodes = make([]*fabric.Node, len(rt.domains))
 	rt.procs = make([]*coi.Process, len(rt.domains))
 	for i, d := range rt.domains {
@@ -273,7 +271,6 @@ func (rt *Runtime) initPlumbing() error {
 		p, err := coi.CreateProcess(rt.fab, rt.nodes[0], rt.nodes[i], coi.Options{
 			PoolBuffers: !rt.cfg.DisableBufferPool,
 			Metrics:     rt.reg,
-			Injector:    rt.cfg.Faults,
 		})
 		if err != nil {
 			return err

@@ -17,10 +17,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"hstreams/internal/fault"
 	"hstreams/internal/metrics"
 	"hstreams/internal/platform"
 )
@@ -44,15 +42,7 @@ type Fabric struct {
 	bytesVec *metrics.CounterVec   // src, dst
 	xfersVec *metrics.CounterVec   // src, dst
 	occVec   *metrics.HistogramVec // src, dst: per-transfer wire time
-
-	// inj, when set, is consulted before every DMA (see SetInjector).
-	// Boxed behind an atomic pointer so the disabled path is one load.
-	inj atomic.Pointer[injectorBox]
 }
-
-// injectorBox wraps the Injector interface value so it can sit behind
-// an atomic.Pointer.
-type injectorBox struct{ in fault.Injector }
 
 // New returns an empty fabric.
 func New() *Fabric {
@@ -89,33 +79,6 @@ func (f *Fabric) instrument(l *Link) {
 	l.xfersCtr[1] = f.xfersVec.With(l.b.name, l.a.name)
 	l.occHist[1] = f.occVec.With(l.b.name, l.a.name)
 	l.mu.Unlock()
-}
-
-// SetInjector installs (or, with nil, removes) a fault injector
-// consulted before every DMA on the fabric. Injected delays are
-// imposed before the copy; injected errors fail the DMA before any
-// bytes move, so a failed attempt has no side effects and is safe to
-// retry. Safe to call concurrently with traffic.
-func (f *Fabric) SetInjector(in fault.Injector) {
-	if in == nil {
-		f.inj.Store(nil)
-		return
-	}
-	f.inj.Store(&injectorBox{in: in})
-}
-
-// injectTransfer consults the installed injector (if any) for one DMA
-// moving n bytes from src to dst, sleeping out any injected latency.
-func (f *Fabric) injectTransfer(src, dst string, n int64) error {
-	box := f.inj.Load()
-	if box == nil {
-		return nil
-	}
-	delay, err := box.in.Transfer(src, dst, n)
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	return err
 }
 
 // AddNode registers a domain on the fabric and returns its node.

@@ -46,9 +46,6 @@ func (w *Window) DMAWrite(f *Fabric, from *Node, off int, src []byte) (time.Dura
 	if err != nil {
 		return 0, err
 	}
-	if err := f.injectTransfer(from.name, w.node.name, int64(len(src))); err != nil {
-		return 0, err
-	}
 	w.mu.Lock()
 	copy(w.mem[off:], src)
 	w.mu.Unlock()
@@ -63,9 +60,6 @@ func (w *Window) DMARead(f *Fabric, from *Node, off int, dst []byte) (time.Durat
 	}
 	link, err := f.LinkBetween(from, w.node)
 	if err != nil {
-		return 0, err
-	}
-	if err := f.injectTransfer(w.node.name, from.name, int64(len(dst))); err != nil {
 		return 0, err
 	}
 	w.mu.RLock()

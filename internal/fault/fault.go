@@ -9,13 +9,12 @@
 //   - a Plan describes the failure modes to inject (transfer errors,
 //     slow/degraded links, kernel-launch failures, sink-process death
 //     episodes), each with its own probability;
-//   - an Injector is consulted by the plumbing layers
-//     (internal/fabric DMA, internal/coi run-functions) before every
-//     fault-eligible operation and answers with extra latency and/or
-//     an injected error;
-//   - the error taxonomy (Class, IsTransient) tells the scheduler's
-//     retry machinery in internal/core which failures are worth
-//     retrying and which are final.
+//   - an Injector is consulted by the scheduler's card attempt in
+//     internal/core — before every card DMA and every run-function
+//     launch, and before each read of the quarantine flush — and
+//     answers with extra latency and/or an injected error;
+//   - IsTransient tells core's retry machinery which failures are
+//     worth retrying: an injected *Error is, anything else is final.
 //
 // Injection is deterministic and seedable: every decision is a pure
 // function of the plan seed, the decision site (one sequence per link
@@ -23,7 +22,8 @@
 // single-stream program replays the exact same fault schedule on
 // every run — which is what the retry-determinism tests and the
 // chaos CI gate (cmd/hsbench's TestChaosGate) pin. Production builds
-// pay nothing when injection is off: the hooks are a single nil check.
+// pay nothing when injection is off: the call sites are a single nil
+// check.
 package fault
 
 import (
@@ -34,31 +34,6 @@ import (
 
 	"hstreams/internal/metrics"
 )
-
-// Class divides injected (and runtime) errors into the two halves of
-// the retry taxonomy.
-type Class int
-
-const (
-	// Transient marks an error worth retrying: the operation may
-	// succeed if re-issued (a failed DMA, a card mid-reset).
-	Transient Class = iota
-	// Fatal marks an error retrying cannot fix (a programming error,
-	// an out-of-range access, an exceeded deadline).
-	Fatal
-)
-
-// String labels the class for error text and metrics.
-func (c Class) String() string {
-	switch c {
-	case Transient:
-		return "transient"
-	case Fatal:
-		return "fatal"
-	default:
-		return fmt.Sprintf("Class(%d)", int(c))
-	}
-}
 
 // Injection sites, used as the "site" label of
 // hstreams_faults_injected_total.
@@ -75,17 +50,16 @@ const (
 	SiteSinkDeath = "sink-death"
 )
 
-// Error is an injected fault (or a runtime error classified into the
-// taxonomy). It records where it was injected and whether the retry
-// machinery should consider it recoverable.
+// Error is an injected fault. Every injected fault is transient: the
+// operation failed before any bytes moved or any descriptor was sent,
+// so the retry machinery may re-attempt it. It records where it was
+// injected.
 type Error struct {
 	// Site is the injection site (SiteTransfer, SiteKernel, ...).
 	Site string
 	// Key is the decision-sequence key: "src→dst" for link sites, the
 	// sink domain name for kernel/death sites.
 	Key string
-	// Class is the error's retry class.
-	Class Class
 	// Seq is the site-sequence ordinal that produced the fault,
 	// making every injected error traceable to one seeded decision.
 	Seq uint64
@@ -93,19 +67,15 @@ type Error struct {
 
 // Error implements the error interface.
 func (e *Error) Error() string {
-	return fmt.Sprintf("fault: injected %s %s at %s (decision %d)", e.Class, e.Site, e.Key, e.Seq)
+	return fmt.Sprintf("fault: injected transient %s at %s (decision %d)", e.Site, e.Key, e.Seq)
 }
 
-// IsTransient reports whether err is retryable under the taxonomy:
-// an injected *Error of class Transient anywhere in its chain. All
-// other errors — genuine runtime failures, injected Fatal faults,
+// IsTransient reports whether err is retryable: an injected *Error
+// anywhere in its chain. All other errors — genuine runtime failures,
 // exceeded deadlines — are final.
 func IsTransient(err error) bool {
 	var fe *Error
-	if errors.As(err, &fe) {
-		return fe.Class == Transient
-	}
-	return false
+	return errors.As(err, &fe)
 }
 
 // Plan describes what to inject and how often. All probabilities are
@@ -144,22 +114,6 @@ type Plan struct {
 // DefaultDeadOps is the default sink-death episode length.
 const DefaultDeadOps = 8
 
-// Injector is consulted by the plumbing layers before fault-eligible
-// operations. Implementations must be safe for concurrent use. A nil
-// Injector (the production default) disables injection entirely; the
-// layers guard the call with one nil check and pay nothing else.
-type Injector interface {
-	// Transfer is consulted before one DMA of n bytes from src to
-	// dst. It returns extra latency to impose before the transfer
-	// proceeds and/or an error to fail it with; callers must apply
-	// the delay even when an error is returned (a degraded link is
-	// slow to fail, too).
-	Transfer(src, dst string, n int64) (time.Duration, error)
-	// Kernel is consulted before one run-function launch on the named
-	// sink domain; a non-nil error fails the launch.
-	Kernel(domain string) error
-}
-
 // siteState is one decision sequence (one link direction or one sink
 // domain).
 type siteState struct {
@@ -169,11 +123,13 @@ type siteState struct {
 	rateGa  *metrics.Gauge
 }
 
-// SeededInjector is the deterministic Plan-driven Injector. Decisions
-// are derived from (seed, site key, per-site ordinal) with a
-// splitmix64 mix, so the schedule is independent of wall-clock time
-// and — for a serial decision sequence — of goroutine interleaving.
-type SeededInjector struct {
+// Injector is the deterministic Plan-driven fault injector, safe for
+// concurrent use. Decisions are derived from (seed, site key, per-site
+// ordinal) with a splitmix64 mix, so the schedule is independent of
+// wall-clock time and — for a serial decision sequence — of goroutine
+// interleaving. A nil *Injector (the production default) means no
+// injection; callers guard their calls with one nil check.
+type Injector struct {
 	plan Plan
 
 	faults   *metrics.CounterVec // site, key
@@ -188,11 +144,11 @@ type SeededInjector struct {
 // injection telemetry into reg (hstreams_faults_injected_total by
 // site and key, and the per-link hstreams_link_fault_permille
 // gauges). A nil registry keeps counting into detached series.
-func NewInjector(plan Plan, reg *metrics.Registry) *SeededInjector {
+func NewInjector(plan Plan, reg *metrics.Registry) *Injector {
 	if plan.DeadOps <= 0 {
 		plan.DeadOps = DefaultDeadOps
 	}
-	return &SeededInjector{
+	return &Injector{
 		plan:     plan,
 		faults:   reg.CounterVec("hstreams_faults_injected_total", "Faults injected by the fault plan, by site and sequence key.", "site", "key"),
 		linkRate: reg.GaugeVec("hstreams_link_fault_permille", "Injected-fault rate per link direction, in permille of consulted transfers.", "src", "dst"),
@@ -200,13 +156,9 @@ func NewInjector(plan Plan, reg *metrics.Registry) *SeededInjector {
 	}
 }
 
-// Plan returns the plan the injector was built with (DeadOps
-// defaulted).
-func (in *SeededInjector) Plan() Plan { return in.plan }
-
 // site resolves (or creates) the decision sequence for key; caller
 // holds in.mu.
-func (in *SeededInjector) site(key string) *siteState {
+func (in *Injector) site(key string) *siteState {
 	st := in.sites[key]
 	if st == nil {
 		st = &siteState{}
@@ -217,7 +169,7 @@ func (in *SeededInjector) site(key string) *siteState {
 
 // draw advances site st by one decision and returns a uniform value
 // in [0,1). Caller holds in.mu.
-func (in *SeededInjector) draw(st *siteState, key string) float64 {
+func (in *Injector) draw(st *siteState, key string) float64 {
 	st.seq++
 	in.total++
 	h := splitmix64(in.plan.Seed ^ hash64(key) ^ (st.seq * 0x9e3779b97f4a7c15))
@@ -226,19 +178,23 @@ func (in *SeededInjector) draw(st *siteState, key string) float64 {
 
 // armed reports whether the plan has passed its warm-up. Caller holds
 // in.mu (total is advanced by draw).
-func (in *SeededInjector) armed() bool { return in.total > in.plan.ArmAfter }
+func (in *Injector) armed() bool { return in.total > in.plan.ArmAfter }
 
 // inject records one injected fault at st. Caller holds in.mu.
-func (in *SeededInjector) inject(st *siteState, site, key string) *Error {
+func (in *Injector) inject(st *siteState, site, key string) *Error {
 	st.faults++
 	in.faults.With(site, key).Inc()
-	return &Error{Site: site, Key: key, Class: Transient, Seq: st.seq}
+	return &Error{Site: site, Key: key, Seq: st.seq}
 }
 
-// Transfer implements Injector for fabric DMA: two independent draws
-// per call (slow link, then error), plus the domain death episodes,
-// which fail transfers touching a dead domain.
-func (in *SeededInjector) Transfer(src, dst string, n int64) (time.Duration, error) {
+// Transfer is consulted before one DMA from domain src to domain dst:
+// two independent draws per call (slow link, then error), plus the
+// domain death episodes, which fail transfers touching a dead domain.
+// It returns extra latency to impose before the transfer proceeds
+// and/or an error to fail it with; callers must sleep out the delay
+// even when an error is returned (a degraded link is slow to fail,
+// too).
+func (in *Injector) Transfer(src, dst string) (time.Duration, error) {
 	key := src + "→" + dst
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -266,7 +222,7 @@ func (in *SeededInjector) Transfer(src, dst string, n int64) (time.Duration, err
 }
 
 // gauge resolves the per-link rate gauge once. Caller holds in.mu.
-func (in *SeededInjector) gauge(st *siteState, src, dst string) *metrics.Gauge {
+func (in *Injector) gauge(st *siteState, src, dst string) *metrics.Gauge {
 	if st.rateGa == nil {
 		st.rateGa = in.linkRate.With(src, dst)
 	}
@@ -276,7 +232,7 @@ func (in *SeededInjector) gauge(st *siteState, src, dst string) *metrics.Gauge {
 // deadDomain consumes one death-episode operation if either endpoint
 // domain is currently dead, returning the dead domain's name. Caller
 // holds in.mu.
-func (in *SeededInjector) deadDomain(names ...string) string {
+func (in *Injector) deadDomain(names ...string) string {
 	for _, name := range names {
 		if st := in.sites[name]; st != nil && st.deadOps > 0 {
 			st.deadOps--
@@ -286,9 +242,10 @@ func (in *SeededInjector) deadDomain(names ...string) string {
 	return ""
 }
 
-// Kernel implements Injector for COI run-function launches: one death
-// draw and one error draw per call, keyed by the sink domain.
-func (in *SeededInjector) Kernel(domain string) error {
+// Kernel is consulted before one run-function launch on the named
+// sink domain: one death draw and one error draw per call. A non-nil
+// error fails the launch.
+func (in *Injector) Kernel(domain string) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	st := in.site(domain)
@@ -311,21 +268,10 @@ func (in *SeededInjector) Kernel(domain string) error {
 // Decisions returns how many fault decisions the injector has drawn
 // in total (every Transfer call draws twice, every Kernel call draws
 // twice).
-func (in *SeededInjector) Decisions() uint64 {
+func (in *Injector) Decisions() uint64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.total
-}
-
-// Faults returns how many faults the injector has injected in total.
-func (in *SeededInjector) Faults() uint64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	var n uint64
-	for _, st := range in.sites {
-		n += st.faults
-	}
-	return n
 }
 
 // splitmix64 is the SplitMix64 finalizer — a full-avalanche mix used
