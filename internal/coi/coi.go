@@ -6,17 +6,22 @@
 //
 // It provides sink-side processes, FIFO pipelines of run-functions,
 // registered buffers with host↔sink movement over fabric DMA, and
-// completion events. Control traffic (run-function descriptors and
-// completions) really travels over fabric endpoints, so the layering
-// the paper describes is an actual code path, not a diagram.
+// completion events. Control traffic really travels over fabric
+// endpoints, so the layering the paper describes is an actual code
+// path, not a diagram. Each pipeline owns an endpoint pair:
+// RunFunction sends a descriptor on its source end, and the
+// pipeline's executor reads the sink end, whose inbox is the
+// descriptor's one queue. Completions return over the process's own
+// endpoint pair, whose source end one router reads to complete events.
 //
-// Each control message is one fixed binary record: the op byte, the
-// pipeline and event ids as uvarints, the function name and the error
-// text each prefixed by its uvarint length, then the scalar args as a
-// uvarint count followed by zigzag varints and the buffer ids as a
-// uvarint count followed by uvarints. Both ends live in one binary, so
-// there is no type descriptor and no version to negotiate; decode
-// rejects empty, truncated, oversized and trailing-byte input.
+// Each control message is one fixed binary record: the op byte ('r'
+// run-function or 'c' completion), the event id as a uvarint, the
+// function name and the error text each prefixed by its uvarint
+// length, then the scalar args as a uvarint count followed by zigzag
+// varints and the buffer ids as a uvarint count followed by uvarints.
+// Both ends live in one binary, so there is no type descriptor and no
+// version to negotiate; decode rejects empty, truncated, oversized and
+// trailing-byte input.
 //
 // The buffer pool reproduces the paper's allocation observation: COI
 // overheads were negligible when a pool of 2 MB buffers was used, and
@@ -51,13 +56,12 @@ type RunFunc func(args []int64, bufs [][]byte)
 
 // msg is one control message; see the package doc for its wire form.
 type msg struct {
-	Op       byte // 'r' run, 'c' completion, 'd' destroy pipeline, 'q' quit
-	Fn       string
-	Args     []int64
-	BufIDs   []uint64
-	Pipeline uint64
-	Event    uint64
-	Err      string
+	Op     byte // 'r' run-function, 'c' completion
+	Fn     string
+	Args   []int64
+	BufIDs []uint64
+	Event  uint64
+	Err    string
 }
 
 // errBadMsg is what decode returns for any input encode cannot produce.
@@ -68,7 +72,6 @@ var errBadMsg = errors.New("coi: malformed control message")
 // because Endpoint.Send copies the payload.
 func encode(dst []byte, m msg) []byte {
 	dst = append(dst, m.Op)
-	dst = binary.AppendUvarint(dst, m.Pipeline)
 	dst = binary.AppendUvarint(dst, m.Event)
 	dst = binary.AppendUvarint(dst, uint64(len(m.Fn)))
 	dst = append(dst, m.Fn...)
@@ -85,40 +88,34 @@ func encode(dst []byte, m msg) []byte {
 	return dst
 }
 
-// decode parses one wire record. Every read is bounds-checked, and
-// every length or count is checked against the bytes that remain
-// (each element takes at least one) before anything is allocated.
-// A zero count decodes to a nil slice, so decode∘encode∘decode is the
-// identity on whatever decode accepts.
-func decode(b []byte) (msg, error) {
-	if len(b) == 0 {
-		return msg{}, errBadMsg
+// decode parses one wire record into m, reusing the backing arrays of
+// m's Args and BufIDs and any equal string, so a reader that decodes
+// into one msg allocates nothing per record once they have grown.
+// Every read is bounds-checked, and every length or count is checked
+// against the bytes that remain (each element takes at least one)
+// before anything is appended. A zero count leaves a zero-length
+// slice, nil if m's was nil. On error m holds no valid message.
+func decode(b []byte, m *msg) error {
+	if len(b) == 0 || b[0] != 'r' && b[0] != 'c' {
+		return errBadMsg
 	}
-	m := msg{Op: b[0]}
-	if m.Op != 'r' && m.Op != 'c' && m.Op != 'd' && m.Op != 'q' {
-		return msg{}, errBadMsg
-	}
+	m.Op = b[0]
 	r := wireReader{b: b[1:]}
-	m.Pipeline = r.uvarint()
 	m.Event = r.uvarint()
-	m.Fn = r.str()
-	m.Err = r.str()
-	if n := r.count(); n > 0 {
-		m.Args = make([]int64, n)
-		for i := range m.Args {
-			m.Args[i] = r.varint()
-		}
+	r.str(&m.Fn)
+	r.str(&m.Err)
+	m.Args = m.Args[:0]
+	for n := r.count(); n > 0; n-- {
+		m.Args = append(m.Args, r.varint())
 	}
-	if n := r.count(); n > 0 {
-		m.BufIDs = make([]uint64, n)
-		for i := range m.BufIDs {
-			m.BufIDs[i] = r.uvarint()
-		}
+	m.BufIDs = m.BufIDs[:0]
+	for n := r.count(); n > 0; n-- {
+		m.BufIDs = append(m.BufIDs, r.uvarint())
 	}
 	if r.bad || len(r.b) != 0 {
-		return msg{}, errBadMsg
+		return errBadMsg
 	}
-	return m, nil
+	return nil
 }
 
 // wireReader consumes a record front to back. The first failure sets
@@ -163,11 +160,14 @@ func (r *wireReader) count() int {
 	return int(n)
 }
 
-func (r *wireReader) str() string {
+// str reads a length-prefixed string into *s. It keeps *s when that
+// already holds the bytes, so a reused msg copies no repeated name.
+func (r *wireReader) str(s *string) {
 	n := r.count()
-	s := string(r.b[:n])
+	if b := r.b[:n]; string(b) != *s {
+		*s = string(b)
+	}
 	r.b = r.b[n:]
-	return s
 }
 
 // Event signals completion of one run-function invocation.
@@ -188,12 +188,14 @@ func (e *Event) Wait() error {
 func (e *Event) Done() <-chan struct{} { return e.done }
 
 // Process is the host-side handle to a sink engine running on a card
-// domain. It owns the control endpoints, the registered functions, the
-// sink buffer instances, and the sink pipelines.
+// domain. It owns the completion endpoints, the registered functions,
+// the sink buffer instances, and the sink pipelines.
 type Process struct {
 	fab    *fabric.Fabric
 	source *fabric.Node
 	sink   *fabric.Node
+	// srcEP and sinkEP carry completions: every pipeline's executor
+	// answers on sinkEP, and sourceLoop reads srcEP.
 	srcEP  *fabric.Endpoint
 	sinkEP *fabric.Endpoint
 	pool   *BufferPool
@@ -210,9 +212,7 @@ type Process struct {
 	nextID    uint64
 	down      bool // set first by Destroy; no Event or pipeline is made after it
 
-	ending  sync.WaitGroup // Pipeline.Destroy calls that have not sent their 'd' yet
-	sinkWG  sync.WaitGroup // sinkLoop and the pipeline executors
-	srcDone chan struct{}  // closed when sourceLoop returns
+	srcDone chan struct{} // closed when sourceLoop returns
 	destroy sync.Once
 }
 
@@ -251,8 +251,6 @@ func CreateProcess(f *fabric.Fabric, source, sink *fabric.Node, opt Options) (*P
 	}
 	p.poolHits = opt.Metrics.CounterVec("hstreams_coi_pool_hits_total", "Sink buffer allocations satisfied from the 2 MB pool.", "sink").With(sink.Name())
 	p.poolMisses = opt.Metrics.CounterVec("hstreams_coi_pool_misses_total", "Sink buffer allocations that paid a cold (pinning) allocation.", "sink").With(sink.Name())
-	p.sinkWG.Add(1)
-	go p.sinkLoop()
 	go p.sourceLoop()
 	return p, nil
 }
@@ -275,61 +273,16 @@ func (p *Process) RegisterFunction(name string, fn RunFunc) {
 // Sink returns the sink node of the process.
 func (p *Process) Sink() *fabric.Node { return p.sink }
 
-// sinkLoop is the card-side dispatcher: it decodes run-function
-// descriptors and feeds per-pipeline executors. It is the only sender
-// on a pipeline queue, so it is also the one that closes it: on 'd',
-// which Pipeline.Destroy sends behind the pipeline's last descriptor,
-// it closes that pipeline's queue and forgets the pipeline; on 'q',
-// the last message Process.Destroy sends, it closes every queue left.
-// Either way the executors drain what they hold and exit.
-func (p *Process) sinkLoop() {
-	defer p.sinkWG.Done()
-	for {
-		raw, err := p.sinkEP.Recv()
-		if err != nil {
-			return
-		}
-		m, err := decode(raw)
-		if err != nil {
-			continue
-		}
-		switch m.Op {
-		case 'q':
-			p.mu.Lock()
-			for _, pl := range p.pipelines {
-				close(pl.queue)
-			}
-			p.mu.Unlock()
-			return
-		case 'd':
-			p.mu.Lock()
-			pl := p.pipelines[m.Pipeline]
-			delete(p.pipelines, m.Pipeline)
-			p.mu.Unlock()
-			if pl != nil {
-				close(pl.queue)
-			}
-		case 'r':
-			p.mu.Lock()
-			pl := p.pipelines[m.Pipeline]
-			p.mu.Unlock()
-			if pl != nil {
-				pl.queue <- m
-			}
-		}
-	}
-}
-
 // sourceLoop routes completions back to host-side events.
 func (p *Process) sourceLoop() {
 	defer close(p.srcDone)
+	var m msg
 	for {
 		raw, err := p.srcEP.Recv()
 		if err != nil {
 			return
 		}
-		m, err := decode(raw)
-		if err != nil || m.Op != 'c' {
+		if decode(raw, &m) != nil || m.Op != 'c' {
 			continue
 		}
 		p.mu.Lock()
@@ -359,18 +312,12 @@ func (p *Process) Destroy() {
 			pls = append(pls, pl)
 		}
 		p.mu.Unlock()
-		// Once every pipeline's registered descriptors and every
-		// pipeline teardown are in the sink's inbox, 'q' lands behind
-		// all of them. A pipeline already gone from the table was
-		// destroyed, and its 'd' came after its last descriptor.
+		// No pipeline is created after down, and one leaves the table
+		// only once its executor has exited, so these are all that
+		// can still answer; each runs what it was handed first.
 		for _, pl := range pls {
-			pl.sending.Wait()
+			pl.Destroy()
 		}
-		p.ending.Wait()
-		_, _ = p.srcEP.Send(encode(nil, msg{Op: 'q'}))
-		// The executors ran and answered everything queued before 'q';
-		// nothing sends on either endpoint any more.
-		p.sinkWG.Wait()
 		p.sinkEP.Close()
 		p.srcEP.Close()
 		<-p.srcDone
@@ -386,10 +333,13 @@ func (p *Process) Destroy() {
 
 // Pipeline is a FIFO queue of run-function invocations executing on
 // the sink — COI's ordering guarantee that hStreams builds streams on.
+// The queue is the pipeline's own endpoint pair: RunFunction sends
+// descriptors on src, and the executor receives them from sink in
+// that order. Completions travel on the process's endpoints.
 type Pipeline struct {
-	p     *Process
-	id    uint64
-	queue chan msg
+	p         *Process
+	id        uint64
+	src, sink *fabric.Endpoint
 	// down (guarded by p.mu) is set first by Destroy; no Event is
 	// registered on the pipeline after it. sending counts the
 	// RunFunction calls that registered an Event and have not sent
@@ -398,24 +348,22 @@ type Pipeline struct {
 	sending sync.WaitGroup
 	exited  chan struct{} // closed when run returns
 	destroy sync.Once
-	// bufs is run's per-descriptor buffer list, reused: the executor
-	// runs one descriptor at a time.
-	bufs [][]byte
 }
 
-const pipelineDepth = 256
-
-// CreatePipeline creates a sink pipeline with its own executor.
+// CreatePipeline creates a sink pipeline with its own endpoint pair
+// and executor.
 func (p *Process) CreatePipeline() (*Pipeline, error) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.down {
-		p.mu.Unlock()
 		return nil, ErrProcessDown
 	}
-	pl := &Pipeline{p: p, id: p.id(), queue: make(chan msg, pipelineDepth), exited: make(chan struct{})}
+	src, sink, err := fabric.ConnectPair(p.fab, p.source, p.sink)
+	if err != nil {
+		return nil, err
+	}
+	pl := &Pipeline{p: p, id: p.id(), src: src, sink: sink, exited: make(chan struct{})}
 	p.pipelines[pl.id] = pl
-	p.sinkWG.Add(1)
-	p.mu.Unlock()
 	go pl.run()
 	return pl, nil
 }
@@ -424,41 +372,50 @@ func (p *Process) CreatePipeline() (*Pipeline, error) {
 // accepting run-functions, lets the sink run the ones already
 // submitted, and returns once the pipeline's executor has exited and
 // the pipeline has left its process. Their events complete as usual.
-// Destroy is idempotent, and safe after or during Process.Destroy,
-// whose own teardown then stops the executor.
+// Destroy is idempotent, and safe during or after Process.Destroy,
+// which destroys every pipeline still in its table.
 func (pl *Pipeline) Destroy() {
 	pl.destroy.Do(func() {
 		p := pl.p
 		p.mu.Lock()
 		pl.down = true
-		live := !p.down // else the process's 'q' closes the queue
-		if live {
-			p.ending.Add(1)
-		}
 		p.mu.Unlock()
-		if live {
-			// Every registered descriptor is now in the sink's inbox,
-			// so 'd' lands behind all of them.
-			pl.sending.Wait()
-			_, _ = p.srcEP.Send(encode(nil, msg{Op: 'd', Pipeline: pl.id}))
-			p.ending.Done()
-		}
+		// Every registered descriptor is now in the sink's inbox; the
+		// executor drains it before Recv reports the close.
+		pl.sending.Wait()
+		pl.sink.Close()
 		<-pl.exited
+		p.mu.Lock()
+		delete(p.pipelines, pl.id)
+		p.mu.Unlock()
 	})
 }
 
-// run executes descriptors in FIFO order on the sink.
+// run executes descriptors in FIFO order on the sink. It decodes into
+// one msg and gathers operands into one slice, both reused: the
+// executor runs one descriptor at a time.
 func (pl *Pipeline) run() {
-	defer pl.p.sinkWG.Done()
 	defer close(pl.exited)
-	var wire [64]byte
-	for m := range pl.queue {
+	p := pl.p
+	var (
+		m    msg
+		bufs [][]byte
+		wire [64]byte
+	)
+	for {
+		raw, err := pl.sink.Recv()
+		if err != nil {
+			return
+		}
+		if decode(raw, &m) != nil || m.Op != 'r' {
+			continue
+		}
 		reply := msg{Op: 'c', Event: m.Event}
-		pl.p.mu.Lock()
-		fn := pl.p.funcs[m.Fn]
-		bufs := pl.bufs[:0]
+		p.mu.Lock()
+		fn := p.funcs[m.Fn]
+		bufs = bufs[:0]
 		for _, id := range m.BufIDs {
-			b := pl.p.buffers[id]
+			b := p.buffers[id]
 			if b == nil {
 				fn = nil
 				reply.Err = ErrUnknownBuffer.Error()
@@ -466,7 +423,6 @@ func (pl *Pipeline) run() {
 			}
 			bufs = append(bufs, b.sinkWin.Bytes())
 		}
-		p := pl.p
 		p.mu.Unlock()
 		if fn == nil {
 			if reply.Err == "" {
@@ -483,7 +439,6 @@ func (pl *Pipeline) run() {
 			}()
 		}
 		clear(bufs)
-		pl.bufs = bufs[:0]
 		_, _ = p.sinkEP.Send(encode(wire[:0], reply))
 	}
 }
@@ -493,7 +448,7 @@ func (pl *Pipeline) run() {
 // with a completion event.
 func (pl *Pipeline) RunFunction(name string, args []int64, bufs ...*Buffer) (*Event, error) {
 	var ids [8]uint64
-	m := msg{Op: 'r', Fn: name, Args: args, BufIDs: ids[:0], Pipeline: pl.id}
+	m := msg{Op: 'r', Fn: name, Args: args, BufIDs: ids[:0]}
 	for _, b := range bufs {
 		if b.proc != pl.p {
 			return nil, ErrUnknownBuffer
@@ -515,7 +470,7 @@ func (pl *Pipeline) RunFunction(name string, args []int64, bufs ...*Buffer) (*Ev
 	pl.sending.Add(1)
 	pl.p.mu.Unlock()
 	var wire [128]byte
-	_, err := pl.p.srcEP.Send(encode(wire[:0], m))
+	_, err := pl.src.Send(encode(wire[:0], m))
 	pl.sending.Done()
 	if err != nil {
 		pl.p.mu.Lock()

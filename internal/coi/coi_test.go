@@ -2,6 +2,7 @@ package coi
 
 import (
 	"encoding/binary"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -525,7 +526,43 @@ func TestRunFunctionAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%.1f allocations per RunFunction + Wait", allocs)
-	if allocs > 7 {
-		t.Fatalf("RunFunction + Wait = %.1f allocations, want ≤ 7", allocs)
+	if allocs > 4 {
+		t.Fatalf("RunFunction + Wait = %.1f allocations, want ≤ 4", allocs)
+	}
+}
+
+// TestPipelineGoroutineBudget pins the process's goroutines: one
+// completion router, plus one executor per pipeline reading its own
+// endpoint. A demultiplexer between the endpoints and the executors
+// would add one.
+func TestPipelineGoroutineBudget(t *testing.T) {
+	// settle counts goroutines once those still exiting from earlier
+	// tests are gone; everything this test starts blocks until Destroy.
+	settle := func() int {
+		n := runtime.NumGoroutine()
+		for i := 0; i < 200; i++ {
+			time.Sleep(time.Millisecond)
+			m := runtime.NumGoroutine()
+			if m == n {
+				break
+			}
+			n = m
+		}
+		return n
+	}
+	const k = 3
+	before := settle()
+	p := newProcess(t, Options{})
+	for i := 0; i < k; i++ {
+		if _, err := p.CreatePipeline(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := settle() - before; got != k+1 {
+		t.Fatalf("process with %d pipelines added %d goroutines, want %d", k, got, k+1)
+	}
+	p.Destroy()
+	if got := settle() - before; got != 0 {
+		t.Fatalf("%d goroutines left after Destroy", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"hstreams/internal/fabric"
 	"hstreams/internal/platform"
 	"hstreams/internal/trace"
 )
@@ -49,11 +50,15 @@ func TestSimTransferDurationMatchesLink(t *testing.T) {
 	if end-start != want {
 		t.Fatalf("transfer duration = %v, want %v", end-start, want)
 	}
-	if rt.SimLinkBusy(rt.Card(0).Index(), 0) != want {
-		t.Fatalf("link busy accounting = %v, want %v", rt.SimLinkBusy(1, 0), want)
-	}
-	if rt.SimLinkBusy(rt.Card(0).Index(), 1) != 0 {
-		t.Fatal("wrong direction accounted")
+	// The link's ledger charges the transfer to HSW→KNC0 only.
+	for _, l := range rt.LinkStats() {
+		w := time.Duration(0)
+		if l.Src == rt.Host().Spec().Name {
+			w = want
+		}
+		if l.Modeled != w {
+			t.Fatalf("link %s→%s modeled %v, want %v", l.Src, l.Dst, l.Modeled, w)
+		}
 	}
 }
 
@@ -403,5 +408,57 @@ func TestSimXferDeps(t *testing.T) {
 	xs, _ := x.Times()
 	if xs < ce {
 		t.Fatalf("xfer dep violated: %v < %v", xs, ce)
+	}
+}
+
+// TestLinkLedgerSameInBothModes runs one transfer-only program in Sim
+// and in Real mode: both charge their card transfers to the same
+// fabric links, so the per-direction ledgers must agree in bytes,
+// transfers and modeled wire time.
+func TestLinkLedgerSameInBothModes(t *testing.T) {
+	ledger := func(mode Mode) []fabric.LinkStat {
+		rt := isoRuntime(t, mode, 1)
+		var streams [2]*Stream
+		for i := range streams {
+			s, err := rt.StreamCreate(rt.Card(0), 0, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			streams[i] = s
+		}
+		big, _ := rt.Alloc1D("big", 3<<20)
+		small, _ := rt.Alloc1D("small", 24<<10)
+		xfers := []struct {
+			s      *Stream
+			b      *Buf
+			off, n int64
+			dir    XferDir
+		}{
+			{streams[0], big, 0, 3 << 20, ToSink},
+			{streams[1], small, 0, 24 << 10, ToSink},
+			{streams[0], big, 4096, 65 << 10, ToSource},
+			{streams[1], small, 100, 777, ToSource},
+			{streams[1], big, 1 << 20, 1, ToSink},
+			{streams[0], small, 8 << 10, 16 << 10, ToSource},
+		}
+		for _, x := range xfers {
+			if _, err := x.s.EnqueueXfer(x.b, x.off, x.n, x.dir); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rt.ThreadSynchronize()
+		return rt.LinkStats()
+	}
+	sim, real := ledger(ModeSim), ledger(ModeReal)
+	if len(sim) != 2 || len(real) != 2 {
+		t.Fatalf("ledgers hold %d (Sim) and %d (Real) link directions, want 2 each", len(sim), len(real))
+	}
+	for i := range sim {
+		if sim[i] != real[i] {
+			t.Errorf("direction %d: Sim %+v, Real %+v", i, sim[i], real[i])
+		}
+		if sim[i].Modeled == 0 {
+			t.Errorf("direction %s→%s: no modeled wire time", sim[i].Src, sim[i].Dst)
+		}
 	}
 }

@@ -102,44 +102,11 @@ type RuntimeStatus struct {
 	Links       []fabric.LinkStat `json:"links,omitempty"`
 }
 
-// LinkStats snapshots per-link traffic for the debug server: fabric
-// accounting in Real mode; in Sim mode the atomic byte/transfer
-// counters (the modeled wire time is not included — the DMA resources
-// belong to the single-goroutine engine, and SimLinkBusy reads them
-// from the host thread only).
-func (rt *Runtime) LinkStats() []fabric.LinkStat {
-	if rt.fab != nil {
-		return rt.fab.LinkStats()
-	}
-	se, ok := rt.exec.(*simExec)
-	if !ok {
-		return nil
-	}
-	host := rt.domains[0].spec.Name
-	out := make([]fabric.LinkStat, 0, 2*(len(rt.domains)-1))
-	for i := 1; i < len(rt.domains); i++ {
-		name := rt.domains[i].spec.Name
-		for dir := 0; dir < 2; dir++ {
-			src, dst := host, name
-			if dir == 1 {
-				src, dst = name, host
-			}
-			out = append(out, fabric.LinkStat{
-				Src:       src,
-				Dst:       dst,
-				Transfers: se.linkMet[i][dir].xfers.Value(),
-				Bytes:     se.linkMet[i][dir].bytes.Value(),
-			})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Dst < out[j].Dst
-	})
-	return out
-}
+// LinkStats snapshots the fabric's per-link ledger, ordered by
+// (src, dst): card transfers in both modes (Real mode's moved bytes,
+// Sim mode's modeled ones) and, in Real mode, COI's control messages.
+// The debug server serves it in /debug/streams.
+func (rt *Runtime) LinkStats() []fabric.LinkStat { return rt.fab.LinkStats() }
 
 // maxStatusScan bounds the window scan per stream, so a deep queue
 // cannot make a snapshot — a watchdog tick — expensive; the depth and

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"hstreams/internal/metrics"
 	"hstreams/internal/platform"
 	"hstreams/internal/timesim"
 )
@@ -14,8 +13,10 @@ import (
 // sink is a serially-occupied compute slot; each direction of each
 // card's PCIe link is a DMA resource. Durations come from the
 // platform cost model, so paper-scale runs finish in milliseconds of
-// wall time. Sim mode assumes a single host goroutine (all the
-// harness drivers are sequential), which makes runs deterministic.
+// wall time; a card transfer's comes from its fabric link, which
+// accounts it as it would a Real-mode DMA. Sim mode assumes a single
+// host goroutine (all the harness drivers are sequential), which
+// makes runs deterministic.
 type simExec struct {
 	rt *Runtime
 	// eng fires each action's completion at its finish time; an
@@ -29,36 +30,17 @@ type simExec struct {
 	// links[i] holds the two DMA directions for domain i
 	// (0: source→sink, 1: sink→source); nil for the host.
 	links [][2]*timesim.Resource
-	// linkMet[i] holds the per-direction byte/transfer counters and
-	// occupancy histograms for domain i — Sim mode never touches the
-	// fabric, so modeled traffic is accounted here under the same
-	// metric families.
-	linkMet [][2]struct {
-		bytes, xfers *metrics.Counter
-		occ          *metrics.Histogram
-	}
 }
 
 func newSimExec(rt *Runtime) *simExec {
 	se := &simExec{rt: rt, eng: timesim.NewQueue(func(a *Action) { rt.finish(a, nil) })}
 	se.links = make([][2]*timesim.Resource, len(rt.domains))
-	se.linkMet = make([][2]struct {
-		bytes, xfers *metrics.Counter
-		occ          *metrics.Histogram
-	}, len(rt.domains))
-	host := rt.domains[0].spec.Name
 	for i := 1; i < len(rt.domains); i++ {
 		name := rt.domains[i].spec.Name
 		se.links[i] = [2]*timesim.Resource{
 			timesim.NewResource(name + ".dma.toSink"),
 			timesim.NewResource(name + ".dma.toSrc"),
 		}
-		se.linkMet[i][0].bytes = rt.mets.linkBytes.With(host, name)
-		se.linkMet[i][0].xfers = rt.mets.linkXfers.With(host, name)
-		se.linkMet[i][0].occ = rt.mets.linkOcc.With(host, name)
-		se.linkMet[i][1].bytes = rt.mets.linkBytes.With(name, host)
-		se.linkMet[i][1].xfers = rt.mets.linkXfers.With(name, host)
-		se.linkMet[i][1].occ = rt.mets.linkOcc.With(name, host)
 	}
 	return se
 }
@@ -80,15 +62,13 @@ func (se *simExec) launch(a *Action) {
 			// Host-as-target: instances alias, transfer optimized away.
 			start, end = ready, ready
 		} else {
-			dir := 0
+			di := s.domain.index
+			dir, from := 0, se.rt.nodes[0]
 			if a.kind == ActXferToSrc {
-				dir = 1
+				dir, from = 1, se.rt.nodes[di]
 			}
-			dur := se.rt.machine.LinkFor(s.domain.index - 1).TransferTime(a.rec.Bytes)
-			start, end = se.links[s.domain.index][dir].Reserve(ready, dur)
-			se.linkMet[s.domain.index][dir].bytes.Add(a.rec.Bytes)
-			se.linkMet[s.domain.index][dir].xfers.Inc()
-			se.linkMet[s.domain.index][dir].occ.Observe(dur)
+			dur := se.rt.links[di].Account(from, a.rec.Bytes)
+			start, end = se.links[di][dir].Reserve(ready, dur)
 		}
 	case ActSync:
 		start, end = ready, ready
@@ -141,21 +121,3 @@ func (se *simExec) waitAction(a *Action) {
 func (se *simExec) now() time.Duration { return se.eng.Now() }
 
 func (se *simExec) fini() { se.eng.Drain() }
-
-// LinkBusy reports accumulated DMA busy time for a card domain
-// direction (0: to sink, 1: to source); used by harness statistics.
-func (se *simExec) LinkBusy(domainIndex, dir int) time.Duration {
-	if se.links[domainIndex][dir] == nil {
-		return 0
-	}
-	return se.links[domainIndex][dir].Busy()
-}
-
-// SimLinkBusy exposes Sim-mode DMA occupancy for harness statistics;
-// it returns zero in Real mode.
-func (rt *Runtime) SimLinkBusy(domainIndex, dir int) time.Duration {
-	if se, ok := rt.exec.(*simExec); ok {
-		return se.LinkBusy(domainIndex, dir)
-	}
-	return 0
-}

@@ -39,15 +39,12 @@ type coreMetrics struct {
 	depth         *metrics.GaugeVec     // stream: current incomplete-action window
 	depthPeak     *metrics.GaugeVec     // stream: high-water mark of the window
 	retired       *metrics.CounterVec   // stream: completed actions — the watchdog's progress signal
-	linkBytes     *metrics.CounterVec   // src, dst: payload bytes per link direction
-	linkXfers     *metrics.CounterVec   // src, dst: transfers per link direction
 	retries       *metrics.CounterVec   // domain: transient-failure re-attempts
 	deadline      *metrics.CounterVec   // domain: actions that exceeded Config.Deadline
 	rerouted      *metrics.CounterVec   // domain: actions re-routed to the host
 	breakerTrip   *metrics.CounterVec   // domain: breaker trips (0 or 1 per domain per run)
 	quarantined   *metrics.GaugeVec     // domain: 1 while quarantined
 	domainStreams *metrics.GaugeVec     // domain: streams attached (telemetry capacity basis)
-	linkOcc       *metrics.HistogramVec // src, dst: modeled/measured per-transfer link busy time
 
 	// Buffer lifecycle (buffer.go). buffersLive returning to its
 	// pre-Init baseline after Fini is the serving layer's leak check.
@@ -70,15 +67,12 @@ func newCoreMetrics(reg *metrics.Registry) *coreMetrics {
 		depth:         reg.GaugeVec("hstreams_queue_depth", "Enqueued-but-incomplete actions per stream.", "stream"),
 		depthPeak:     reg.GaugeVec("hstreams_queue_depth_peak", "High-water mark of hstreams_queue_depth per stream.", "stream"),
 		retired:       reg.CounterVec("hstreams_stream_retired_total", "Actions retired (completed) per stream; the stall watchdog's progress signal.", "stream"),
-		linkBytes:     reg.CounterVec("hstreams_link_bytes_total", "Payload bytes moved per link direction.", "src", "dst"),
-		linkXfers:     reg.CounterVec("hstreams_link_transfers_total", "Transfers per link direction.", "src", "dst"),
 		retries:       reg.CounterVec("hstreams_retries_total", "Re-attempts of transiently failing card actions, by domain.", "domain"),
 		deadline:      reg.CounterVec("hstreams_deadline_exceeded_total", "Actions that exhausted their per-action deadline, by domain.", "domain"),
 		rerouted:      reg.CounterVec("hstreams_rerouted_total", "Actions re-routed from a quarantined domain to the host, by original domain.", "domain"),
 		breakerTrip:   reg.CounterVec("hstreams_breaker_trips_total", "Domain circuit-breaker trips.", "domain"),
 		quarantined:   reg.GaugeVec("hstreams_domain_quarantined", "1 while the domain is quarantined by its breaker, else 0.", "domain"),
 		domainStreams: reg.GaugeVec("hstreams_domain_streams", "Streams whose sink is bound to the domain; the telemetry layer's utilization-capacity basis.", "domain"),
-		linkOcc:       reg.HistogramVec("hstreams_link_occupancy_seconds", "Per-transfer link busy time by direction; the windowed _sum delta over wall time is link occupancy.", nil, "src", "dst"),
 
 		buffersLive:     reg.Gauge("hstreams_buffers_live", "Buffers allocated and not yet recycled; returns to baseline after Fini — the leak check."),
 		bufferBytes:     reg.Gauge("hstreams_buffer_bytes_live", "Bytes held by live buffers."),

@@ -193,9 +193,12 @@ type Runtime struct {
 
 	exec executor
 
-	// Real-mode plumbing.
+	// The fabric, in both modes: nodes[i] and links[i] are domain i's
+	// (links[0] is nil). procs[i] is card i's COI process, Real mode
+	// only.
 	fab   *fabric.Fabric
 	nodes []*fabric.Node
+	links []*fabric.Link
 	procs []*coi.Process
 }
 
@@ -212,7 +215,8 @@ type executor interface {
 }
 
 // Init brings up the library on the given machine, enumerating its
-// domains and (in Real mode) starting a COI process on every card.
+// domains, building the fabric that accounts their links and (in Real
+// mode) starting a COI process on every card.
 func Init(cfg Config) (*Runtime, error) {
 	if cfg.Machine == nil || cfg.Machine.Host == nil {
 		return nil, ErrEmptyMachine
@@ -240,11 +244,12 @@ func Init(cfg Config) (*Runtime, error) {
 	for i, spec := range cfg.Machine.Domains() {
 		rt.domains = append(rt.domains, &Domain{rt: rt, index: i, spec: spec})
 	}
+	rt.initFabric()
 	switch cfg.Mode {
 	case ModeSim:
 		rt.exec = newSimExec(rt)
 	case ModeReal:
-		if err := rt.initPlumbing(); err != nil {
+		if err := rt.startProcesses(); err != nil {
 			return nil, err
 		}
 		rt.exec = newRealExec(rt)
@@ -255,19 +260,28 @@ func Init(cfg Config) (*Runtime, error) {
 	return rt, nil
 }
 
-// initPlumbing builds the fabric and one COI process per card.
-func (rt *Runtime) initPlumbing() error {
+// initFabric builds the fabric, one node per domain and a link from
+// the host to each card, whose ledger (Runtime.LinkStats and the
+// hstreams_link_* families) counts card transfers in both modes: Real
+// mode moves the bytes over it, Sim mode charges the modeled ones.
+func (rt *Runtime) initFabric() {
 	rt.fab = fabric.New()
 	rt.fab.SetMetrics(rt.reg)
 	rt.nodes = make([]*fabric.Node, len(rt.domains))
-	rt.procs = make([]*coi.Process, len(rt.domains))
+	rt.links = make([]*fabric.Link, len(rt.domains))
 	for i, d := range rt.domains {
 		rt.nodes[i] = rt.fab.AddNode(d.spec.Name)
-	}
-	for i := 1; i < len(rt.domains); i++ {
-		if _, err := rt.fab.Connect(rt.nodes[0], rt.nodes[i], rt.machine.LinkFor(i-1)); err != nil {
-			return err
+		if i > 0 {
+			// Connect fails only for a node linked to itself.
+			rt.links[i], _ = rt.fab.Connect(rt.nodes[0], rt.nodes[i], rt.machine.LinkFor(i-1))
 		}
+	}
+}
+
+// startProcesses starts one COI process per card (Real mode).
+func (rt *Runtime) startProcesses() error {
+	rt.procs = make([]*coi.Process, len(rt.domains))
+	for i := 1; i < len(rt.domains); i++ {
 		p, err := coi.CreateProcess(rt.fab, rt.nodes[0], rt.nodes[i], coi.Options{
 			PoolBuffers: !rt.cfg.DisableBufferPool,
 			Metrics:     rt.reg,

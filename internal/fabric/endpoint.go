@@ -54,7 +54,7 @@ func (e *Endpoint) Send(msg []byte) (time.Duration, error) {
 	inbox := remote.inbox
 	remote.mu.Unlock()
 	inbox <- cp
-	return e.link.account(e.local, int64(len(msg))), nil
+	return e.link.Account(e.local, int64(len(msg))), nil
 }
 
 // Recv blocks for the next message. It returns ErrClosed after the

@@ -230,9 +230,11 @@ func (l *Link) dir(from *Node) int {
 	return 1
 }
 
-// account records a transfer of n bytes leaving 'from' and returns
-// the modeled wire time.
-func (l *Link) account(from *Node, n int64) time.Duration {
+// Account records a transfer of n bytes leaving 'from' and returns
+// the modeled wire time. It is the link's one ledger entry: DMA,
+// endpoint messages and the core's Sim-mode transfers, which move no
+// bytes, are all charged here.
+func (l *Link) Account(from *Node, n int64) time.Duration {
 	d := l.spec.TransferTime(n)
 	dir := l.dir(from)
 	l.mu.Lock()

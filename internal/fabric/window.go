@@ -49,7 +49,7 @@ func (w *Window) DMAWrite(f *Fabric, from *Node, off int, src []byte) (time.Dura
 	w.mu.Lock()
 	copy(w.mem[off:], src)
 	w.mu.Unlock()
-	return link.account(from, int64(len(src))), nil
+	return link.Account(from, int64(len(src))), nil
 }
 
 // DMARead copies from the window at off into dst, initiated from node
@@ -65,7 +65,7 @@ func (w *Window) DMARead(f *Fabric, from *Node, off int, dst []byte) (time.Durat
 	w.mu.RLock()
 	copy(dst, w.mem[off:])
 	w.mu.RUnlock()
-	return link.account(w.node, int64(len(dst))), nil
+	return link.Account(w.node, int64(len(dst))), nil
 }
 
 // LocalCopy moves bytes between two windows on the same node (no wire

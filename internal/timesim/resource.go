@@ -10,9 +10,7 @@ type Resource struct {
 	// Name identifies the resource in traces.
 	Name string
 
-	availableAt  time.Duration
-	busy         time.Duration
-	reservations int
+	availableAt time.Duration
 }
 
 // NewResource returns an idle resource.
@@ -28,22 +26,5 @@ func (r *Resource) Reserve(ready, dur time.Duration) (start, end time.Duration) 
 	}
 	end = start + dur
 	r.availableAt = end
-	r.busy += dur
-	r.reservations++
 	return start, end
-}
-
-// Busy reports the total time the resource has been reserved.
-func (r *Resource) Busy() time.Duration { return r.busy }
-
-// Reservations reports how many reservations have been made.
-func (r *Resource) Reservations() int { return r.reservations }
-
-// Utilization reports busy time as a fraction of the horizon (usually
-// the makespan). Returns 0 for a non-positive horizon.
-func (r *Resource) Utilization(horizon time.Duration) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	return float64(r.busy) / float64(horizon)
 }

@@ -128,12 +128,6 @@ func TestResourceSerializes(t *testing.T) {
 	if s2 != 10*time.Millisecond || e2 != 15*time.Millisecond {
 		t.Fatalf("second reservation [%v,%v), want [10ms,15ms)", s2, e2)
 	}
-	if r.Busy() != 15*time.Millisecond {
-		t.Fatalf("Busy = %v, want 15ms", r.Busy())
-	}
-	if r.Reservations() != 2 {
-		t.Fatalf("Reservations = %d, want 2", r.Reservations())
-	}
 }
 
 func TestResourceRespectsReadyTime(t *testing.T) {
@@ -142,17 +136,6 @@ func TestResourceRespectsReadyTime(t *testing.T) {
 	s, e := r.Reserve(10*time.Millisecond, time.Millisecond)
 	if s != 10*time.Millisecond || e != 11*time.Millisecond {
 		t.Fatalf("reservation [%v,%v), want [10ms,11ms)", s, e)
-	}
-}
-
-func TestResourceUtilization(t *testing.T) {
-	r := NewResource("slot")
-	r.Reserve(0, 30*time.Millisecond)
-	if got := r.Utilization(60 * time.Millisecond); got != 0.5 {
-		t.Fatalf("Utilization = %v, want 0.5", got)
-	}
-	if got := r.Utilization(0); got != 0 {
-		t.Fatalf("Utilization(0) = %v, want 0", got)
 	}
 }
 
