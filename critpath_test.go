@@ -199,7 +199,10 @@ func median(xs []float64) float64 {
 // gate fails only on two independent over-budget measurements, which
 // background load is very unlikely to produce but a genuine hot-path
 // regression will. The bound is meaningless under the race detector,
-// whose instrumentation distorts both arms.
+// whose instrumentation distorts both arms. The 5% excludes what the
+// retained spans cost the garbage collector, since both arms run with
+// it off; internal/trace's BenchmarkFlightRingGC reports that cost,
+// and make overhead runs it after this one.
 func BenchmarkTraceOverhead(b *testing.B) {
 	flight := hstreams.NewFlightRecorder(1 << 12)
 	// Warm up both variants so first-run allocation noise hits

@@ -13,6 +13,7 @@
 // pipeline's executor reads the sink end, whose inbox is the
 // descriptor's one queue. Completions return over the process's own
 // endpoint pair, whose source end one router reads to complete events.
+// An end that is only sent from never makes an inbox.
 //
 // Each control message is one fixed binary record: the op byte ('r'
 // run-function or 'c' completion), the event id as a uvarint, the

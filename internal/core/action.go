@@ -138,7 +138,7 @@ type replayNote struct {
 // moving bytes (transfers) at cost (compute).
 func newAction(kind ActKind, s *Stream, label string, bytes int64, cost platform.Cost) *Action {
 	a := &Action{kind: kind, stream: s, rec: s.recs.New()}
-	a.rec.Label = label
+	a.rec.SetLabel(label)
 	a.rec.Bytes = bytes
 	a.rec.Flops = cost.Flops
 	a.rec.CostKernel = int32(cost.Kernel)
@@ -308,7 +308,7 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 	capture := rt.flight != nil
 	if capture {
 		a.rec.Kind = spanKind[a.kind]
-		a.rec.Ident = s.ident[a.kind]
+		a.rec.SetIdent(int(a.kind))
 	}
 
 	// Sim mode stamps the enqueue with the source thread's clock, which

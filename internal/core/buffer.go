@@ -37,6 +37,10 @@ type Buf struct {
 	host  []byte      // source instance (nil in Sim mode)
 	inst  []*cardInst // per domain index; nil for host / Sim
 
+	// xferLabel labels the buffer's transfers, by XferDir, so a
+	// transfer's span label costs no allocation.
+	xferLabel [2]string
+
 	// refs counts operands of enqueued-but-incomplete actions.
 	// enqueue retains per operand before checking state; finish (and
 	// every enqueue failure path) releases. The retain-then-check /
@@ -85,6 +89,7 @@ func (rt *Runtime) Alloc1D(name string, size int64) (*Buf, error) {
 		return nil, ErrFinalized
 	}
 	b := &Buf{rt: rt, name: name, size: size, proxy: rt.proxy.Alloc(uint64(size))}
+	b.xferLabel = [2]string{ActXferToSink.String() + " " + name, ActXferToSrc.String() + " " + name}
 	switch rt.cfg.Mode {
 	case ModeReal:
 		b.host = make([]byte, size)

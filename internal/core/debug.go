@@ -197,7 +197,7 @@ func (rt *Runtime) Status() RuntimeStatus {
 			ss.Inflight[i] = ActionStatus{
 				ID:      a.rec.ID,
 				Kind:    a.kind.String(),
-				Label:   a.rec.Label,
+				Label:   a.rec.Label(),
 				State:   state,
 				Pending: int(a.npend.Load()),
 				Enqueue: a.rec.Enqueue,

@@ -187,8 +187,8 @@ func TestRetireHookOncePerAction(t *testing.T) {
 			default:
 				t.Errorf("%v: action %d Done still open inside its hook", mode, a.ID())
 			}
-			if wantErr := mode == ModeReal && a.rec.Label == "boom"; (a.Err() != nil) != wantErr {
-				t.Errorf("%v: action %d (%s) Err = %v inside its hook", mode, a.ID(), a.rec.Label, a.Err())
+			if wantErr := mode == ModeReal && a.rec.Label() == "boom"; (a.Err() != nil) != wantErr {
+				t.Errorf("%v: action %d (%s) Err = %v inside its hook", mode, a.ID(), a.rec.Label(), a.Err())
 			}
 			if b := next[a]; b != nil {
 				if _, end := b.Times(); end != 0 {
@@ -470,6 +470,48 @@ func TestTracingAddsNoAllocs(t *testing.T) {
 			t.Fatalf("fan-out %v: %.2f allocations per action, want ≤ 1 (the action itself)", fanOut, traced)
 		}
 		t.Logf("fan-out %v: allocations per action: %.2f traced and untraced", fanOut, traced)
+	}
+}
+
+// TestXferLabelAllocsNothing: a Sim transfer costs the action and its
+// operand and nothing else — its span label was built with its buffer.
+func TestXferLabelAllocsNothing(t *testing.T) {
+	rt, err := Init(Config{
+		Machine: platform.HSWPlusKNC(1), Mode: ModeSim, Metrics: metrics.New(),
+		Flight: trace.NewFlight(1 << 12),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Fini()
+	s, err := rt.StreamCreate(rt.Card(0), 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := rt.Alloc1D("x", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		for _, dir := range []XferDir{ToSink, ToSource} {
+			a, err := s.EnqueueXfer(b, 0, 64, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}) / 2
+	if allocs > 2 {
+		t.Fatalf("%.2f allocations per transfer, want ≤ 2 (the action and its operand)", allocs)
+	}
+	spans, err := rt.Spans()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := spans[len(spans)-1].Label; got != "xfer→src x" {
+		t.Fatalf("transfer label %q, want %q", got, "xfer→src x")
 	}
 }
 

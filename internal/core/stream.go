@@ -66,12 +66,10 @@ type Stream struct {
 	// met caches this stream's resolved metric series.
 	met *streamMetrics
 
-	// ident is the span identity each action kind records under,
-	// shared by all of the stream's spans (nil when causal tracing is
-	// off).
-	ident [4]*trace.Ident
-	// recs hands out the stream's actions' span records.
-	recs trace.RecSlab
+	// recs hands out the stream's actions' span records. Its identity
+	// table holds the span identity each action kind records under,
+	// indexed by kind.
+	recs *trace.RecSlab
 
 	// Real-mode execution state. computeMu may be shared with other
 	// streams mapped onto the same resources (see StreamCreateOn).
@@ -123,9 +121,7 @@ func (rt *Runtime) StreamCreateOn(d *Domain, firstCore, nCores int, share *Strea
 		index:     make(map[*Buf]*bufIvals),
 	}
 	s.name = fmt.Sprintf("%s.s%d", d.spec.Name, s.id)
-	if rt.flight != nil {
-		s.ident = spanIdents(rt, s.name, d)
-	}
+	s.recs = trace.NewRecSlab(spanIdents(rt, s.name, d)...)
 	// met must be resolved before the stream is published in
 	// rt.streams: Status() snapshots that slice under rt.mu and
 	// reads s.met without further coordination.
@@ -166,7 +162,7 @@ func (rt *Runtime) StreamCreateOn(d *Domain, firstCore, nCores int, share *Strea
 // domain d, indexed by action kind. Host-as-target transfers alias
 // instances and move nothing, so only card-domain transfers name a
 // link direction.
-func spanIdents(rt *Runtime, name string, d *Domain) [4]*trace.Ident {
+func spanIdents(rt *Runtime, name string, d *Domain) []*trace.Ident {
 	plain := &trace.Ident{Run: rt.runID, Stream: name, Domain: d.spec.Name, Owner: rt.geom}
 	toSink, toSrc := plain, plain
 	if !d.IsHost() {
@@ -174,7 +170,7 @@ func spanIdents(rt *Runtime, name string, d *Domain) [4]*trace.Ident {
 		toSink = &trace.Ident{Run: rt.runID, Stream: name, Domain: d.spec.Name, Src: host, Dst: d.spec.Name, Owner: rt.geom}
 		toSrc = &trace.Ident{Run: rt.runID, Stream: name, Domain: d.spec.Name, Src: d.spec.Name, Dst: host, Owner: rt.geom}
 	}
-	var id [4]*trace.Ident
+	id := make([]*trace.Ident, 4)
 	id[ActCompute], id[ActXferToSink], id[ActXferToSrc], id[ActSync] = plain, toSink, toSrc, plain
 	return id
 }
@@ -274,11 +270,13 @@ func (s *Stream) EnqueueXfer(b *Buf, off, n int64, dir XferDir) (*Action, error)
 func (s *Stream) EnqueueXferDeps(b *Buf, off, n int64, dir XferDir, deps []*Action) (*Action, error) {
 	acc := Out
 	kind := ActXferToSink
+	label := b.xferLabel[ToSink]
 	if dir == ToSource {
 		acc = In
 		kind = ActXferToSrc
+		label = b.xferLabel[ToSource]
 	}
-	a := newAction(kind, s, fmt.Sprintf("%s %s", kind, b.name), n, platform.Cost{})
+	a := newAction(kind, s, label, n, platform.Cost{})
 	a.ops = []Operand{{Buf: b, Off: off, Len: n, Acc: acc}}
 	return s.rt.enqueue(a, deps)
 }

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -15,21 +16,25 @@ type Endpoint struct {
 
 	mu     sync.Mutex
 	closed bool
-	inbox  chan []byte
+	// inbox is made on the first receive from this end or send to it
+	// (see box), so an end that is only ever sent from holds none.
+	inbox  atomic.Pointer[chan []byte]
 	remote *Endpoint
 }
 
 const endpointDepth = 1024
 
 // ConnectPair creates a connected endpoint pair between two nodes that
-// must already have a link on the fabric.
+// must already have a link on the fabric. Each end makes its inbox of
+// endpointDepth messages on first use, so a pair used one way holds
+// one.
 func ConnectPair(f *Fabric, a, b *Node) (*Endpoint, *Endpoint, error) {
 	link, err := f.LinkBetween(a, b)
 	if err != nil {
 		return nil, nil, err
 	}
-	ea := &Endpoint{local: a, peer: b, link: link, inbox: make(chan []byte, endpointDepth)}
-	eb := &Endpoint{local: b, peer: a, link: link, inbox: make(chan []byte, endpointDepth)}
+	ea := &Endpoint{local: a, peer: b, link: link}
+	eb := &Endpoint{local: b, peer: a, link: link}
 	ea.remote, eb.remote = eb, ea
 	return ea, eb, nil
 }
@@ -51,7 +56,7 @@ func (e *Endpoint) Send(msg []byte) (time.Duration, error) {
 		remote.mu.Unlock()
 		return 0, ErrClosed
 	}
-	inbox := remote.inbox
+	inbox := remote.boxLocked()
 	remote.mu.Unlock()
 	inbox <- cp
 	return e.link.Account(e.local, int64(len(msg))), nil
@@ -60,7 +65,11 @@ func (e *Endpoint) Send(msg []byte) (time.Duration, error) {
 // Recv blocks for the next message. It returns ErrClosed after the
 // endpoint is closed and drained.
 func (e *Endpoint) Recv() ([]byte, error) {
-	msg, ok := <-e.inbox
+	inbox := e.box()
+	if inbox == nil {
+		return nil, ErrClosed
+	}
+	msg, ok := <-inbox
 	if !ok {
 		return nil, ErrClosed
 	}
@@ -70,8 +79,12 @@ func (e *Endpoint) Recv() ([]byte, error) {
 // TryRecv returns the next message without blocking; ok reports
 // whether one was available.
 func (e *Endpoint) TryRecv() (msg []byte, ok bool) {
+	inbox := e.inbox.Load()
+	if inbox == nil {
+		return nil, false
+	}
 	select {
-	case m, open := <-e.inbox:
+	case m, open := <-*inbox:
 		if !open {
 			return nil, false
 		}
@@ -88,8 +101,35 @@ func (e *Endpoint) Close() {
 	defer e.mu.Unlock()
 	if !e.closed {
 		e.closed = true
-		close(e.inbox)
+		if inbox := e.inbox.Load(); inbox != nil {
+			close(*inbox)
+		}
 	}
+}
+
+// box returns the endpoint's inbox, making it if the endpoint has none
+// and is open; nil means it closed before any message was sent to it
+// or received from it.
+func (e *Endpoint) box() chan []byte {
+	if inbox := e.inbox.Load(); inbox != nil {
+		return *inbox
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.boxLocked()
+}
+
+// boxLocked is box for a caller that holds e.mu.
+func (e *Endpoint) boxLocked() chan []byte {
+	if inbox := e.inbox.Load(); inbox != nil {
+		return *inbox
+	}
+	if e.closed {
+		return nil
+	}
+	inbox := make(chan []byte, endpointDepth)
+	e.inbox.Store(&inbox)
+	return inbox
 }
 
 // Local returns the endpoint's own node.

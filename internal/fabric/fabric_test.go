@@ -2,9 +2,11 @@ package fabric
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"hstreams/internal/platform"
 )
@@ -246,6 +248,39 @@ func TestEndpointConcurrentTraffic(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestOneWayPairMakesOneInbox: a pair that carries messages one way
+// allocates the receiving end's inbox only, not one per end.
+func TestOneWayPairMakesOneInbox(t *testing.T) {
+	f, host, card := twoNodeFabric(t)
+	inbox := uint64(endpointDepth) * uint64(unsafe.Sizeof([]byte(nil)))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	eh, ec, err := ConnectPair(f, host, card)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eh.Send([]byte("run")); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := ec.Recv(); err != nil || string(msg) != "run" {
+		t.Fatalf("Recv = %q, %v", msg, err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got < inbox || got >= 2*inbox {
+		t.Fatalf("a one-way pair allocated %d B; want one inbox of %d B and change", got, inbox)
+	}
+	eh.Close()
+	if _, err := eh.Recv(); err != ErrClosed {
+		t.Fatalf("Recv on a closed end that never had an inbox: err = %v, want ErrClosed", err)
+	}
+	if _, ok := eh.TryRecv(); ok {
+		t.Fatal("TryRecv on a closed end that never had an inbox found a message")
+	}
+	if _, err := ec.Send([]byte("done")); err != ErrClosed {
+		t.Fatalf("send to a closed end that never had an inbox: err = %v, want ErrClosed", err)
+	}
 }
 
 func TestConnectPairRequiresLink(t *testing.T) {

@@ -3,6 +3,7 @@ package trace
 import (
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // DepKind classifies a causal in-edge of a span — why one action had
@@ -99,13 +100,15 @@ func (s *Span) Dur() time.Duration { return s.Finish - s.Launch }
 
 // defaultFlightCap bounds the process-wide recorder at ~64K spans —
 // big enough to hold a whole paper-scale figure run. Its ring is 64K ×
-// 8-B pointers (512 KiB); once full they point at as many 160-B
+// 8-B pointers (512 KiB); once full they point at as many 128-B
 // records, which live in their streams' record slabs (see RecSlab):
-// 10.5 MiB in all, plus the labels, identities and rare overflow
-// records they point at. Nothing in it keeps a retired action alive.
+// 9.25 MiB of slab chunks. The records hold no pointers, so a
+// collection scans the ring and the chunks' headers, not the records.
+// Nothing in it keeps a retired action alive.
 const defaultFlightCap = 1 << 16
 
-// slabLen is how many records a RecSlab allocates at once.
+// slabLen is how many records a RecSlab allocates at once. A record
+// keeps its slot in a uint8, and its chunk's tables are indexed by it.
 const slabLen = 64
 
 // inlineDeps is how many causal in-edges a record holds in place; the
@@ -115,8 +118,9 @@ const inlineDeps = 3
 // Ident is the part of a span that all spans of one stream and
 // direction share: the runtime instance, the stream and its domain,
 // and the link direction of card transfers. A runtime builds one per
-// stream and direction at stream creation; records point at it, so it
-// must not be mutated afterwards.
+// stream and direction at stream creation and hands them to the
+// stream's RecSlab; records index them, so an Ident must not be
+// mutated afterwards.
 type Ident struct {
 	Run    uint64
 	Stream string
@@ -124,21 +128,28 @@ type Ident struct {
 	Src    string
 	Dst    string
 	// Owner is the producer's per-run value, opaque to this package
-	// (the runtime hangs its checkpoint geometry here). The records
-	// that point at the Ident keep it reachable, so it outlives its
-	// producer while the ring retains a span of the run; RunOwner
-	// reads it.
+	// (the runtime hangs its checkpoint geometry here). The chunks of
+	// the records that index the Ident keep it reachable, so it
+	// outlives its producer while the ring retains a span of the run;
+	// RunOwner reads it.
 	Owner any
 }
 
 // Rec is one span's values as the flight recorder keeps them. Records
-// come from a RecSlab, never from inside another object, and the
-// runtime's actions each hold one from their stream's slab and fill it
-// in place as the action goes — identity, payload and cost at enqueue,
-// edges as they are found, timestamps as they happen — so recording a
-// finished action is one pointer store (FlightRecorder.Publish).
-// Ident and Label are shared; the overflow record holds what has no
-// room in place: edges past the first three, and retries. A published
+// come from a RecSlab, never from anywhere else, and the runtime's
+// actions each hold one from their stream's slab and fill it in place
+// as the action goes — identity, payload and cost at enqueue, edges as
+// they are found, timestamps as they happen — so recording a finished
+// action is one pointer store (FlightRecorder.Publish).
+//
+// A record holds no pointer: what would need one lives in the header
+// of its slab chunk, which the record finds from its own slot. The
+// identity is an index into the slab's identity table (SetIdent), the
+// label sits in the chunk's label table at the record's slot
+// (SetLabel), and so does the overflow record, which holds what has no
+// room in place: edges past the first three, and retries. So a full
+// ring costs the garbage collector the ring's pointers and a few
+// thousand chunk headers, not three pointers a span. A published
 // record is not written again while the ring or a Snapshot can reach
 // it, so readers need no lock; and since it lives in a slab, not in an
 // action, the ring keeps no retired action reachable.
@@ -150,10 +161,7 @@ type Rec struct {
 	CostN                          int
 	CostBytes                      float64
 	CostExtra                      time.Duration
-	Ident                          *Ident
-	Label                          string
 
-	side  *overflow
 	depID [inlineDeps]uint64
 	at    uint64 // ring position, set by Publish
 
@@ -162,6 +170,9 @@ type Rec struct {
 	ndeps                      uint8
 	Kind                       Kind
 	Err, DeadlineHit, Rerouted bool
+
+	slot  uint8 // index in its chunk's recs, set by RecSlab.New
+	ident uint8 // index in its chunk's identity table
 }
 
 // overflow holds what a record has no room for. It is allocated only
@@ -174,11 +185,54 @@ type overflow struct {
 	retryWait time.Duration
 }
 
-func (r *Rec) over() *overflow {
-	if r.side == nil {
-		r.side = &overflow{}
+// chunk returns the slab chunk r lives in: r is recs[r.slot] of it.
+func (r *Rec) chunk() *recChunk {
+	back := unsafe.Offsetof(recChunk{}.recs) + uintptr(r.slot)*unsafe.Sizeof(Rec{})
+	return (*recChunk)(unsafe.Add(unsafe.Pointer(r), -int(back)))
+}
+
+// SetIdent sets the record's identity to entry i of its slab's
+// identity table (see NewRecSlab).
+func (r *Rec) SetIdent(i int) { r.ident = uint8(i) }
+
+// Ident returns the record's identity, or nil when its slab's table
+// has none at its index.
+func (r *Rec) Ident() *Ident {
+	if t := r.chunk().idents; int(r.ident) < len(t) {
+		return t[r.ident].Load()
 	}
-	return r.side
+	return nil
+}
+
+// SetLabel sets the record's label.
+func (r *Rec) SetLabel(label string) { r.chunk().labels[r.slot] = label }
+
+// Label returns the record's label.
+func (r *Rec) Label() string { return r.chunk().labels[r.slot] }
+
+// side returns the record's overflow record, or nil when it has none.
+func (r *Rec) side() *overflow {
+	if t := r.chunk().sides.Load(); t != nil {
+		return t[r.slot]
+	}
+	return nil
+}
+
+// over returns the record's overflow record, allocating it (and its
+// chunk's overflow table) on first use.
+func (r *Rec) over() *overflow {
+	c := r.chunk()
+	t := c.sides.Load()
+	if t == nil {
+		t = new([slabLen]*overflow)
+		if !c.sides.CompareAndSwap(nil, t) {
+			t = c.sides.Load()
+		}
+	}
+	if t[r.slot] == nil {
+		t[r.slot] = &overflow{}
+	}
+	return t[r.slot]
 }
 
 // AddDep appends one causal in-edge.
@@ -201,8 +255,10 @@ func (r *Rec) AppendDeps(dst []Dep) []Dep {
 	for i := range int(r.ndeps) {
 		dst = append(dst, Dep{ID: r.depID[i], Why: r.depWhy[i]})
 	}
-	if o := r.side; o != nil {
-		dst = append(dst, o.deps...)
+	if r.ndeps == inlineDeps { // edges spill only once these are full
+		if o := r.side(); o != nil {
+			dst = append(dst, o.deps...)
+		}
 	}
 	return dst
 }
@@ -219,15 +275,15 @@ func (r *Rec) SetRetries(n int, wait time.Duration) {
 // snapshot's edges share a few large arrays.
 func (r *Rec) span(sp *Span, arena *[]Dep) {
 	*sp = Span{
-		ID: r.ID, Kind: r.Kind, Label: r.Label, Bytes: r.Bytes, Flops: r.Flops, Err: r.Err,
+		ID: r.ID, Kind: r.Kind, Label: r.Label(), Bytes: r.Bytes, Flops: r.Flops, Err: r.Err,
 		Enqueue: r.Enqueue, Ready: r.Ready, Launch: r.Launch, Finish: r.Finish,
 		DeadlineHit: r.DeadlineHit, Rerouted: r.Rerouted,
 		CostKernel: int(r.CostKernel), CostN: r.CostN, CostBytes: r.CostBytes, CostExtra: r.CostExtra,
 	}
-	if id := r.Ident; id != nil {
+	if id := r.Ident(); id != nil {
 		sp.Run, sp.Stream, sp.Domain, sp.Src, sp.Dst = id.Run, id.Stream, id.Domain, id.Src, id.Dst
 	}
-	if o := r.side; o != nil {
+	if o := r.side(); o != nil {
 		sp.Retries, sp.RetryWait = o.retries, o.retryWait
 	}
 	n0 := len(*arena)
@@ -237,20 +293,44 @@ func (r *Rec) span(sp *Span, arena *[]Dep) {
 	}
 }
 
-// RecSlab hands out records, allocating them slabLen at a time, so a
-// stream's records cost one heap object per slabLen actions rather
-// than one each, and a full ring costs the garbage collector a few
-// thousand large objects rather than 64K small ones. A record keeps
-// its whole slab reachable (10 KiB), so an action a caller holds on to
-// keeps its slab too; retired actions themselves are not kept. The
-// zero value is ready to use, and New is safe for concurrent use.
+// RecSlab hands out records, allocating them slabLen at a time in one
+// chunk, so a stream's records cost one heap object per slabLen
+// actions rather than one each. A chunk's header holds every pointer
+// its records need — the slab's identity table, a label per slot and
+// an overflow table made on first use — ahead of the pointer-free
+// records, so the collector scans the header and skips the records
+// (9.25 KiB a chunk). A record keeps its whole chunk reachable, so an
+// action a caller holds on to keeps its chunk too; retired actions
+// themselves are not kept. New is safe for concurrent use, and so are
+// a record's setters while each record has one writer.
 type RecSlab struct {
 	cur atomic.Pointer[recChunk]
+	// idents is the identity table every chunk shares, fixed by
+	// NewRecSlab. The zero value has none, and gives each chunk a
+	// table of its own instead, one entry per slot, which
+	// FlightRecorder.Record fills as it goes; hence the atomics.
+	idents []atomic.Pointer[Ident]
 }
 
+// NewRecSlab returns a slab whose records take their identities from
+// ids: a record's SetIdent(i) means ids[i].
+func NewRecSlab(ids ...*Ident) *RecSlab {
+	s := &RecSlab{idents: make([]atomic.Pointer[Ident], len(ids))}
+	for i, id := range ids {
+		s.idents[i].Store(id)
+	}
+	return s
+}
+
+// recChunk is slabLen records behind the header that holds everything
+// of theirs a pointer reaches. The records come last, so the pointer
+// words of the chunk end where they begin.
 type recChunk struct {
-	n    atomic.Int32 // records handed out
-	recs [slabLen]Rec
+	idents []atomic.Pointer[Ident]
+	sides  atomic.Pointer[[slabLen]*overflow]
+	labels [slabLen]string
+	n      atomic.Int32 // records handed out
+	recs   [slabLen]Rec
 }
 
 // New returns a zeroed record.
@@ -259,10 +339,15 @@ func (s *RecSlab) New() *Rec {
 		c := s.cur.Load()
 		if c != nil {
 			if i := c.n.Add(1) - 1; i < slabLen {
-				return &c.recs[i]
+				r := &c.recs[i]
+				r.slot = uint8(i)
+				return r
 			}
 		}
-		fresh := new(recChunk)
+		fresh := &recChunk{idents: s.idents}
+		if fresh.idents == nil {
+			fresh.idents = make([]atomic.Pointer[Ident], slabLen)
+		}
 		fresh.n.Store(1)
 		if s.cur.CompareAndSwap(c, fresh) {
 			return &fresh.recs[0]
@@ -331,19 +416,31 @@ func (f *FlightRecorder) Publish(r *Rec) {
 }
 
 // Record appends a copy of one span: it copies sp into a record from
-// the recorder's own slab and publishes that.
+// the recorder's own slab and publishes that. The span's identity
+// reuses an equal one already in the record's chunk, so spans of one
+// stream and direction allocate one Ident a chunk.
 func (f *FlightRecorder) Record(sp *Span) {
 	if f == nil {
 		return
 	}
 	r := f.recs.New()
-	*r = Rec{
-		ID: sp.ID, Kind: sp.Kind, Label: sp.Label,
-		Ident: &Ident{Run: sp.Run, Stream: sp.Stream, Domain: sp.Domain, Src: sp.Src, Dst: sp.Dst},
-		Bytes: sp.Bytes, Flops: sp.Flops, Err: sp.Err,
-		Enqueue: sp.Enqueue, Ready: sp.Ready, Launch: sp.Launch, Finish: sp.Finish,
-		DeadlineHit: sp.DeadlineHit, Rerouted: sp.Rerouted,
-		CostKernel: int32(sp.CostKernel), CostN: sp.CostN, CostBytes: sp.CostBytes, CostExtra: sp.CostExtra,
+	r.ID, r.Kind, r.Bytes, r.Flops, r.Err = sp.ID, sp.Kind, sp.Bytes, sp.Flops, sp.Err
+	r.Enqueue, r.Ready, r.Launch, r.Finish = sp.Enqueue, sp.Ready, sp.Launch, sp.Finish
+	r.DeadlineHit, r.Rerouted = sp.DeadlineHit, sp.Rerouted
+	r.CostKernel, r.CostN, r.CostBytes, r.CostExtra = int32(sp.CostKernel), sp.CostN, sp.CostBytes, sp.CostExtra
+	r.SetLabel(sp.Label)
+	want := Ident{Run: sp.Run, Stream: sp.Stream, Domain: sp.Domain, Src: sp.Src, Dst: sp.Dst}
+	r.ident = r.slot // its own entry, empty until it fills it below
+	tab := r.chunk().idents
+	for i := range tab {
+		if id := tab[i].Load(); id != nil && *id == want {
+			r.ident = uint8(i)
+			break
+		}
+	}
+	if r.ident == r.slot {
+		id := want
+		tab[r.slot].Store(&id)
 	}
 	for _, d := range sp.Deps {
 		r.AddDep(d)
@@ -359,8 +456,10 @@ func (f *FlightRecorder) RunOwner(run uint64) any {
 		return nil
 	}
 	for i := range f.ring {
-		if r := f.ring[i].Load(); r != nil && r.Ident != nil && r.Ident.Run == run {
-			return r.Ident.Owner
+		if r := f.ring[i].Load(); r != nil {
+			if id := r.Ident(); id != nil && id.Run == run {
+				return id.Owner
+			}
 		}
 	}
 	return nil

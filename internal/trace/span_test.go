@@ -2,11 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func span(id uint64, deps ...Dep) *Span {
@@ -348,5 +350,160 @@ func TestWriteChromeSpansFlowEvents(t *testing.T) {
 	// Exactly one flow pair for the single dependence edge.
 	if n := strings.Count(out, `"ph":"s"`); n != 1 {
 		t.Fatalf("flow starts = %d, want 1", n)
+	}
+}
+
+// TestRecHoldsNoPointers: a record holds nothing the collector must
+// follow — no pointer, string, slice, map, interface, func or chan,
+// at any depth — except at most one back-reference to its own chunk,
+// so a full ring costs the collector its chunk headers, not its
+// records.
+func TestRecHoldsNoPointers(t *testing.T) {
+	backRefs := 0
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer:
+			if typ == reflect.TypeOf((*recChunk)(nil)) && backRefs == 0 {
+				backRefs++
+				return
+			}
+			t.Errorf("Rec%s is a %v", path, typ)
+		case reflect.String, reflect.Slice, reflect.Map, reflect.Interface,
+			reflect.Func, reflect.Chan, reflect.UnsafePointer:
+			t.Errorf("Rec%s is a %v", path, typ)
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		}
+	}
+	walk("", reflect.TypeOf(Rec{}))
+}
+
+// TestRecFindsItsChunk pins the layout chunk relies on: every record
+// of a chunk finds that chunk from its slot, and the records close the
+// chunk, after every pointer word of its header.
+func TestRecFindsItsChunk(t *testing.T) {
+	s := NewRecSlab()
+	var c *recChunk
+	for i := range slabLen {
+		r := s.New()
+		if i == 0 {
+			c = r.chunk()
+		}
+		if r != &c.recs[i] || r.chunk() != c {
+			t.Fatalf("record %d of a chunk is not recs[%d] of it, or finds another chunk", i, i)
+		}
+	}
+	if s.New().chunk() == c {
+		t.Fatal("record past a full chunk found the full chunk")
+	}
+	var z recChunk
+	if end := unsafe.Offsetof(z.recs) + unsafe.Sizeof(z.recs); end != unsafe.Sizeof(z) {
+		t.Fatalf("records end at %d of a %d-B chunk; they must come last", end, unsafe.Sizeof(z))
+	}
+	if n := unsafe.Sizeof(Rec{}); n != 128 {
+		t.Fatalf("Rec is %d B, want 128", n)
+	}
+}
+
+// TestRecordReusesIdent: recording spans of one stream and direction
+// allocates nothing per span — each reuses the identity already in its
+// chunk — as long as their edges fit in place.
+func TestRecordReusesIdent(t *testing.T) {
+	f := NewFlight(1 << 10)
+	spans := []Span{
+		{ID: 1, Run: 1, Stream: "KNC0.s0", Domain: "KNC0", Label: "dgemm", Deps: []Dep{{ID: 1}, {ID: 2}, {ID: 3}}},
+		{ID: 2, Run: 1, Stream: "KNC0.s0", Domain: "KNC0", Src: "HSW", Dst: "KNC0", Label: "xfer", Kind: Transfer},
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		f.Record(&spans[i%len(spans)])
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("%.2f allocations per Record of a repeated identity, want 0", allocs)
+	}
+	got := f.Snapshot()
+	for j, sp := range got[len(got)-2:] {
+		if want := spans[(i-2+j)%len(spans)]; !reflect.DeepEqual(sp, want) {
+			t.Fatalf("recorded %+v, want %+v", sp, want)
+		}
+	}
+}
+
+// TestSlabTablesConcurrent: writers fill records of one slab at once —
+// each with its own label, an identity from the slab's table and more
+// edges than fit in place — and publish them while a reader loops
+// Snapshot. Every span a snapshot returns must carry exactly what its
+// writer set. Run it under -race: the chunk tables are shared, each
+// slot written by one writer before its record is published.
+func TestSlabTablesConcurrent(t *testing.T) {
+	ids := []*Ident{
+		{Run: 1, Stream: "KNC0.s0", Domain: "KNC0"},
+		{Run: 1, Stream: "KNC0.s0", Domain: "KNC0", Src: "HSW", Dst: "KNC0"},
+		{Run: 1, Stream: "KNC0.s0", Domain: "KNC0", Src: "KNC0", Dst: "HSW"},
+	}
+	s := NewRecSlab(ids...)
+	f := NewFlight(64)
+	want := func(id uint64) Span {
+		ident := ids[id%3]
+		sp := Span{
+			ID: id, Run: ident.Run, Stream: ident.Stream, Domain: ident.Domain, Src: ident.Src, Dst: ident.Dst,
+			Label: fmt.Sprintf("op %d", id), Finish: time.Duration(id),
+			Retries: int(id % 2), RetryWait: time.Duration(id%2) * time.Millisecond,
+		}
+		for j := range 4 + id%3 {
+			sp.Deps = append(sp.Deps, Dep{ID: id + j, Why: DepKind(j % 3)})
+		}
+		return sp
+	}
+	done := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			for _, sp := range f.Snapshot() {
+				if w := want(sp.ID); !reflect.DeepEqual(sp, w) {
+					t.Errorf("snapshot span:\n got %+v\nwant %+v", sp, w)
+					return
+				}
+			}
+		}
+	}()
+	const writers, perWriter = 4, 2000
+	var writes sync.WaitGroup
+	for g := range uint64(writers) {
+		writes.Add(1)
+		go func() {
+			defer writes.Done()
+			for i := range uint64(perWriter) {
+				sp := want(g*perWriter + i)
+				r := s.New()
+				r.ID, r.Finish = sp.ID, sp.Finish
+				r.SetIdent(int(sp.ID % 3))
+				r.SetLabel(sp.Label)
+				for _, d := range sp.Deps {
+					r.AddDep(d)
+				}
+				r.SetRetries(sp.Retries, sp.RetryWait)
+				f.Publish(r)
+			}
+		}()
+	}
+	writes.Wait()
+	close(done)
+	reader.Wait()
+	if f.Total() != writers*perWriter {
+		t.Fatalf("Total %d, want %d", f.Total(), writers*perWriter)
 	}
 }
