@@ -17,9 +17,9 @@ const trampolineName = "hs.kernel"
 // realExec runs actions for real: kernels execute on per-domain worker
 // pools, card-domain computes travel through the COI pipeline of their
 // stream, transfers move bytes over the fabric. Computes within one
-// stream serialize (they own the stream's cores); transfers use
-// per-link-direction DMA serialization, so compute/transfer overlap
-// is real.
+// stream serialize on the stream's compute resource (they own the
+// stream's cores); transfers use per-link-direction DMA serialization,
+// so compute/transfer overlap is real.
 type realExec struct {
 	rt    *Runtime
 	epoch time.Time
@@ -53,9 +53,11 @@ func newRealExec(rt *Runtime) *realExec {
 	return re
 }
 
-// poolWorkers sizes a domain's pool: one worker per core (workers
-// mostly block on computeMu/DMA mutexes, so matching the core count
-// keeps every physical resource feedable) within sane bounds.
+// poolWorkers sizes a domain's pool: one worker per core within sane
+// bounds. A busy compute resource occupies one worker (its other ready
+// computes queue on it, see computeRes), but workers still block in
+// kernels, on card completions and on the DMA mutexes, so matching the
+// core count keeps every physical resource feedable.
 func poolWorkers(cores int) int {
 	switch {
 	case cores < 4:
@@ -67,6 +69,29 @@ func poolWorkers(cores int) int {
 	}
 }
 
+// actionFIFO is an unbounded FIFO of actions; its owner guards it.
+type actionFIFO struct {
+	q    []*Action
+	head int
+}
+
+func (f *actionFIFO) push(a *Action) { f.q = append(f.q, a) }
+
+// pop returns the oldest action, or nil when the FIFO is empty.
+func (f *actionFIFO) pop() *Action {
+	if f.head == len(f.q) {
+		return nil
+	}
+	a := f.q[f.head]
+	f.q[f.head] = nil
+	f.head++
+	if f.head == len(f.q) {
+		f.q = f.q[:0]
+		f.head = 0
+	}
+	return a
+}
+
 // workerPool is a fixed set of goroutines draining an unbounded FIFO.
 // The queue is deliberately unbounded: workers call Runtime.finish,
 // which launches successors back into pools — a bounded channel could
@@ -74,8 +99,7 @@ func poolWorkers(cores int) int {
 type workerPool struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	q      []*Action
-	head   int
+	q      actionFIFO
 	closed bool
 }
 
@@ -90,7 +114,7 @@ func newWorkerPool(re *realExec, workers int) *workerPool {
 
 func (p *workerPool) submit(a *Action) {
 	p.mu.Lock()
-	p.q = append(p.q, a)
+	p.q.push(a)
 	p.mu.Unlock()
 	p.cond.Signal()
 }
@@ -98,21 +122,15 @@ func (p *workerPool) submit(a *Action) {
 func (p *workerPool) work(re *realExec) {
 	for {
 		p.mu.Lock()
-		for p.head == len(p.q) && !p.closed {
+		a := p.q.pop()
+		for a == nil && !p.closed {
 			p.cond.Wait()
-		}
-		if p.head == len(p.q) {
-			p.mu.Unlock()
-			return
-		}
-		a := p.q[p.head]
-		p.q[p.head] = nil
-		p.head++
-		if p.head == len(p.q) {
-			p.q = p.q[:0]
-			p.head = 0
+			a = p.q.pop()
 		}
 		p.mu.Unlock()
+		if a == nil {
+			return
+		}
 		re.run(a)
 	}
 }
@@ -126,6 +144,48 @@ func (p *workerPool) close() {
 	p.cond.Broadcast()
 }
 
+// computeRes is a Real-mode compute resource: the cores of one stream,
+// or of the streams StreamCreateOn maps onto them. It runs one compute
+// at a time. A ready compute that finds it busy waits in its FIFO
+// instead of parking a pool worker, and the worker holding the
+// resource runs the queued computes after its own (see realExec.run).
+type computeRes struct {
+	mu   sync.Mutex
+	busy bool
+	q    actionFIFO
+}
+
+// acquire takes the resource for a and reports whether it got it;
+// otherwise a is queued and the holder runs it later.
+func (r *computeRes) acquire(a *Action) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.busy {
+		r.q.push(a)
+		return false
+	}
+	r.busy = true
+	return true
+}
+
+// next hands the resource to the oldest queued compute, or frees it
+// and returns nil when none waits.
+func (r *computeRes) next() *Action {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	a := r.q.pop()
+	if a == nil {
+		r.busy = false
+	}
+	return a
+}
+
+// resTurn bounds how many computes of one resource a pool worker runs
+// back to back. The next queued compute then goes to the tail of the
+// pool, still holding the resource, so a resource whose queue never
+// empties cannot keep a worker from other resources' computes.
+const resTurn = 64
+
 // execScratch is the recycled per-compute state.
 type execScratch struct {
 	ops     [][]byte
@@ -134,9 +194,39 @@ type execScratch struct {
 	ctx     KernelCtx
 }
 
-func (re *realExec) launch(a *Action) { re.pools[a.stream.domain.index].submit(a) }
+// launch hands a ready action to its domain's pool. A compute first
+// takes its stream's compute resource; if that is busy it queues there.
+func (re *realExec) launch(a *Action) {
+	if a.kind == ActCompute && !a.stream.res.acquire(a) {
+		return
+	}
+	re.pools[a.stream.domain.index].submit(a)
+}
 
+// run executes an action drawn from a pool. A compute arrives holding
+// its resource; the worker then runs the computes queued behind it,
+// each after the previous one's finish, and frees the resource when
+// none is left (or passes it on after resTurn of them).
 func (re *realExec) run(a *Action) {
+	if a.kind != ActCompute {
+		re.runOne(a)
+		return
+	}
+	res := a.stream.res
+	for n := 1; ; n++ {
+		re.runOne(a)
+		if a = res.next(); a == nil {
+			return
+		}
+		if n == resTurn {
+			re.pools[a.stream.domain.index].submit(a)
+			return
+		}
+	}
+}
+
+// runOne executes a and finishes it. A compute holds its resource.
+func (re *realExec) runOne(a *Action) {
 	s := a.stream
 	if a.kind == ActSync {
 		a.rec.Launch = re.now()
@@ -149,11 +239,9 @@ func (re *realExec) run(a *Action) {
 		// bypass the resilience path entirely.
 		var err error
 		if a.kind == ActCompute {
-			s.computeMu.Lock()
 			a.rec.Launch = re.now()
 			err = re.computeHost(a)
 			a.rec.Finish = re.now()
-			s.computeMu.Unlock()
 		} else {
 			// Host-as-target streams alias instances; optimized away.
 			a.rec.Launch = re.now()
@@ -191,11 +279,13 @@ func (re *realExec) runCardAction(a *Action) error {
 }
 
 // runCard is the retry/deadline loop around one card action's
-// attempts. The order of checks after a failed attempt matters:
-// fatal errors are final, then the deadline (so a doomed action stops
-// burning the link), then quarantine (the breaker may have tripped —
-// possibly by our own failure — and re-routing beats retrying into a
-// dead domain), then the retry budget.
+// attempts. A compute keeps its resource through the backoff, so no
+// later compute of the stream slips in between its attempts. The
+// order of checks after a failed attempt matters: fatal errors are
+// final, then the deadline (so a doomed action stops burning the
+// link), then quarantine (the breaker may have tripped — possibly by
+// our own failure — and re-routing beats retrying into a dead
+// domain), then the retry budget.
 func (re *realExec) runCard(a *Action, dr *domainRes) error {
 	rp := re.res.retry
 	dl := re.res.deadline
@@ -248,16 +338,17 @@ func (re *realExec) runCard(a *Action, dr *domainRes) error {
 }
 
 // attemptCard makes one attempt at a card action. It is where the
-// fault injector is consulted: under the compute or DMA lock, after
-// the stamp, before the descriptor is sent or any bytes move. So a
-// failed attempt has no side effects and attempts may repeat freely.
+// fault injector is consulted: holding the compute resource or the DMA
+// lock, after the stamp, before the descriptor is sent or any bytes
+// move. So a failed attempt has no side effects and attempts may
+// repeat freely.
 // a.rec.Launch is stamped once (first attempt) and a.rec.Finish after
 // every attempt, so the recorded duration spans retries and backoff.
 func (re *realExec) attemptCard(a *Action) error {
 	s := a.stream
 	di := s.domain.index
 	// The first action to need a card instance waits here for Alloc1D
-	// to finish creating it, before taking the compute or DMA lock.
+	// to finish creating it, before taking the DMA lock.
 	for _, o := range a.ops {
 		if _, err := o.Buf.card(di); err != nil {
 			re.stamp(a)
@@ -266,7 +357,6 @@ func (re *realExec) attemptCard(a *Action) error {
 		}
 	}
 	if a.kind == ActCompute {
-		s.computeMu.Lock()
 		re.stamp(a)
 		var err error
 		if inj := re.rt.cfg.Faults; inj != nil {
@@ -276,7 +366,6 @@ func (re *realExec) attemptCard(a *Action) error {
 			err = re.computeCard(a)
 		}
 		a.rec.Finish = re.now()
-		s.computeMu.Unlock()
 		return err
 	}
 	o := a.ops[0]
@@ -335,13 +424,10 @@ func (re *realExec) runRerouted(a *Action, dr *domainRes) error {
 	}
 	a.resNote().rerouted = true
 	dr.rerouted.Inc()
-	s := a.stream
 	if a.kind == ActCompute {
-		s.computeMu.Lock()
 		re.stamp(a)
 		err := re.computeHost(a)
 		a.rec.Finish = re.now()
-		s.computeMu.Unlock()
 		return err
 	}
 	// The host instance is now the action's source AND sink.

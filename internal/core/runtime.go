@@ -115,7 +115,9 @@ type Config struct {
 	// disables injection at the cost of one nil check.
 	Faults *fault.Injector
 	// Retry bounds re-attempts of transiently failing card actions
-	// (resilience.go). The zero value disables retries.
+	// (resilience.go). A compute keeps its stream's cores through the
+	// backoff between attempts, so its stream's later computes wait
+	// behind it. The zero value disables retries.
 	Retry RetryPolicy
 	// Deadline bounds one action's total time across attempts; checked
 	// at attempt boundaries (a DMA cannot be aborted midflight). Zero

@@ -151,7 +151,7 @@ func TestSpansCompleteAfterSynchronize(t *testing.T) {
 // that keeps retiring actions may retain only what the bounded
 // flight-recorder ring holds, and the ring holds span values, not the
 // actions. Filling a 64K ring must cost at most 256 B of live heap per
-// retained span (a 160-B record each; a ring that kept each retired
+// retained span (a 128-B record each; a ring that kept each retired
 // Action reachable would hold ≥ 768 B). Past that, any per-action
 // record kept forever shows as growth — 96 B each is ~14 MB over the
 // measured 150k — while the 2 MB bound leaves room for GC noise. No

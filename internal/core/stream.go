@@ -71,10 +71,10 @@ type Stream struct {
 	// indexed by kind.
 	recs *trace.RecSlab
 
-	// Real-mode execution state. computeMu may be shared with other
-	// streams mapped onto the same resources (see StreamCreateOn).
-	computeMu *sync.Mutex
-	pipeline  *coi.Pipeline
+	// Real-mode execution state. res may be shared with other streams
+	// mapped onto the same resources (see StreamCreateOn).
+	res      *computeRes
+	pipeline *coi.Pipeline
 
 	// Sim-mode execution state; may be shared (see StreamCreateOn).
 	slot *timesim.Resource
@@ -143,9 +143,9 @@ func (rt *Runtime) StreamCreateOn(d *Domain, firstCore, nCores int, share *Strea
 		}
 	case ModeReal:
 		if share != nil {
-			s.computeMu = share.computeMu
+			s.res = share.res
 		} else {
-			s.computeMu = new(sync.Mutex)
+			s.res = new(computeRes)
 		}
 		if !d.IsHost() {
 			pl, err := rt.procs[d.index].CreatePipeline()

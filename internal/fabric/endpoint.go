@@ -18,8 +18,20 @@ type Endpoint struct {
 	closed bool
 	// inbox is made on the first receive from this end or send to it
 	// (see box), so an end that is only ever sent from holds none.
-	inbox  atomic.Pointer[chan []byte]
+	inbox  atomic.Pointer[mailbox]
 	remote *Endpoint
+	// sending counts the Sends delivering into this end's inbox. Close
+	// waits for them before it closes the inbox, so none sends on a
+	// closed channel.
+	sending sync.WaitGroup
+}
+
+// mailbox is an endpoint's inbox. Close closes done first, which
+// releases any Send blocked on a full msgs, and closes msgs once no
+// Send is left inside.
+type mailbox struct {
+	msgs chan []byte
+	done chan struct{}
 }
 
 const endpointDepth = 1024
@@ -40,7 +52,9 @@ func ConnectPair(f *Fabric, a, b *Node) (*Endpoint, *Endpoint, error) {
 }
 
 // Send delivers msg to the peer's inbox and returns the modeled wire
-// time. The payload is copied, so the caller may reuse msg.
+// time. The payload is copied, so the caller may reuse msg. It fails
+// with ErrClosed once either end is closed, also when it was blocked
+// on a full inbox that the peer closes.
 func (e *Endpoint) Send(msg []byte) (time.Duration, error) {
 	e.mu.Lock()
 	if e.closed {
@@ -52,24 +66,35 @@ func (e *Endpoint) Send(msg []byte) (time.Duration, error) {
 
 	cp := append([]byte(nil), msg...)
 	remote.mu.Lock()
-	if remote.closed {
+	mb := remote.boxLocked()
+	if mb == nil {
 		remote.mu.Unlock()
 		return 0, ErrClosed
 	}
-	inbox := remote.boxLocked()
+	remote.sending.Add(1)
 	remote.mu.Unlock()
-	inbox <- cp
+	defer remote.sending.Done()
+	// An inbox with room takes the message without a select over done.
+	select {
+	case mb.msgs <- cp:
+	default:
+		select {
+		case mb.msgs <- cp:
+		case <-mb.done:
+			return 0, ErrClosed
+		}
+	}
 	return e.link.Account(e.local, int64(len(msg))), nil
 }
 
 // Recv blocks for the next message. It returns ErrClosed after the
 // endpoint is closed and drained.
 func (e *Endpoint) Recv() ([]byte, error) {
-	inbox := e.box()
-	if inbox == nil {
+	mb := e.box()
+	if mb == nil {
 		return nil, ErrClosed
 	}
-	msg, ok := <-inbox
+	msg, ok := <-mb.msgs
 	if !ok {
 		return nil, ErrClosed
 	}
@@ -79,12 +104,12 @@ func (e *Endpoint) Recv() ([]byte, error) {
 // TryRecv returns the next message without blocking; ok reports
 // whether one was available.
 func (e *Endpoint) TryRecv() (msg []byte, ok bool) {
-	inbox := e.inbox.Load()
-	if inbox == nil {
+	mb := e.inbox.Load()
+	if mb == nil {
 		return nil, false
 	}
 	select {
-	case m, open := <-*inbox:
+	case m, open := <-mb.msgs:
 		if !open {
 			return nil, false
 		}
@@ -95,41 +120,48 @@ func (e *Endpoint) TryRecv() (msg []byte, ok bool) {
 }
 
 // Close shuts the endpoint down. Pending messages can still be
-// received; further sends fail with ErrClosed.
+// received; further sends fail with ErrClosed, and so do sends blocked
+// on a full inbox, which Close releases rather than waits out.
 func (e *Endpoint) Close() {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.closed {
-		e.closed = true
-		if inbox := e.inbox.Load(); inbox != nil {
-			close(*inbox)
-		}
+	if e.closed {
+		e.mu.Unlock()
+		return
+	}
+	e.closed = true
+	mb := e.inbox.Load()
+	e.mu.Unlock()
+	if mb != nil {
+		close(mb.done)
+		e.sending.Wait()
+		close(mb.msgs)
 	}
 }
 
 // box returns the endpoint's inbox, making it if the endpoint has none
 // and is open; nil means it closed before any message was sent to it
 // or received from it.
-func (e *Endpoint) box() chan []byte {
-	if inbox := e.inbox.Load(); inbox != nil {
-		return *inbox
+func (e *Endpoint) box() *mailbox {
+	if mb := e.inbox.Load(); mb != nil {
+		return mb
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.boxLocked()
 }
 
-// boxLocked is box for a caller that holds e.mu.
-func (e *Endpoint) boxLocked() chan []byte {
-	if inbox := e.inbox.Load(); inbox != nil {
-		return *inbox
-	}
+// boxLocked is box for a caller that holds e.mu; it returns nil once
+// the endpoint is closed.
+func (e *Endpoint) boxLocked() *mailbox {
 	if e.closed {
 		return nil
 	}
-	inbox := make(chan []byte, endpointDepth)
-	e.inbox.Store(&inbox)
-	return inbox
+	if mb := e.inbox.Load(); mb != nil {
+		return mb
+	}
+	mb := &mailbox{msgs: make(chan []byte, endpointDepth), done: make(chan struct{})}
+	e.inbox.Store(mb)
+	return mb
 }
 
 // Local returns the endpoint's own node.

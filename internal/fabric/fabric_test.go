@@ -250,6 +250,56 @@ func TestEndpointConcurrentTraffic(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSendRacesClose: a Close of the receiving end that lands while a
+// sender is inside Send, or blocked on a full inbox, makes that Send
+// return ErrClosed rather than panic on a closed channel or hang, and
+// every message a Send delivered can still be received after Close.
+// Pairs are made one after another, one sender goroutine each; the
+// receiver closes after a varying number of receives, so Close falls
+// at different points of the sender's loop, including its full-inbox
+// wait.
+func TestSendRacesClose(t *testing.T) {
+	f, host, card := twoNodeFabric(t)
+	for i := 0; i < 400; i++ {
+		eh, ec, err := ConnectPair(f, host, card)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent := make(chan int)
+		go func() {
+			n := 0
+			for {
+				_, err := eh.Send([]byte{byte(n)})
+				if err == ErrClosed {
+					sent <- n
+					return
+				}
+				if err != nil {
+					t.Errorf("pair %d: Send = %v, want nil or ErrClosed", i, err)
+				}
+				n++
+			}
+		}()
+		got := 0
+		for ; got < i%7; got++ {
+			if _, err := ec.Recv(); err != nil {
+				t.Fatalf("pair %d: Recv before Close: %v", i, err)
+			}
+		}
+		ec.Close()
+		n := <-sent
+		for {
+			if _, err := ec.Recv(); err != nil {
+				break
+			}
+			got++
+		}
+		if got != n {
+			t.Fatalf("pair %d: %d sends delivered, %d messages received", i, n, got)
+		}
+	}
+}
+
 // TestOneWayPairMakesOneInbox: a pair that carries messages one way
 // allocates the receiving end's inbox only, not one per end.
 func TestOneWayPairMakesOneInbox(t *testing.T) {
