@@ -32,15 +32,18 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# golden pins the -metrics exposition format and every figure's
-# numbers (hsbench -fig all -critpath); it runs first in check because
-# it is fast and a telemetry-schema or schedule drift should fail
-# loudly before the full race run. update-golden rewrites both.
+# golden pins the -metrics exposition format, every figure's numbers
+# (hsbench -fig all -critpath) and the Fig. 3 coding table
+# (codingtable); it runs first in check because it is fast and a
+# telemetry-schema or schedule drift should fail loudly before the
+# full race run. update-golden rewrites all three.
+GOLDEN_TESTS = 'TestExpositionGolden|TestFiguresGolden|TestCodingTableGolden'
+
 golden:
-	$(GO) test ./cmd/hsbench -run 'TestExpositionGolden|TestFiguresGolden'
+	$(GO) test ./cmd/hsbench ./cmd/codingtable -run $(GOLDEN_TESTS)
 
 update-golden:
-	$(GO) test ./cmd/hsbench -run 'TestExpositionGolden|TestFiguresGolden' -update
+	$(GO) test ./cmd/hsbench ./cmd/codingtable -run $(GOLDEN_TESTS) -update
 
 # doclint fails on any undocumented exported declaration (or missing
 # package comment) in the paper-critical packages.

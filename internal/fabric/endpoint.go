@@ -66,11 +66,11 @@ func (e *Endpoint) Send(msg []byte) (time.Duration, error) {
 
 	cp := append([]byte(nil), msg...)
 	remote.mu.Lock()
-	mb := remote.boxLocked()
-	if mb == nil {
+	if remote.closed {
 		remote.mu.Unlock()
 		return 0, ErrClosed
 	}
+	mb := remote.boxLocked()
 	remote.sending.Add(1)
 	remote.mu.Unlock()
 	defer remote.sending.Done()
@@ -99,24 +99,6 @@ func (e *Endpoint) Recv() ([]byte, error) {
 		return nil, ErrClosed
 	}
 	return msg, nil
-}
-
-// TryRecv returns the next message without blocking; ok reports
-// whether one was available.
-func (e *Endpoint) TryRecv() (msg []byte, ok bool) {
-	mb := e.inbox.Load()
-	if mb == nil {
-		return nil, false
-	}
-	select {
-	case m, open := <-mb.msgs:
-		if !open {
-			return nil, false
-		}
-		return m, true
-	default:
-		return nil, false
-	}
 }
 
 // Close shuts the endpoint down. Pending messages can still be
@@ -150,22 +132,14 @@ func (e *Endpoint) box() *mailbox {
 	return e.boxLocked()
 }
 
-// boxLocked is box for a caller that holds e.mu; it returns nil once
-// the endpoint is closed.
+// boxLocked is box for a caller that holds e.mu. A closed end keeps
+// the inbox it has, pending messages and all: a Recv that found none
+// can wait for e.mu while a Send makes one and Close follows.
 func (e *Endpoint) boxLocked() *mailbox {
-	if e.closed {
-		return nil
-	}
-	if mb := e.inbox.Load(); mb != nil {
+	if mb := e.inbox.Load(); mb != nil || e.closed {
 		return mb
 	}
 	mb := &mailbox{msgs: make(chan []byte, endpointDepth), done: make(chan struct{})}
 	e.inbox.Store(mb)
 	return mb
 }
-
-// Local returns the endpoint's own node.
-func (e *Endpoint) Local() *Node { return e.local }
-
-// Peer returns the node at the other end.
-func (e *Endpoint) Peer() *Node { return e.peer }

@@ -164,7 +164,7 @@ func TestEndpointMessaging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eh.Local() != host || eh.Peer() != card {
+	if eh.local != host || eh.peer != card || ec.local != card || ec.peer != host {
 		t.Fatal("endpoint wiring wrong")
 	}
 	if _, err := eh.Send([]byte("run")); err != nil {
@@ -174,14 +174,14 @@ func TestEndpointMessaging(t *testing.T) {
 	if err != nil || string(msg) != "run" {
 		t.Fatalf("Recv = %q, %v", msg, err)
 	}
-	if _, ok := ec.TryRecv(); ok {
-		t.Fatal("TryRecv found a phantom message")
+	if n := len(ec.box().msgs); n != 0 {
+		t.Fatalf("%d phantom messages after the one sent", n)
 	}
 	if _, err := ec.Send([]byte("done")); err != nil {
 		t.Fatal(err)
 	}
-	if m, ok := eh.TryRecv(); !ok || string(m) != "done" {
-		t.Fatalf("TryRecv = %q, %v", m, ok)
+	if m, err := eh.Recv(); err != nil || string(m) != "done" {
+		t.Fatalf("Recv = %q, %v", m, err)
 	}
 }
 
@@ -325,11 +325,39 @@ func TestOneWayPairMakesOneInbox(t *testing.T) {
 	if _, err := eh.Recv(); err != ErrClosed {
 		t.Fatalf("Recv on a closed end that never had an inbox: err = %v, want ErrClosed", err)
 	}
-	if _, ok := eh.TryRecv(); ok {
-		t.Fatal("TryRecv on a closed end that never had an inbox found a message")
+	if eh.inbox.Load() != nil {
+		t.Fatal("Recv on a closed end made it an inbox")
 	}
 	if _, err := ec.Send([]byte("done")); err != ErrClosed {
 		t.Fatalf("send to a closed end that never had an inbox: err = %v, want ErrClosed", err)
+	}
+}
+
+// TestClosedEndKeepsPendingInbox: a Recv that found no inbox waits for
+// the endpoint's lock, and meanwhile a Send can make the inbox and
+// Close can follow. Under the lock the Recv must still get that inbox,
+// pending message and all, not the nil of an end that never had one.
+func TestClosedEndKeepsPendingInbox(t *testing.T) {
+	f, host, card := twoNodeFabric(t)
+	eh, ec, err := ConnectPair(f, host, card)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eh.Send([]byte("run")); err != nil {
+		t.Fatal(err)
+	}
+	ec.Close()
+	ec.mu.Lock()
+	mb := ec.boxLocked()
+	ec.mu.Unlock()
+	if mb == nil || len(mb.msgs) != 1 {
+		t.Fatal("a closed end's inbox was lost with the message pending in it")
+	}
+	if msg, err := ec.Recv(); err != nil || string(msg) != "run" {
+		t.Fatalf("Recv = %q, %v", msg, err)
+	}
+	if _, err := ec.Recv(); err != ErrClosed {
+		t.Fatalf("Recv after the drain: err = %v, want ErrClosed", err)
 	}
 }
 

@@ -227,6 +227,38 @@ func TestJournalRing(t *testing.T) {
 	}
 }
 
+// TestJournalLapping: eight writers lap a journal of eight, 200 rounds.
+// Once they finish, the journal must hold Cap() events, the newest
+// Cap() seqs in increasing order, however the writers interleaved. A
+// writer lapped before it stores must drop its event; storing it
+// anyway would hide the newer event from every later snapshot.
+func TestJournalLapping(t *testing.T) {
+	const writers, perWriter, rounds = 8, 2000, 200
+	for round := range rounds {
+		j := NewJournal(8, nil)
+		var wg sync.WaitGroup
+		for range writers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range perWriter {
+					j.Record(Event{Kind: KindDeadlineHit})
+				}
+			}()
+		}
+		wg.Wait()
+		snap := j.Snapshot()
+		if len(snap) != j.Cap() {
+			t.Fatalf("round %d: final snapshot holds %d of %d events", round, len(snap), j.Cap())
+		}
+		for i, ev := range snap {
+			if want := j.Total() - uint64(j.Cap()-1-i); ev.Seq != want {
+				t.Fatalf("round %d: snapshot[%d].Seq = %d, want %d", round, i, ev.Seq, want)
+			}
+		}
+	}
+}
+
 func TestJournalCoreEventMapping(t *testing.T) {
 	j := NewJournal(16, nil)
 	j.CoreEvent(core.RuntimeEvent{Kind: core.EvBreakerTrip, Domain: "KNC0"})

@@ -2,11 +2,11 @@ package health
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"hstreams/internal/core"
 	"hstreams/internal/metrics"
+	"hstreams/internal/trace"
 )
 
 // EventKind classifies a journal entry.
@@ -49,12 +49,7 @@ var kindNames = [kindCount]string{
 }
 
 // String labels the event kind.
-func (k EventKind) String() string {
-	if k >= 0 && int(k) < kindCount {
-		return kindNames[k]
-	}
-	return fmt.Sprintf("EventKind(%d)", int(k))
-}
+func (k EventKind) String() string { return label(kindNames[:], "EventKind", k) }
 
 // MarshalText renders the kind as its string label, so journal JSON is
 // self-describing.
@@ -62,13 +57,7 @@ func (k EventKind) MarshalText() ([]byte, error) { return []byte(k.String()), ni
 
 // UnmarshalText parses a kind label (the inverse of MarshalText).
 func (k *EventKind) UnmarshalText(b []byte) error {
-	for i, n := range kindNames {
-		if n == string(b) {
-			*k = EventKind(i)
-			return nil
-		}
-	}
-	return fmt.Errorf("health: unknown event kind %q", b)
+	return parseLabel(kindNames[:], "event kind", k, b)
 }
 
 // Event is one journal entry. Seq is a process-monotonic sequence
@@ -93,16 +82,13 @@ type Event struct {
 // DefJournalCap is the default journal ring capacity.
 const DefJournalCap = 1024
 
-// Journal is a lock-free ring of runtime lifecycle events, built like
-// trace.FlightRecorder: writers reserve a monotonic sequence number
-// with one atomic add and publish with one atomic pointer store, so
-// recording never blocks an executor goroutine; readers snapshot
-// without stopping writers. Each recorded kind also counts in the
-// hstreams_events_total metric family. All methods are nil-safe.
+// Journal is a lock-free ring of runtime lifecycle events: it runs on
+// the flight recorder's ring (trace.Ring), lap rule included, so
+// recording never blocks an executor goroutine and readers never stop
+// writers. Each recorded kind also counts in the hstreams_events_total
+// metric family. All methods are nil-safe.
 type Journal struct {
-	mask     uint64
-	pos      atomic.Uint64
-	ring     []atomic.Pointer[Event]
+	ring     *trace.Ring[Event]
 	counters [kindCount]*metrics.Counter
 }
 
@@ -112,22 +98,23 @@ type Journal struct {
 // back to a detached registry, keeping the journal functional but
 // unexported).
 func NewJournal(capacity int, reg *metrics.Registry) *Journal {
-	if capacity <= 0 {
-		capacity = DefJournalCap
-	}
-	n := 1
-	for n < capacity {
-		n <<= 1
-	}
 	if reg == nil {
 		reg = metrics.New()
 	}
-	j := &Journal{mask: uint64(n - 1), ring: make([]atomic.Pointer[Event], n)}
+	j := &Journal{ring: trace.NewRing(capacity, DefJournalCap, func(e *Event) *uint64 { return &e.Seq })}
 	vec := reg.CounterVec("hstreams_events_total", "Runtime lifecycle events recorded in the health journal, by kind.", "kind")
 	for k := 0; k < kindCount; k++ {
 		j.counters[k] = vec.With(kindNames[k])
 	}
 	return j
+}
+
+// rg returns the journal's ring, nil for a nil journal.
+func (j *Journal) rg() *trace.Ring[Event] {
+	if j == nil {
+		return nil
+	}
+	return j.ring
 }
 
 // Record stamps ev with the next sequence number, publishes it, and
@@ -136,10 +123,7 @@ func (j *Journal) Record(ev Event) uint64 {
 	if j == nil {
 		return 0
 	}
-	seq := j.pos.Add(1)
-	ev.Seq = seq
-	e := ev
-	j.ring[(seq-1)&j.mask].Store(&e)
+	seq := j.ring.Publish(&ev)
 	if k := int(ev.Kind); k >= 0 && k < kindCount {
 		j.counters[k].Inc()
 	}
@@ -197,49 +181,16 @@ func (ev Event) Format() string {
 }
 
 // Cap returns the ring capacity.
-func (j *Journal) Cap() int {
-	if j == nil {
-		return 0
-	}
-	return len(j.ring)
-}
+func (j *Journal) Cap() int { return j.rg().Cap() }
 
 // Total returns how many events have ever been recorded.
-func (j *Journal) Total() uint64 {
-	if j == nil {
-		return 0
-	}
-	return j.pos.Load()
-}
+func (j *Journal) Total() uint64 { return j.rg().Total() }
 
 // Dropped returns how many events have fallen off the ring.
-func (j *Journal) Dropped() uint64 {
-	t := j.Total()
-	if c := uint64(j.Cap()); t > c {
-		return t - c
-	}
-	return 0
-}
+func (j *Journal) Dropped() uint64 { return j.rg().Dropped() }
 
-// Snapshot returns the retained events in sequence order, oldest
-// first, without stopping writers. Entries a racing writer overwrote
-// mid-snapshot are skipped (their newer versions appear in the next
-// snapshot), so a snapshot is always internally consistent: sequence
-// numbers strictly increase.
+// Snapshot returns the retained events, oldest first, without
+// stopping writers; sequence numbers strictly increase.
 func (j *Journal) Snapshot() []Event {
-	if j == nil {
-		return nil
-	}
-	total := j.pos.Load()
-	n := total
-	if c := uint64(len(j.ring)); n > c {
-		n = c
-	}
-	out := make([]Event, 0, n)
-	for seq := total - n + 1; seq <= total; seq++ {
-		if p := j.ring[(seq-1)&j.mask].Load(); p != nil && p.Seq == seq {
-			out = append(out, *p)
-		}
-	}
-	return out
+	return trace.Collect(j.rg(), func(out, e *Event) { *out = *e })
 }

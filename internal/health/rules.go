@@ -3,6 +3,7 @@ package health
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -24,26 +25,34 @@ const (
 
 var severityNames = [...]string{"ok", "warn", "critical"}
 
-// String labels the severity.
-func (s Severity) String() string {
-	if s >= 0 && int(s) < len(severityNames) {
-		return severityNames[s]
+// label returns names[v], the label of one of this package's enums, or
+// typ(v) when v has none.
+func label[T ~int](names []string, typ string, v T) string {
+	if v >= 0 && int(v) < len(names) {
+		return names[v]
 	}
-	return fmt.Sprintf("Severity(%d)", int(s))
+	return fmt.Sprintf("%s(%d)", typ, int(v))
 }
+
+// parseLabel sets *v to the value whose label is b (the inverse of
+// label); what names the enum in the error.
+func parseLabel[T ~int](names []string, what string, v *T, b []byte) error {
+	if i := slices.Index(names, string(b)); i >= 0 {
+		*v = T(i)
+		return nil
+	}
+	return fmt.Errorf("health: unknown %s %q", what, b)
+}
+
+// String labels the severity.
+func (s Severity) String() string { return label(severityNames[:], "Severity", s) }
 
 // MarshalText renders the severity as its string label.
 func (s Severity) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
 
 // UnmarshalText parses a severity label (the inverse of MarshalText).
 func (s *Severity) UnmarshalText(b []byte) error {
-	for i, n := range severityNames {
-		if n == string(b) {
-			*s = Severity(i)
-			return nil
-		}
-	}
-	return fmt.Errorf("health: unknown severity %q", b)
+	return parseLabel(severityNames[:], "severity", s, b)
 }
 
 // RuleKind selects how a rule reads the telemetry store.
@@ -68,25 +77,14 @@ const (
 var ruleKindNames = [...]string{"threshold", "rate", "burn-rate", "quantile"}
 
 // String labels the rule kind.
-func (k RuleKind) String() string {
-	if k >= 0 && int(k) < len(ruleKindNames) {
-		return ruleKindNames[k]
-	}
-	return fmt.Sprintf("RuleKind(%d)", int(k))
-}
+func (k RuleKind) String() string { return label(ruleKindNames[:], "RuleKind", k) }
 
 // MarshalText renders the kind as its string label.
 func (k RuleKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
 
 // UnmarshalText parses a rule-kind label (the inverse of MarshalText).
 func (k *RuleKind) UnmarshalText(b []byte) error {
-	for i, n := range ruleKindNames {
-		if n == string(b) {
-			*k = RuleKind(i)
-			return nil
-		}
-	}
-	return fmt.Errorf("health: unknown rule kind %q", b)
+	return parseLabel(ruleKindNames[:], "rule kind", k, b)
 }
 
 // Rule is one declarative SLO rule evaluated against the telemetry

@@ -35,25 +35,14 @@ const (
 var causeNames = [...]string{"dep-stall", "link-saturation", "quarantine-backlog", "deadlock", "unknown"}
 
 // String labels the stall cause.
-func (c StallCause) String() string {
-	if c >= 0 && int(c) < len(causeNames) {
-		return causeNames[c]
-	}
-	return fmt.Sprintf("StallCause(%d)", int(c))
-}
+func (c StallCause) String() string { return label(causeNames[:], "StallCause", c) }
 
 // MarshalText renders the cause as its string label.
 func (c StallCause) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
 
 // UnmarshalText parses a cause label (the inverse of MarshalText).
 func (c *StallCause) UnmarshalText(b []byte) error {
-	for i, n := range causeNames {
-		if n == string(b) {
-			*c = StallCause(i)
-			return nil
-		}
-	}
-	return fmt.Errorf("health: unknown stall cause %q", b)
+	return parseLabel(causeNames[:], "stall cause", c, b)
 }
 
 // Stall is one stream the watchdog currently considers stalled:

@@ -163,7 +163,7 @@ type Rec struct {
 	CostExtra                      time.Duration
 
 	depID [inlineDeps]uint64
-	at    uint64 // ring position, set by Publish
+	at    uint64 // ring sequence number, set by Publish
 
 	CostKernel                 int32
 	depWhy                     [inlineDeps]DepKind
@@ -356,32 +356,19 @@ func (s *RecSlab) New() *Rec {
 }
 
 // FlightRecorder is a bounded ring of completed spans — a flight
-// recorder that can stay on in production. Each entry points at a
-// published record (Rec), which no one writes while the ring holds it,
-// so the ring needs no lock: a writer takes the next position with one
-// atomic increment and publishes with one atomic swap of the entry,
-// never waiting, and a reader copies whatever records the entries
-// point at. When the ring wraps the oldest spans are overwritten. A
-// nil recorder discards everything, so callers never need nil checks.
+// recorder that can stay on in production: a Ring of published
+// records (Rec), so recording never waits, and the oldest spans are
+// overwritten. A nil recorder discards everything, so callers never
+// need nil checks.
 type FlightRecorder struct {
-	mask  uint64
-	pos   atomic.Uint64 // total spans ever recorded
-	floor atomic.Uint64 // first position Snapshot returns (Reset)
-	ring  []atomic.Pointer[Rec]
-	recs  RecSlab // backs the records Record copies spans into
+	ring *Ring[Rec]
+	recs RecSlab // backs the records Record copies spans into
 }
 
 // NewFlight returns a recorder holding the most recent capacity spans
 // (rounded up to a power of two; capacity <= 0 uses the default).
 func NewFlight(capacity int) *FlightRecorder {
-	if capacity <= 0 {
-		capacity = defaultFlightCap
-	}
-	n := 1
-	for n < capacity {
-		n <<= 1
-	}
-	return &FlightRecorder{mask: uint64(n - 1), ring: make([]atomic.Pointer[Rec], n)}
+	return &FlightRecorder{ring: NewRing(capacity, defaultFlightCap, func(r *Rec) *uint64 { return &r.at })}
 }
 
 // defaultFlight is the trace counterpart of metrics.Default(), kept
@@ -394,26 +381,18 @@ var defaultFlight = NewFlight(0)
 // runtimes record into when Config.Flight is nil.
 func DefaultFlight() *FlightRecorder { return defaultFlight }
 
+// rg returns the recorder's ring, nil for a nil recorder.
+func (f *FlightRecorder) rg() *Ring[Rec] {
+	if f == nil {
+		return nil
+	}
+	return f.ring
+}
+
 // Publish appends r as the newest span. r must come from a RecSlab,
 // and neither r nor anything it points at may be written afterwards.
-// A writer lapped before it stores (a later lap's record is already in
-// its entry) drops r, so the newer record stays.
-func (f *FlightRecorder) Publish(r *Rec) {
-	if f == nil {
-		return
-	}
-	i := f.pos.Add(1) - 1
-	r.at = i
-	e := &f.ring[i&f.mask]
-	old := e.Swap(r)
-	// A later lap can have stored here only once the position counter
-	// is a whole lap past i, so the common case never reads the old
-	// record. If one did, put it back, unless a still later one has
-	// replaced r meanwhile.
-	if old != nil && f.pos.Load()-i > f.mask+1 && old.at > i {
-		e.CompareAndSwap(r, old)
-	}
-}
+// A writer lapped before it stores drops r (see Ring.Publish).
+func (f *FlightRecorder) Publish(r *Rec) { f.rg().Publish(r) }
 
 // Record appends a copy of one span: it copies sp into a record from
 // the recorder's own slab and publishes that. The span's identity
@@ -451,80 +430,35 @@ func (f *FlightRecorder) Record(sp *Span) {
 
 // RunOwner returns the Ident.Owner of a retained record of run, or nil
 // when the ring retains none (or its producer attached none).
-func (f *FlightRecorder) RunOwner(run uint64) any {
-	if f == nil {
-		return nil
-	}
-	for i := range f.ring {
-		if r := f.ring[i].Load(); r != nil {
-			if id := r.Ident(); id != nil && id.Run == run {
-				return id.Owner
-			}
+func (f *FlightRecorder) RunOwner(run uint64) (owner any) {
+	f.rg().Each(func(r *Rec) {
+		if id := r.Ident(); id != nil && id.Run == run {
+			owner = id.Owner
 		}
-	}
-	return nil
+	})
+	return owner
 }
 
 // Cap returns the ring capacity in spans.
-func (f *FlightRecorder) Cap() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.ring)
-}
+func (f *FlightRecorder) Cap() int { return f.rg().Cap() }
 
 // Total returns how many spans were ever recorded.
-func (f *FlightRecorder) Total() uint64 {
-	if f == nil {
-		return 0
-	}
-	return f.pos.Load()
-}
+func (f *FlightRecorder) Total() uint64 { return f.rg().Total() }
 
 // Dropped returns how many spans the ring has overwritten.
-func (f *FlightRecorder) Dropped() uint64 {
-	if total := f.Total(); total > uint64(f.Cap()) {
-		return total - uint64(f.Cap())
-	}
-	return 0
-}
+func (f *FlightRecorder) Dropped() uint64 { return f.rg().Dropped() }
 
 // Snapshot returns the retained spans ordered oldest → newest. It is
 // safe to call concurrently with Record, Publish and Reset; spans
 // racing the snapshot may or may not be included.
 func (f *FlightRecorder) Snapshot() []Span {
-	if f == nil {
-		return nil
-	}
-	// floor before pos: Reset stores a position it read, so the floor
-	// loaded first is never past the position counter loaded after it.
-	start := f.floor.Load()
-	pos := f.pos.Load()
-	if n := uint64(f.Cap()); pos > n && pos-n > start {
-		start = pos - n
-	}
-	out := make([]Span, 0, pos-start)
 	var deps []Dep
-	for i := start; i < pos; i++ {
-		// An entry still holding an older lap's record (its writer has
-		// not published yet) or already a newer one is skipped.
-		if r := f.ring[i&f.mask].Load(); r != nil && r.at == i {
-			out = append(out, Span{})
-			r.span(&out[len(out)-1], &deps)
-		}
-	}
-	return out
+	return Collect(f.rg(), func(sp *Span, r *Rec) { r.span(sp, &deps) })
 }
 
 // Reset discards all retained spans: Snapshot returns only what is
-// recorded after it. The ring keeps its entries, and the total count
-// keeps rising, so Dropped stays meaningful.
-func (f *FlightRecorder) Reset() {
-	if f == nil {
-		return
-	}
-	f.floor.Store(f.pos.Load())
-}
+// recorded after it. Total keeps rising, so Dropped stays meaningful.
+func (f *FlightRecorder) Reset() { f.rg().Reset() }
 
 // LatestRun filters spans down to the highest run id present —
 // process-wide recorders accumulate spans from every runtime, and
