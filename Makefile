@@ -84,13 +84,14 @@ fuzz-smoke:
 # fabric DMA. Each benchmark runs once and fails the run over its
 # bound. The trace bound times recording with the collector off, so
 # overhead also reports what a full ring of retained spans costs each
-# collection (BenchmarkFlightRingGC, gc_ns/span), which it does not
-# bound. Tier-1 (go test ./...) asserts only their deterministic
+# collection (BenchmarkFlightRingGC: gc_ns/span, the median of 20
+# rounds that each pair a full ring with an empty one, and its IQR),
+# which it does not bound. Tier-1 (go test ./...) asserts only their deterministic
 # proxies, so it cannot fail for the host's reasons; bench
 # (go run ./bench) times the scheduler and the per-layer costs.
 overhead:
 	$(GO) test -run '^$$' -bench '^Benchmark(TraceOverhead|TelemetryOverhead|Layering)$$' -benchtime 1x .
-	$(GO) test -run '^$$' -bench '^BenchmarkFlightRingGC$$' -benchtime 3x ./internal/trace
+	$(GO) test -run '^$$' -bench '^BenchmarkFlightRingGC$$' -benchtime 20x ./internal/trace
 
 # check is the pre-commit gate: build, vet, formatting, the doc lint,
 # the exposition golden, tests under the race detector, the wall-clock

@@ -658,13 +658,10 @@ func runChaos(o chaosOptions, onEvent func(core.RuntimeEvent)) chaosResult {
 		HostStreams:    2,
 		Metrics:        reg,
 		Faults:         inj,
-		Retry: core.RetryPolicy{
-			Max: o.retry, Backoff: o.backoff, BackoffMax: 50 * o.backoff,
-			Jitter: 0.5, Seed: plan.Seed,
-		},
-		Deadline: o.deadline,
-		Breaker:  core.BreakerPolicy{Threshold: o.breaker},
-		OnEvent:  onEvent,
+		Retry:          core.RetryPolicy{Max: o.retry, Backoff: o.backoff},
+		Deadline:       o.deadline,
+		Breaker:        core.BreakerPolicy{Threshold: o.breaker},
+		OnEvent:        onEvent,
 	})
 	if err != nil {
 		return chaosResult{verify: err}

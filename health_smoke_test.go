@@ -124,7 +124,7 @@ func TestHealthSmoke(t *testing.T) {
 		HostStreams:    2,
 		Metrics:        reg,
 		Faults:         fault.NewInjector(plan, reg),
-		Retry:          core.RetryPolicy{Max: 8, Backoff: 50 * time.Microsecond, BackoffMax: 2500 * time.Microsecond, Jitter: 0.5, Seed: plan.Seed},
+		Retry:          core.RetryPolicy{Max: 8, Backoff: 50 * time.Microsecond},
 		Breaker:        core.BreakerPolicy{Threshold: 3},
 		OnEvent:        journal.CoreEvent,
 	})

@@ -8,21 +8,21 @@
 // registered buffers with host↔sink movement over fabric DMA, and
 // completion events. Control traffic really travels over fabric
 // endpoints, so the layering the paper describes is an actual code
-// path, not a diagram. Each pipeline owns an endpoint pair:
-// RunFunction sends a descriptor on its source end, and the
-// pipeline's executor reads the sink end, whose inbox is the
-// descriptor's one queue. Completions return over the process's own
-// endpoint pair, whose source end one router reads to complete events.
-// An end that is only sent from never makes an inbox.
+// path, not a diagram. Each pipeline owns two endpoint pairs, each
+// used one way: RunFunction sends a numbered descriptor on the first,
+// the pipeline's executor runs the descriptors in that order and
+// answers each on the second, and Event.Wait reads the answers back
+// in the same order. An end that is only sent from never makes an
+// inbox.
 //
 // Each control message is one fixed binary record: the op byte ('r'
-// run-function or 'c' completion), the event id as a uvarint, the
-// function name and the error text each prefixed by its uvarint
-// length, then the scalar args as a uvarint count followed by zigzag
-// varints and the buffer ids as a uvarint count followed by uvarints.
-// Both ends live in one binary, so there is no type descriptor and no
-// version to negotiate; decode rejects empty, truncated, oversized and
-// trailing-byte input.
+// run-function or 'c' completion), the event's place in its pipeline
+// as a uvarint, the function name and the error text each prefixed by
+// its uvarint length, then the scalar args as a uvarint count followed
+// by zigzag varints and the buffer ids as a uvarint count followed by
+// uvarints. Both ends live in one binary, so there is no type
+// descriptor and no version to negotiate; decode rejects empty,
+// truncated, oversized and trailing-byte input.
 //
 // The buffer pool reproduces the paper's allocation observation: COI
 // overheads were negligible when a pool of 2 MB buffers was used, and
@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hstreams/internal/fabric"
@@ -171,34 +172,40 @@ func (r *wireReader) str(s *string) {
 	r.b = r.b[n:]
 }
 
-// Event signals completion of one run-function invocation.
+// Event names one run-function invocation by its pipeline and its
+// place in the pipeline's order. RunFunction returns it by value; the
+// zero Event names nothing.
 type Event struct {
-	done chan struct{}
-	err  error
+	pl  *Pipeline
+	seq uint64
 }
 
-func newEvent() *Event { return &Event{done: make(chan struct{})} }
-
-// Wait blocks until the invocation finished and returns its error.
-func (e *Event) Wait() error {
-	<-e.done
-	return e.err
+// Wait blocks until the invocation finished and returns its error. It
+// reads the pipeline's answers in order up to its own and keeps the
+// errors of the others for their Waits, so an error is returned once:
+// a second Wait on the same Event returns nil. After Pipeline.Destroy
+// every answer is there, and Wait does not block.
+func (e Event) Wait() error {
+	pl := e.pl
+	pl.readMu.Lock()
+	defer pl.readMu.Unlock()
+	for pl.read.Load() < e.seq {
+		if !pl.next() {
+			return ErrPipelineDown
+		}
+	}
+	err := pl.errs[e.seq]
+	delete(pl.errs, e.seq)
+	return err
 }
-
-// Done returns a channel closed on completion.
-func (e *Event) Done() <-chan struct{} { return e.done }
 
 // Process is the host-side handle to a sink engine running on a card
-// domain. It owns the completion endpoints, the registered functions,
-// the sink buffer instances, and the sink pipelines.
+// domain. It owns the registered functions, the sink buffer instances,
+// and the sink pipelines.
 type Process struct {
 	fab    *fabric.Fabric
 	source *fabric.Node
 	sink   *fabric.Node
-	// srcEP and sinkEP carry completions: every pipeline's executor
-	// answers on sinkEP, and sourceLoop reads srcEP.
-	srcEP  *fabric.Endpoint
-	sinkEP *fabric.Endpoint
 	pool   *BufferPool
 
 	// Telemetry, labeled by sink node (see Options.Metrics).
@@ -209,12 +216,8 @@ type Process struct {
 	funcs     map[string]RunFunc
 	buffers   map[uint64]*Buffer
 	pipelines map[uint64]*Pipeline
-	events    map[uint64]*Event
 	nextID    uint64
-	down      bool // set first by Destroy; no Event or pipeline is made after it
-
-	srcDone chan struct{} // closed when sourceLoop returns
-	destroy sync.Once
+	down      bool // set first by Destroy; no pipeline is made after it
 }
 
 // Options configures process creation.
@@ -231,28 +234,22 @@ type Options struct {
 // CreateProcess starts a sink engine on the sink node and returns the
 // host-side handle. The two nodes must be connected on the fabric.
 func CreateProcess(f *fabric.Fabric, source, sink *fabric.Node, opt Options) (*Process, error) {
-	srcEP, sinkEP, err := fabric.ConnectPair(f, source, sink)
-	if err != nil {
+	if _, err := f.LinkBetween(source, sink); err != nil {
 		return nil, err
 	}
 	p := &Process{
 		fab:       f,
 		source:    source,
 		sink:      sink,
-		srcEP:     srcEP,
-		sinkEP:    sinkEP,
 		funcs:     make(map[string]RunFunc),
 		buffers:   make(map[uint64]*Buffer),
 		pipelines: make(map[uint64]*Pipeline),
-		events:    make(map[uint64]*Event),
-		srcDone:   make(chan struct{}),
 	}
 	if opt.PoolBuffers {
 		p.pool = NewBufferPool(DefaultPoolChunk)
 	}
 	p.poolHits = opt.Metrics.CounterVec("hstreams_coi_pool_hits_total", "Sink buffer allocations satisfied from the 2 MB pool.", "sink").With(sink.Name())
 	p.poolMisses = opt.Metrics.CounterVec("hstreams_coi_pool_misses_total", "Sink buffer allocations that paid a cold (pinning) allocation.", "sink").With(sink.Name())
-	go p.sourceLoop()
 	return p, nil
 }
 
@@ -274,85 +271,48 @@ func (p *Process) RegisterFunction(name string, fn RunFunc) {
 // Sink returns the sink node of the process.
 func (p *Process) Sink() *fabric.Node { return p.sink }
 
-// sourceLoop routes completions back to host-side events.
-func (p *Process) sourceLoop() {
-	defer close(p.srcDone)
-	var m msg
-	for {
-		raw, err := p.srcEP.Recv()
-		if err != nil {
-			return
-		}
-		if decode(raw, &m) != nil || m.Op != 'c' {
-			continue
-		}
-		p.mu.Lock()
-		ev := p.events[m.Event]
-		delete(p.events, m.Event)
-		p.mu.Unlock()
-		if ev != nil {
-			if m.Err != "" {
-				ev.err = errors.New(m.Err)
-			}
-			close(ev.done)
-		}
-	}
-}
-
 // Destroy shuts the process down, letting the sink drain first: when
-// it returns, no run-function is executing and every Event that
-// RunFunction handed out has completed, with its result or with
-// ErrProcessDown. Calls after (or concurrent with) the first return
-// once the first has finished.
+// it returns, no run-function is executing and every pipeline is
+// destroyed, so no Event's Wait blocks. A call during another returns
+// once the pipelines the first is destroying are gone.
 func (p *Process) Destroy() {
-	p.destroy.Do(func() {
-		p.mu.Lock()
-		p.down = true
-		pls := make([]*Pipeline, 0, len(p.pipelines))
-		for _, pl := range p.pipelines {
-			pls = append(pls, pl)
-		}
-		p.mu.Unlock()
-		// No pipeline is created after down, and one leaves the table
-		// only once its executor has exited, so these are all that
-		// can still answer; each runs what it was handed first.
-		for _, pl := range pls {
-			pl.Destroy()
-		}
-		p.sinkEP.Close()
-		p.srcEP.Close()
-		<-p.srcDone
-		p.mu.Lock()
-		for id, ev := range p.events { // descriptors the sink never answered
-			delete(p.events, id)
-			ev.err = ErrProcessDown
-			close(ev.done)
-		}
-		p.mu.Unlock()
-	})
+	p.mu.Lock()
+	p.down = true
+	pls := make([]*Pipeline, 0, len(p.pipelines))
+	for _, pl := range p.pipelines {
+		pls = append(pls, pl)
+	}
+	p.mu.Unlock()
+	for _, pl := range pls {
+		pl.shut(ErrProcessDown)
+	}
 }
 
 // Pipeline is a FIFO queue of run-function invocations executing on
 // the sink — COI's ordering guarantee that hStreams builds streams on.
-// The queue is the pipeline's own endpoint pair: RunFunction sends
-// descriptors on src, and the executor receives them from sink in
-// that order. Completions travel on the process's endpoints.
+// Descriptors travel from src to sink and answers from back to ans,
+// so the n-th descriptor sent gets the n-th answer.
 type Pipeline struct {
-	p         *Process
-	id        uint64
-	src, sink *fabric.Endpoint
-	// down (guarded by p.mu) is set first by Destroy; no Event is
-	// registered on the pipeline after it. sending counts the
-	// RunFunction calls that registered an Event and have not sent
-	// yet.
-	down    bool
-	sending sync.WaitGroup
+	p                    *Process
+	id                   uint64
+	src, sink, ans, back *fabric.Endpoint
+	// sendMu orders descriptors and guards sent, their count, and
+	// down, what RunFunction returns once Destroy has begun.
+	sendMu sync.Mutex
+	sent   uint64
+	down   error
+	// readMu orders answers and guards errs, the errors of answers
+	// read but not yet returned, and reply; read counts the answers.
+	readMu  sync.Mutex
+	read    atomic.Uint64
+	errs    map[uint64]error
+	reply   msg
 	exited  chan struct{} // closed when run returns
 	destroy sync.Once
 }
 
-// CreatePipeline creates a sink pipeline with its own endpoint pair
-// and executor.
+// CreatePipeline creates a sink pipeline with its own endpoints and
+// executor.
 func (p *Process) CreatePipeline() (*Pipeline, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -363,7 +323,9 @@ func (p *Process) CreatePipeline() (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl := &Pipeline{p: p, id: p.id(), src: src, sink: sink, exited: make(chan struct{})}
+	ans, back, _ := fabric.ConnectPair(p.fab, p.source, p.sink) // the same link
+	pl := &Pipeline{p: p, id: p.id(), src: src, sink: sink, ans: ans, back: back,
+		errs: make(map[uint64]error), exited: make(chan struct{})}
 	p.pipelines[pl.id] = pl
 	go pl.run()
 	return pl, nil
@@ -371,33 +333,33 @@ func (p *Process) CreatePipeline() (*Pipeline, error) {
 
 // Destroy tears the pipeline down (COIPipelineDestroy): it stops
 // accepting run-functions, lets the sink run the ones already
-// submitted, and returns once the pipeline's executor has exited and
-// the pipeline has left its process. Their events complete as usual.
-// Destroy is idempotent, and safe during or after Process.Destroy,
-// which destroys every pipeline still in its table.
-func (pl *Pipeline) Destroy() {
+// submitted, and returns once the executor has answered them and
+// exited and the pipeline has left its process. Destroy is
+// idempotent, and safe during or after Process.Destroy.
+func (pl *Pipeline) Destroy() { pl.shut(ErrPipelineDown) }
+
+// shut is Destroy; later RunFunction calls return down.
+func (pl *Pipeline) shut(down error) {
 	pl.destroy.Do(func() {
-		p := pl.p
-		p.mu.Lock()
-		pl.down = true
-		p.mu.Unlock()
-		// Every registered descriptor is now in the sink's inbox; the
-		// executor drains it before Recv reports the close.
-		pl.sending.Wait()
+		pl.sendMu.Lock()
+		pl.down = down
+		pl.sendMu.Unlock()
+		// The executor drains what was sent before Recv reports the
+		// close; the answers stay readable from the closed ans.
 		pl.sink.Close()
 		<-pl.exited
-		p.mu.Lock()
-		delete(p.pipelines, pl.id)
-		p.mu.Unlock()
+		pl.ans.Close()
+		pl.p.mu.Lock()
+		delete(pl.p.pipelines, pl.id)
+		pl.p.mu.Unlock()
 	})
 }
 
-// run executes descriptors in FIFO order on the sink. It decodes into
-// one msg and gathers operands into one slice, both reused: the
-// executor runs one descriptor at a time.
+// run executes descriptors in FIFO order on the sink and answers each,
+// a malformed one with an error. It decodes into one msg and gathers
+// operands into one slice, both reused: it runs one at a time.
 func (pl *Pipeline) run() {
 	defer close(pl.exited)
-	p := pl.p
 	var (
 		m    msg
 		bufs [][]byte
@@ -408,78 +370,90 @@ func (pl *Pipeline) run() {
 		if err != nil {
 			return
 		}
-		if decode(raw, &m) != nil || m.Op != 'r' {
-			continue
+		reply := msg{Op: 'c', Err: errBadMsg.Error()}
+		if decode(raw, &m) == nil && m.Op == 'r' {
+			reply.Event = m.Event
+			bufs, reply.Err = pl.p.call(&m, bufs[:0])
+			clear(bufs)
 		}
-		reply := msg{Op: 'c', Event: m.Event}
-		p.mu.Lock()
-		fn := p.funcs[m.Fn]
-		bufs = bufs[:0]
-		for _, id := range m.BufIDs {
-			b := p.buffers[id]
-			if b == nil {
-				fn = nil
-				reply.Err = ErrUnknownBuffer.Error()
-				break
-			}
-			bufs = append(bufs, b.sinkWin.Bytes())
-		}
-		p.mu.Unlock()
-		if fn == nil {
-			if reply.Err == "" {
-				reply.Err = ErrUnknownFunction.Error()
-			}
-		} else {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						reply.Err = fmt.Sprintf("coi: run-function panic: %v", r)
-					}
-				}()
-				fn(m.Args, bufs)
-			}()
-		}
-		clear(bufs)
-		_, _ = p.sinkEP.Send(encode(wire[:0], reply))
+		_, _ = pl.back.Send(encode(wire[:0], reply))
 	}
 }
 
+// call runs descriptor m, gathering its operands into bufs, and
+// returns bufs and the answer's error text.
+func (p *Process) call(m *msg, bufs [][]byte) (_ [][]byte, errText string) {
+	p.mu.Lock()
+	fn := p.funcs[m.Fn]
+	for _, id := range m.BufIDs {
+		b := p.buffers[id]
+		if b == nil {
+			p.mu.Unlock()
+			return bufs, ErrUnknownBuffer.Error()
+		}
+		bufs = append(bufs, b.sinkWin.Bytes())
+	}
+	p.mu.Unlock()
+	if fn == nil {
+		return bufs, ErrUnknownFunction.Error()
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			errText = fmt.Sprintf("coi: run-function panic: %v", r)
+		}
+	}()
+	fn(m.Args, bufs)
+	return bufs, ""
+}
+
+// next reads the next answer and keeps its error. The caller holds
+// readMu. It reports false once the answers are closed and drained.
+func (pl *Pipeline) next() bool {
+	raw, err := pl.ans.Recv()
+	if err != nil {
+		return false
+	}
+	seq := pl.read.Add(1)
+	if decode(raw, &pl.reply) != nil {
+		pl.errs[seq] = errBadMsg
+	} else if pl.reply.Err != "" {
+		pl.errs[seq] = errors.New(pl.reply.Err)
+	}
+	return true
+}
+
 // RunFunction enqueues a sink invocation of the named function with
-// the given scalar args and buffer operands, returning immediately
-// with a completion event.
-func (pl *Pipeline) RunFunction(name string, args []int64, bufs ...*Buffer) (*Event, error) {
+// the given scalar args and buffer operands and returns at once with
+// its Event. With fabric.EndpointDepth invocations unanswered it first
+// reads the oldest answer, so neither inbox fills.
+func (pl *Pipeline) RunFunction(name string, args []int64, bufs ...*Buffer) (Event, error) {
 	var ids [8]uint64
 	m := msg{Op: 'r', Fn: name, Args: args, BufIDs: ids[:0]}
 	for _, b := range bufs {
 		if b.proc != pl.p {
-			return nil, ErrUnknownBuffer
+			return Event{}, ErrUnknownBuffer
 		}
 		m.BufIDs = append(m.BufIDs, b.id)
 	}
-	ev := newEvent()
-	pl.p.mu.Lock()
-	if pl.p.down {
-		pl.p.mu.Unlock()
-		return nil, ErrProcessDown
+	pl.sendMu.Lock()
+	defer pl.sendMu.Unlock()
+	if pl.down != nil {
+		return Event{}, pl.down
 	}
-	if pl.down {
-		pl.p.mu.Unlock()
-		return nil, ErrPipelineDown
+	if pl.sent-pl.read.Load() >= fabric.EndpointDepth {
+		pl.readMu.Lock()
+		if pl.sent-pl.read.Load() >= fabric.EndpointDepth { // a Wait may have read some
+			pl.next()
+		}
+		pl.readMu.Unlock()
 	}
-	m.Event = pl.p.id()
-	pl.p.events[m.Event] = ev
-	pl.sending.Add(1)
-	pl.p.mu.Unlock()
+	m.Event = pl.sent + 1
 	var wire [128]byte
-	_, err := pl.src.Send(encode(wire[:0], m))
-	pl.sending.Done()
-	if err != nil {
-		pl.p.mu.Lock()
-		delete(pl.p.events, m.Event)
-		pl.p.mu.Unlock()
-		return nil, err
+	if _, err := pl.src.Send(encode(wire[:0], m)); err != nil {
+		return Event{}, err
 	}
-	return ev, nil
+	pl.sent++
+	return Event{pl, pl.sent}, nil
 }
 
 // Buffer is a COI buffer: sink-side storage addressable by run

@@ -71,7 +71,7 @@ func TestPipelineIsFIFO(t *testing.T) {
 		mu.Unlock()
 	})
 	pl, _ := p.CreatePipeline()
-	var last *Event
+	var last Event
 	for i := int64(0); i < 50; i++ {
 		ev, err := pl.RunFunction("log", []int64{i})
 		if err != nil {
@@ -319,7 +319,7 @@ func TestManyConcurrentRunFunctions(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var evs []*Event
+			var evs []Event
 			for j := 0; j < per; j++ {
 				ev, err := pl.RunFunction("inc", nil)
 				if err != nil {
@@ -355,7 +355,7 @@ func TestDestroyDrainsPendingPipelines(t *testing.T) {
 		mu.Unlock()
 	})
 	pl, _ := p.CreatePipeline()
-	var evs []*Event
+	var evs []Event
 	for i := 0; i < 10; i++ {
 		ev, err := pl.RunFunction("slowinc", nil)
 		if err != nil {
@@ -389,7 +389,7 @@ func TestPipelineDestroy(t *testing.T) {
 	})
 	pl, _ := p.CreatePipeline()
 	other, _ := p.CreatePipeline()
-	var evs []*Event
+	var evs []Event
 	for i := 0; i < 10; i++ {
 		ev, err := pl.RunFunction("slowinc", nil)
 		if err != nil {
@@ -456,7 +456,7 @@ func TestDestroyCompletesOutstandingEvents(t *testing.T) {
 		running.Add(-1)
 	})
 	pl, _ := p.CreatePipeline()
-	var evs []*Event
+	var evs []Event
 	for i := 0; i < 5; i++ {
 		ev, err := pl.RunFunction("slow", nil)
 		if err != nil {
@@ -467,9 +467,9 @@ func TestDestroyCompletesOutstandingEvents(t *testing.T) {
 	// A second pipeline keeps enqueueing across Destroy: whatever it
 	// is handed must complete too, and the rest must be refused.
 	racer, _ := p.CreatePipeline()
-	raced := make(chan []*Event)
+	raced := make(chan []Event)
 	go func() {
-		var got []*Event
+		var got []Event
 		for {
 			ev, err := racer.RunFunction("quick", nil)
 			if err != nil {
@@ -491,20 +491,77 @@ func TestDestroyCompletesOutstandingEvents(t *testing.T) {
 		t.Fatalf("%d of 5 enqueued run-functions ran before Destroy returned", n)
 	}
 	for i, ev := range evs {
-		select {
-		case <-ev.Done():
-		default:
-			t.Fatalf("event %d still pending after Destroy", i)
-		}
-		if err := ev.Wait(); err != nil {
+		if err := waitNow(t, ev); err != nil {
 			t.Fatalf("event %d: %v", i, err)
 		}
 	}
 	for i, ev := range <-raced {
-		select {
-		case <-ev.Done():
-		default:
-			t.Fatalf("racing event %d still pending after Destroy", i)
+		if err := waitNow(t, ev); err != nil {
+			t.Fatalf("racing event %d: %v", i, err)
+		}
+	}
+}
+
+// waitNow returns ev.Wait's result, failing t if Wait blocks.
+func waitNow(t *testing.T, ev Event) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- ev.Wait() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatal("Wait blocked on a destroyed pipeline")
+		return nil
+	}
+}
+
+// TestPipelineWindow sends more than three windows of run-functions
+// without waiting, every third one failing: the sender reads the
+// oldest answers back itself, and each Wait, taken newest first, must
+// still return its own result. Then a pipeline with more than a window
+// unanswered must destroy promptly, and every Wait after must return
+// at once.
+func TestPipelineWindow(t *testing.T) {
+	p := newProcess(t, Options{})
+	p.RegisterFunction("ok", func(_ []int64, _ [][]byte) {})
+	pl, _ := p.CreatePipeline()
+	evs := make([]Event, 3*fabric.EndpointDepth+7)
+	for i := range evs {
+		name := "ok"
+		if i%3 == 2 {
+			name = "unregistered"
+		}
+		ev, err := pl.RunFunction(name, nil)
+		if err != nil {
+			t.Fatalf("run-function %d: %v", i, err)
+		}
+		evs[i] = ev
+	}
+	for i := len(evs) - 1; i >= 0; i-- {
+		err := evs[i].Wait()
+		if fails := i%3 == 2; fails != (err != nil) || fails && err.Error() != ErrUnknownFunction.Error() {
+			t.Fatalf("run-function %d: Wait = %v", i, err)
+		}
+	}
+
+	evs = evs[:fabric.EndpointDepth+7]
+	for i := range evs {
+		var err error
+		if evs[i], err = pl.RunFunction("ok", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	destroyed := make(chan struct{})
+	go func() { pl.Destroy(); close(destroyed) }()
+	select {
+	case <-destroyed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Destroy blocked with more than a window unanswered")
+	}
+	for i, ev := range evs {
+		if err := waitNow(t, ev); err != nil {
+			t.Fatalf("run-function %d: %v", i, err)
 		}
 	}
 }
@@ -526,15 +583,14 @@ func TestRunFunctionAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%.1f allocations per RunFunction + Wait", allocs)
-	if allocs > 4 {
-		t.Fatalf("RunFunction + Wait = %.1f allocations, want ≤ 4", allocs)
+	if allocs > 2 {
+		t.Fatalf("RunFunction + Wait = %.1f allocations, want ≤ 2", allocs)
 	}
 }
 
 // TestPipelineGoroutineBudget pins the process's goroutines: one
-// completion router, plus one executor per pipeline reading its own
-// endpoint. A demultiplexer between the endpoints and the executors
-// would add one.
+// executor per pipeline, reading its own endpoint and answering on its
+// own. A demultiplexer or a completion router would add one.
 func TestPipelineGoroutineBudget(t *testing.T) {
 	// settle counts goroutines once those still exiting from earlier
 	// tests are gone; everything this test starts blocks until Destroy.
@@ -558,8 +614,8 @@ func TestPipelineGoroutineBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := settle() - before; got != k+1 {
-		t.Fatalf("process with %d pipelines added %d goroutines, want %d", k, got, k+1)
+	if got := settle() - before; got != k {
+		t.Fatalf("process with %d pipelines added %d goroutines, want %d", k, got, k)
 	}
 	p.Destroy()
 	if got := settle() - before; got != 0 {

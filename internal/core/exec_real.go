@@ -326,7 +326,7 @@ func (re *realExec) runCard(a *Action, dr *domainRes) error {
 			}
 			return err
 		}
-		wait := rp.wait(a.rec.ID, attempt)
+		wait := rp.wait(re.res.seed, a.rec.ID, attempt)
 		note := a.resNote()
 		note.retries++
 		note.retryWait += wait

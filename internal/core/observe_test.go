@@ -473,6 +473,57 @@ func TestTracingAddsNoAllocs(t *testing.T) {
 	}
 }
 
+// TestRealComputeAllocs pins a Real compute's allocations per action
+// on a host and on a card stream: eight computes on one InOut operand,
+// then Synchronize. A card compute also crosses its COI pipeline,
+// whose descriptor and answer each cost one payload copy; the answer
+// needs no Event, channel or completion map. It skips under -race,
+// where sync.Pool drops items on purpose and the scratch is remade.
+func TestRealComputeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	perAction := func(dom func(*Runtime) *Domain) float64 {
+		rt, err := Init(Config{
+			Machine: platform.HSWPlusKNC(1), Mode: ModeReal, Metrics: metrics.New(),
+			Flight: trace.NewFlight(1 << 12),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Fini()
+		rt.RegisterKernel("nop", func(*KernelCtx) {})
+		s, err := rt.StreamCreate(dom(rt), 0, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := rt.Alloc1D("x", 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := []Operand{b.All(InOut)}
+		return testing.AllocsPerRun(100, func() {
+			for i := 0; i < 8; i++ {
+				if _, err := s.EnqueueCompute("nop", nil, ops, platform.Cost{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Synchronize(); err != nil {
+				t.Fatal(err)
+			}
+		}) / 8
+	}
+	host := perAction(func(rt *Runtime) *Domain { return rt.Host() })
+	card := perAction(func(rt *Runtime) *Domain { return rt.Card(0) })
+	t.Logf("allocations per action: host %.3f, card %.3f", host, card)
+	if host > 1.25 {
+		t.Errorf("host stream: %.3f allocations per action, want ≤ 1.25", host)
+	}
+	if card > 3.25 {
+		t.Errorf("card stream: %.3f allocations per action, want ≤ 3.25", card)
+	}
+}
+
 // TestXferLabelAllocsNothing: a Sim transfer costs the action and its
 // operand and nothing else — its span label was built with its buffer.
 func TestXferLabelAllocsNothing(t *testing.T) {

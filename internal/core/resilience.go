@@ -62,39 +62,34 @@ type RetryPolicy struct {
 	// action runs at most Max+1 times). Zero disables retries.
 	Max int
 	// Backoff is the wait before the first re-attempt; attempt k waits
-	// Backoff<<k (capped at BackoffMax). Zero re-attempts immediately.
+	// Backoff<<k, capped at backoffCap×Backoff and jittered (see
+	// wait). Zero re-attempts immediately.
 	Backoff time.Duration
-	// BackoffMax caps the exponential growth. Zero means uncapped.
-	BackoffMax time.Duration
-	// Jitter spreads each wait uniformly over
-	// [1-Jitter/2, 1+Jitter/2) of its nominal value, derived
-	// deterministically from (Seed, action id, attempt) so a seeded
-	// chaos run replays byte-identical backoff schedules. Zero
-	// disables jitter; 0.5 is a reasonable production value.
-	Jitter float64
-	// Seed feeds the deterministic jitter.
-	Seed uint64
 }
 
+// The backoff's growth cap, as a multiple of Backoff, and its jitter:
+// each wait is spread uniformly over [1-jitter/2, 1+jitter/2) of its
+// nominal value.
+const (
+	backoffCap = 50
+	jitter     = 0.5
+)
+
 // wait returns the backoff before re-attempt number attempt (0-based)
-// of the given action.
-func (p RetryPolicy) wait(id uint64, attempt int) time.Duration {
+// of the given action. The jitter is a hash of (seed, id, attempt),
+// the seed being the fault injector's, so a seeded chaos run replays
+// byte-identical backoff schedules.
+func (p RetryPolicy) wait(seed, id uint64, attempt int) time.Duration {
 	if p.Backoff <= 0 {
 		return 0
 	}
-	if attempt > 20 { // 2^20 × Backoff is past any sane BackoffMax
+	if attempt > 20 { // 2^20 × Backoff is past the cap
 		attempt = 20
 	}
-	base := p.Backoff << uint(attempt)
-	if p.BackoffMax > 0 && base > p.BackoffMax {
-		base = p.BackoffMax
-	}
-	if p.Jitter <= 0 {
-		return base
-	}
-	h := mix64(p.Seed ^ id*0x9e3779b97f4a7c15 ^ uint64(attempt)<<32)
+	base := min(p.Backoff<<uint(attempt), backoffCap*p.Backoff)
+	h := mix64(seed ^ id*0x9e3779b97f4a7c15 ^ uint64(attempt)<<32)
 	u := float64(h>>11) / (1 << 53)
-	return time.Duration(float64(base) * (1 - p.Jitter/2 + p.Jitter*u))
+	return time.Duration(float64(base) * (1 - jitter/2 + jitter*u))
 }
 
 // BreakerPolicy configures per-domain quarantine. The zero value
@@ -125,6 +120,7 @@ func (e *needReroute) Error() string { return fmt.Sprintf("core: needs re-route:
 // breaker state.
 type resState struct {
 	retry    RetryPolicy
+	seed     uint64 // the fault injector's, for the retry jitter
 	deadline time.Duration
 	dom      []*domainRes
 }
@@ -170,6 +166,7 @@ type domainRes struct {
 func newResState(rt *Runtime) *resState {
 	rs := &resState{
 		retry:    rt.cfg.Retry,
+		seed:     rt.cfg.Faults.Seed(),
 		deadline: rt.cfg.Deadline,
 		dom:      make([]*domainRes, len(rt.domains)),
 	}
@@ -303,7 +300,7 @@ func (dr *domainRes) flush(re *realExec) error {
 				if err == nil || !fault.IsTransient(err) || att >= flushRetryMax {
 					break
 				}
-				if w := re.res.retry.wait(uint64(iv.lo)|1, att); w > 0 {
+				if w := re.res.retry.wait(re.res.seed, uint64(iv.lo)|1, att); w > 0 {
 					time.Sleep(w)
 				}
 			}

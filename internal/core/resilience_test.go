@@ -73,10 +73,7 @@ func TestRetryDeterministicCounts(t *testing.T) {
 			Metrics: reg,
 			Flight:  fl,
 			Faults:  inj,
-			Retry: RetryPolicy{
-				Max: 20, Backoff: time.Microsecond,
-				BackoffMax: 50 * time.Microsecond, Jitter: 0.5, Seed: 7,
-			},
+			Retry:   RetryPolicy{Max: 20, Backoff: time.Microsecond},
 		})
 		st, err := rt.StreamCreate(rt.Card(0), 0, 4)
 		if err != nil {
@@ -525,10 +522,7 @@ func TestFIFOSemanticUnderFaults(t *testing.T) {
 			rt := newChaosRT(t, Config{
 				Metrics: reg,
 				Faults:  inj,
-				Retry: RetryPolicy{
-					Max: 50, Backoff: time.Microsecond,
-					BackoffMax: 100 * time.Microsecond, Jitter: 0.5, Seed: uint64(seed),
-				},
+				Retry:   RetryPolicy{Max: 50, Backoff: time.Microsecond},
 				Breaker: BreakerPolicy{Threshold: 4},
 			})
 			rt.RegisterKernel("nop", func(*KernelCtx) {})
@@ -567,34 +561,42 @@ func TestFIFOSemanticUnderFaults(t *testing.T) {
 }
 
 // TestRetryPolicyWait pins the backoff schedule: exponential growth,
-// the BackoffMax cap, the shift-overflow clamp, and jitter that is
-// deterministic in (seed, action, attempt) and bounded by the
-// configured spread.
+// the 50×Backoff cap, the shift-overflow clamp, and jitter that is
+// deterministic in (seed, action, attempt) and spread over ±25%. The
+// literals are the chaos figure's schedule (hsbench runChaos, Backoff
+// 50 µs, seed 1) from when the cap and the jitter were per-policy
+// fields, so the schedule cannot drift.
 func TestRetryPolicyWait(t *testing.T) {
-	if w := (RetryPolicy{}).wait(1, 3); w != 0 {
+	if w := (RetryPolicy{}).wait(1, 1, 3); w != 0 {
 		t.Errorf("zero policy waits %v, want 0", w)
 	}
-	p := RetryPolicy{Backoff: time.Millisecond, BackoffMax: 4 * time.Millisecond}
-	for attempt, want := range []time.Duration{
-		time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond, 4 * time.Millisecond,
+	p := RetryPolicy{Backoff: 50 * time.Microsecond}
+	for id, want := range map[uint64][]time.Duration{
+		1:  {60314, 98678, 178041, 375879, 911863, 1429728, 2766378, 2979778},
+		42: {43409, 105505, 162088, 485404, 773264, 1644124, 2340508, 2262602},
 	} {
-		if w := p.wait(9, attempt); w != want {
-			t.Errorf("attempt %d: wait %v, want %v", attempt, w, want)
+		for attempt, w := range want {
+			if got := p.wait(1, id, attempt); got != w {
+				t.Errorf("action %d attempt %d: wait %v, want %v", id, attempt, got, w)
+			}
 		}
 	}
-	j := RetryPolicy{Backoff: time.Millisecond, Jitter: 0.5, Seed: 11}
-	if a, b := j.wait(3, 0), j.wait(3, 0); a != b {
-		t.Errorf("jitter not deterministic: %v vs %v", a, b)
-	}
-	lo, hi := time.Duration(float64(time.Millisecond)*0.75), time.Duration(float64(time.Millisecond)*1.25)
-	for id := uint64(0); id < 50; id++ {
-		if w := j.wait(id, 0); w < lo || w > hi {
-			t.Errorf("action %d: jittered wait %v outside [%v, %v]", id, w, lo, hi)
+	j := RetryPolicy{Backoff: time.Millisecond}
+	for attempt := 0; attempt < 8; attempt++ {
+		base := min(time.Millisecond<<attempt, 50*time.Millisecond)
+		lo, hi := base*3/4, base*5/4
+		for id := uint64(0); id < 50; id++ {
+			if w := j.wait(11, id, attempt); w < lo || w >= hi {
+				t.Errorf("action %d attempt %d: wait %v outside [%v, %v)", id, attempt, w, lo, hi)
+			}
 		}
+	}
+	if a, b := j.wait(11, 3, 0), j.wait(12, 3, 0); a == b {
+		t.Errorf("seeds 11 and 12 jitter alike: %v", a)
 	}
 	// Attempts beyond the shift clamp reuse attempt 20's schedule
 	// instead of overflowing the shift.
-	if a, b := j.wait(5, 20), j.wait(5, 40); a != b {
+	if a, b := j.wait(11, 5, 20), j.wait(11, 5, 40); a != b {
 		t.Errorf("over-clamp attempt differs: %v vs %v", a, b)
 	}
 }

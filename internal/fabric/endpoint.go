@@ -34,11 +34,12 @@ type mailbox struct {
 	done chan struct{}
 }
 
-const endpointDepth = 1024
+// EndpointDepth is how many messages an endpoint's inbox holds.
+const EndpointDepth = 1024
 
 // ConnectPair creates a connected endpoint pair between two nodes that
 // must already have a link on the fabric. Each end makes its inbox of
-// endpointDepth messages on first use, so a pair used one way holds
+// EndpointDepth messages on first use, so a pair used one way holds
 // one.
 func ConnectPair(f *Fabric, a, b *Node) (*Endpoint, *Endpoint, error) {
 	link, err := f.LinkBetween(a, b)
@@ -139,7 +140,7 @@ func (e *Endpoint) boxLocked() *mailbox {
 	if mb := e.inbox.Load(); mb != nil || e.closed {
 		return mb
 	}
-	mb := &mailbox{msgs: make(chan []byte, endpointDepth), done: make(chan struct{})}
+	mb := &mailbox{msgs: make(chan []byte, EndpointDepth), done: make(chan struct{})}
 	e.inbox.Store(mb)
 	return mb
 }

@@ -304,7 +304,7 @@ func TestSendRacesClose(t *testing.T) {
 // allocates the receiving end's inbox only, not one per end.
 func TestOneWayPairMakesOneInbox(t *testing.T) {
 	f, host, card := twoNodeFabric(t)
-	inbox := uint64(endpointDepth) * uint64(unsafe.Sizeof([]byte(nil)))
+	inbox := uint64(EndpointDepth) * uint64(unsafe.Sizeof([]byte(nil)))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	eh, ec, err := ConnectPair(f, host, card)

@@ -156,6 +156,15 @@ func NewInjector(plan Plan, reg *metrics.Registry) *Injector {
 	}
 }
 
+// Seed returns the plan's seed, zero for a nil injector. The core's
+// retry jitter derives from it.
+func (in *Injector) Seed() uint64 {
+	if in == nil {
+		return 0
+	}
+	return in.plan.Seed
+}
+
 // site resolves (or creates) the decision sequence for key; caller
 // holds in.mu.
 func (in *Injector) site(key string) *siteState {

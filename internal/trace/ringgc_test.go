@@ -71,28 +71,33 @@ func medianDur(ts []time.Duration) time.Duration {
 }
 
 // BenchmarkFlightRingGC reports what retained spans cost the garbage
-// collector: the median forced collection with a full default ring
-// minus the median with an empty one, divided by the ring's capacity,
-// as gc_ns/span. BenchmarkTraceOverhead's 5% budget times recording
-// with the collector off, so this is where the cost of keeping spans
-// shows. make overhead runs it and reports it; it bounds nothing.
+// collector. Each round times forced collections with a full default
+// ring, then with an empty one, and divides the difference of the two
+// medians by the ring's capacity; pairing the sides within a round
+// keeps the host's drift out of the difference. It reports the median
+// of the rounds as gc_ns/span and their interquartile range as
+// gc_ns/span_iqr. BenchmarkTraceOverhead's 5% budget times
+// recording with the collector off, so this is where the cost of
+// keeping spans shows. make overhead runs it and reports it; it bounds
+// nothing.
 func BenchmarkFlightRingGC(b *testing.B) {
 	const perSide = 7
-	var full, empty []time.Duration
+	var perSpan []float64
 	for range b.N {
 		f := NewFlight(0)
 		fillRing(f)
 		runtime.GC()
-		full = gcTimes(full, perSide)
+		full := medianDur(gcTimes(nil, perSide))
 		runtime.KeepAlive(f)
 		f = NewFlight(0)
 		runtime.GC()
-		empty = gcTimes(empty, perSide)
+		empty := medianDur(gcTimes(nil, perSide))
 		runtime.KeepAlive(f)
+		perSpan = append(perSpan, float64(full-empty)/float64(defaultFlightCap))
 	}
-	fullMed, emptyMed := medianDur(full), medianDur(empty)
+	slices.Sort(perSpan)
+	q := func(p float64) float64 { return perSpan[int(p*float64(len(perSpan)-1)+0.5)] }
 	b.ReportMetric(0, "ns/op")
-	b.ReportMetric(float64(fullMed.Microseconds())/1e3, "full_gc_ms")
-	b.ReportMetric(float64(emptyMed.Microseconds())/1e3, "empty_gc_ms")
-	b.ReportMetric(float64(fullMed-emptyMed)/float64(defaultFlightCap), "gc_ns/span")
+	b.ReportMetric(q(0.5), "gc_ns/span")
+	b.ReportMetric(q(0.75)-q(0.25), "gc_ns/span_iqr")
 }
